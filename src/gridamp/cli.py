@@ -56,10 +56,22 @@ class RunConfig:
     format: str
 
 
+class UsageError(Exception):
+    """Bad command-line input found after parsing; exit code 2."""
+
+
+def _read_circuit(path: str) -> Circuit:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read circuit file {path!r}: {e.strerror}") from None
+    return parse_circuit(text)
+
+
 def _load_circuit(args) -> Circuit:
     if args.circuit:
-        with open(args.circuit, encoding="utf-8") as fh:
-            return parse_circuit(fh.read())
+        return _read_circuit(args.circuit)
     if args.rows is None or args.cols is None or args.depth is None:
         raise SystemExit("either --circuit or --rows/--cols/--depth is required")
     return generate(GenParams(args.rows, args.cols, args.depth, args.seed))
@@ -233,8 +245,7 @@ def cmd_fidelity(args) -> int:
     rates = ErrorRates.from_two_qubit_rate(args.eps)
     circuit = None
     if args.circuit:
-        with open(args.circuit, encoding="utf-8") as fh:
-            circuit = parse_circuit(fh.read())
+        circuit = _read_circuit(args.circuit)
         m, n, d = circuit.rows, circuit.cols, circuit.depth
     elif args.exact:
         circuit = generate(GenParams(args.rows, args.cols, args.depth, args.seed))
@@ -318,6 +329,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _at_least(low, kind=int):
+    """Argparse type: a number of ``kind`` no smaller than ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return parse
+
+
 def _add_circuit_source(p: argparse.ArgumentParser):
     p.add_argument("--circuit", help="circuit file to load")
     p.add_argument("--rows", type=int, help="grid rows (generate on the fly)")
@@ -331,23 +357,31 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--order", choices=("vertical", "minfill", "search"), default="search"
     )
-    p.add_argument("--order-time", type=float, default=2.0,
+    p.add_argument("--order-time", type=_at_least(0.0, float), default=2.0,
                    help="ordering search time budget, seconds")
-    p.add_argument("--order-restarts", type=int, default=8,
+    p.add_argument("--order-restarts", type=_at_least(1), default=8,
                    help="ordering search restart cap")
     p.add_argument("--order-seed", type=int, default=0)
-    p.add_argument("--fix-max", type=int, default=8,
+    p.add_argument("--fix-max", type=_at_least(0), default=8,
                    help="max number of variables fixed for parallelization")
     p.add_argument("--max-rank", type=int, default=27,
                    help="per-subtask rank budget")
     p.add_argument("--engine-max-rank", type=int, default=DEFAULT_MAX_RANK,
                    help="hard cap on materialized tensor rank")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line and exit 2, the same as the
+    input errors ``main`` catches."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridamp",
         description="Single-amplitude simulator for grid quantum circuits",
     )
@@ -411,7 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CircuitError as e:
+    except (CircuitError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -3,17 +3,20 @@
 Eliminating a variable multiplies every factor containing it into one
 product tensor, sums the variable out, and replaces those factors with
 the result; the graph mirrors this by connecting all of the variable's
-neighbors (the fill-in clique) and removing it.  The cost of a step is
-2^degree(v) at elimination time, the size of the post-summation tensor;
-``estimate_cost`` replays only the graph dynamics and never touches
-tensor data, so the same routine prices candidate orderings cheaply.
+neighbors (the fill-in clique) and removing it.  ``eliminate_vertex`` is
+that graph update, and every routine that replays an elimination (the
+contraction, the cost model, min-fill, the searches) goes through it.
+The cost of a step is 2^degree(v) at elimination time, the size of the
+post-summation tensor; ``estimate_cost`` replays only the graph dynamics
+and never touches tensor data, so the same routine prices candidate
+orderings cheaply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_model import GraphModel
+from .graph_model import GraphModel, remove_vertex
 from .tensor import (
     DEFAULT_MAX_RANK,
     RankOverflowError,
@@ -72,6 +75,18 @@ def _check_covers(g: GraphModel, order: Ordering):
         )
 
 
+def eliminate_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:
+    """Remove ``v`` from the adjacency map and join its neighbors into a
+    clique (the fill-in); returns the neighbors, whose count is the
+    step's degree."""
+    nbs = remove_vertex(adj, v)
+    for u in nbs:
+        au = adj[u]
+        au |= nbs
+        au.discard(u)
+    return nbs
+
+
 def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
     """Cost of eliminating in the given order, from graph dynamics alone.
 
@@ -83,19 +98,11 @@ def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
     total = 0
     max_rank = 0
     for v in order:
-        nbs = adj.pop(v)
-        deg = len(nbs)
+        deg = len(eliminate_vertex(adj, v))
         cost = 1 << deg
         steps.append(CostStep(v, deg, cost))
         total += cost
         max_rank = max(max_rank, deg)
-        for u in nbs:
-            adj[u].discard(v)
-        nb_list = sorted(nbs)
-        for i, u in enumerate(nb_list):
-            for w in nb_list[i + 1 :]:
-                adj[u].add(w)
-                adj[w].add(u)
     return CostEstimate(tuple(steps), total, max_rank)
 
 
@@ -126,12 +133,7 @@ def _eliminate_inplace(g: GraphModel, v: VarId, max_rank: int, step: int | None 
         # no factor mentions v: summing an absent variable doubles the term
         g.scalar *= 2.0
     g.factors = rest
-    nbs = sorted(g.adj[v])
-    g._remove_vertex(v)
-    for i, u in enumerate(nbs):
-        for w in nbs[i + 1 :]:
-            g.adj[u].add(w)
-            g.adj[w].add(u)
+    eliminate_vertex(g.adj, v)
 
 
 def eliminate_variable(

@@ -117,12 +117,17 @@ class GraphModel:
                     continue
             new_factors.append(f)
         self.factors = new_factors
-        self._remove_vertex(v)
+        remove_vertex(self.adj, v)
         self.fixed[v] = bit
 
-    def _remove_vertex(self, v: VarId):
-        for u in self.adj.pop(v):
-            self.adj[u].discard(v)
+
+def remove_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:
+    """Pop ``v`` from the adjacency map and drop its edges; returns its
+    neighbors.  This is what fixing a variable does to the graph."""
+    nbs = adj.pop(v)
+    for u in nbs:
+        adj[u].discard(v)
+    return nbs
 
 
 def _as_bits(output_bits, n: int) -> tuple[int, ...]:

@@ -7,6 +7,16 @@ adjacent-transposition improvements against the step-cost sum until a
 time or restart budget runs out.  The search's candidate stream is
 deterministic given the seed; budgets only truncate it, so a larger
 budget can never return a worse result.
+
+Swap locality: eliminating {a, b} leaves the same graph in either order,
+so swapping the neighbors a = cur[i], b = cur[i+1] changes only the
+costs of steps i and i+1.  On the graph P left by eliminating cur[:i],
+if b is a neighbor of a then whichever goes second has degree
+|N(a) ∪ N(b)| - 2 either way, so the swap changes the total by
+2^|N(b)| - 2^|N(a)|; otherwise neither degree changes.  A sweep of
+local moves therefore keeps P, prices each swap from N(a) and N(b)
+alone, and then eliminates cur[i] from P; it never replays the whole
+ordering.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import CostEstimate, Ordering, estimate_cost, simulate_cost
+from .elimination import CostEstimate, Ordering, eliminate_vertex, simulate_cost
 from .graph_model import GraphModel
 
 
@@ -71,14 +81,8 @@ def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
         pool = sorted(v for v in pool if len(adj[v]) == best_deg)
         v = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         order.append(v)
-        nbs = sorted(adj.pop(v))
+        nbs = eliminate_vertex(adj, v)
         del fills[v]
-        for u in nbs:
-            adj[u].discard(v)
-        for i, u in enumerate(nbs):
-            for w in nbs[i + 1 :]:
-                adj[u].add(w)
-                adj[w].add(u)
         # only vertices whose neighborhood (or whose neighbors' adjacency)
         # changed can have a stale fill count
         affected = set(nbs)
@@ -94,25 +98,35 @@ def _cost_of(adj: dict[int, set[int]], order) -> CostEstimate:
     return simulate_cost({v: set(ns) for v, ns in adj.items()}, order)
 
 
+def _swap_delta(prefix: dict[int, set[int]], a: int, b: int) -> int:
+    """Change in total cost from eliminating b before a on ``prefix``
+    (see the module docstring)."""
+    na = prefix[a]
+    if b not in na:
+        return 0
+    # the later of the two steps has degree |N(a) ∪ N(b)| - 2 in either
+    # order, so its cost cancels
+    return (1 << len(prefix[b])) - (1 << len(na))
+
+
 def _local_improve(adj, vars_list, est, deadline) -> tuple[list[int], CostEstimate]:
     """First-improvement sweeps of adjacent transpositions; deterministic,
-    the deadline only truncates."""
+    the deadline only truncates.  A swap is kept when it lowers the total
+    cost, priced incrementally against the sweep's prefix graph."""
     cur = list(vars_list)
-    cur_est = est
+    moved = False
     improved = True
     while improved:
         improved = False
+        prefix = {v: set(ns) for v, ns in adj.items()}
         for i in range(len(cur) - 1):
             if deadline is not None and time.perf_counter() >= deadline:
-                return cur, cur_est
-            cur[i], cur[i + 1] = cur[i + 1], cur[i]
-            cand_est = _cost_of(adj, cur)
-            if cand_est.total < cur_est.total:
-                cur_est = cand_est
-                improved = True
-            else:
+                return cur, (_cost_of(adj, cur) if moved else est)
+            if _swap_delta(prefix, cur[i], cur[i + 1]) < 0:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    return cur, cur_est
+                improved = moved = True
+            eliminate_vertex(prefix, cur[i])
+    return cur, (_cost_of(adj, cur) if moved else est)
 
 
 def search_ordering(
@@ -160,5 +174,4 @@ __all__ = [
     "min_fill_ordering",
     "search_ordering",
     "fill_count",
-    "estimate_cost",
 ]

@@ -7,6 +7,22 @@ reduced graph under the same ordering and are summed at the end.  The
 fix set is chosen greedily against the estimated cost of the base
 ordering; the reduced graph then gets a fresh ordering search.
 
+Prefix reuse: let candidate v sit at position p_v of the base ordering.
+Before step p_v, the graph left by eliminating the same prefix from
+G - v is that of G with v removed (removing a vertex commutes with
+eliminating others).  Each step k < p_v therefore costs the same in
+G - v, halved when v is a neighbor of the step's vertex.  One sweep of
+the base elimination prices every candidate: its prefix cost is the
+base prefix total minus those halves, and only the suffix after p_v is
+replayed, on a snapshot of the sweep's graph with v removed.
+
+Suffix merge: after step p_v both graphs have the same vertices, and the
+candidate's is a subgraph of the base one (eliminating a vertex keeps
+that relation).  So as soon as the replay has as many edges left as the
+base elimination had at the same step, the two graphs are equal and the
+rest of the candidate's cost is the base suffix total; the replay stops
+there.
+
 Subtask summation uses a fixed-shape binary reduction tree over the
 subtask index, so the amplitude is bit-identical for any worker count.
 """
@@ -17,8 +33,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .elimination import CostEstimate, Ordering, contract, simulate_cost
-from .graph_model import GraphModel
+from .elimination import (
+    CostEstimate,
+    Ordering,
+    contract,
+    eliminate_vertex,
+    simulate_cost,
+)
+from .graph_model import GraphModel, remove_vertex
 from .ordering import OrderingBudget, search_ordering
 from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
 
@@ -87,6 +109,59 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
+def _copy(adj: dict[VarId, set[VarId]]) -> dict[VarId, set[VarId]]:
+    return {v: set(ns) for v, ns in adj.items()}
+
+
+def _eliminate_counting(adj: dict[VarId, set[VarId]], v: VarId) -> tuple[int, int]:
+    """Eliminate ``v``; returns its degree and the change in edge count."""
+    nbs = adj[v]
+    before = sum(map(len, map(adj.__getitem__, nbs)))
+    eliminate_vertex(adj, v)
+    # each neighbor lost v and gained its fill edges, two ends per edge
+    after = sum(map(len, map(adj.__getitem__, nbs)))
+    return len(nbs), (after - before - len(nbs)) // 2
+
+
+def _best_fix(adj: dict[VarId, set[VarId]], order: list[VarId], pool) -> VarId:
+    """The candidate in ``pool`` whose removal leaves the cheapest
+    elimination of ``adj`` under ``order`` (ties to the lower id), priced
+    in one sweep with prefix reuse (see the module docstring)."""
+    # base elimination: cost of each step, and edges left before it
+    base = _copy(adj)
+    edges = [sum(map(len, base.values())) // 2]
+    costs = []
+    for v in order:
+        deg, de = _eliminate_counting(base, v)
+        costs.append(1 << deg)
+        edges.append(edges[-1] + de)
+    after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
+    for k in range(len(order) - 1, -1, -1):
+        after[k] = after[k + 1] + costs[k]
+    pool = set(pool)
+    prefix = _copy(adj)
+    halves = dict.fromkeys(adj, 0)  # what the steps taken cost less without v
+    best: tuple[int, VarId] | None = None
+    for k, v in enumerate(order):
+        if v in pool:
+            rest = _copy(prefix)
+            e = edges[k] - len(remove_vertex(rest, v))
+            total = after[0] - after[k] - halves[v]
+            for j in range(k + 1, len(order)):
+                if e == edges[j]:  # merged with the base elimination
+                    total += after[j]
+                    break
+                deg, de = _eliminate_counting(rest, order[j])
+                total += 1 << deg
+                e += de
+            if best is None or (total, v) < best:
+                best = (total, v)
+        for u in eliminate_vertex(prefix, v):
+            halves[u] += costs[k] >> 1
+    assert best is not None
+    return best[1]
+
+
 def select_fix_set(
     g: GraphModel,
     base: Ordering,
@@ -110,33 +185,24 @@ def select_fix_set(
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    adj = {v: set(ns) for v, ns in g.adj.items()}
+    adj = _copy(g.adj)
     remaining = list(base.restrict(adj).vars)
     if set(remaining) != set(adj):
         raise ValueError("base ordering does not cover the model's variables")
-    current = simulate_cost({v: set(ns) for v, ns in adj.items()}, remaining)
+    current = simulate_cost(_copy(adj), remaining)
     fix_vars: list[VarId] = []
     while not budget.satisfied_by(current) and len(fix_vars) < t_max:
         if shortlist is not None:
             pool = sorted(adj, key=lambda v: (-len(adj[v]), v))[:shortlist]
-            pool = sorted(pool)
         else:
-            pool = sorted(adj)
-        best_v = None
-        best_est = None
-        for v in pool:
-            reduced = {u: ns - {v} for u, ns in adj.items() if u != v}
-            order = [u for u in remaining if u != v]
-            est = simulate_cost(reduced, order)
-            if best_est is None or est.total < best_est.total:
-                best_v, best_est = v, est
-        assert best_v is not None and best_est is not None
+            pool = adj
+        if not pool:
+            break  # nothing left to fix
+        best_v = _best_fix(adj, remaining, pool)
         fix_vars.append(best_v)
-        nbs = adj.pop(best_v)
-        for u in nbs:
-            adj[u].discard(best_v)
-        remaining = [u for u in remaining if u != best_v]
-        current = best_est
+        remove_vertex(adj, best_v)
+        remaining.remove(best_v)
+        current = simulate_cost(_copy(adj), remaining)
     if not budget.satisfied_by(current) and not allow_over_budget:
         raise BudgetUnreachableError(len(fix_vars), current, budget)
     if not fix_vars:

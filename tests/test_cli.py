@@ -87,6 +87,29 @@ class TestAmplitude:
         with pytest.raises(SystemExit):
             main(["amplitude", "--circuit", ref4q_file, "--x", "01"])
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--fix-max", "-1"),
+            ("--order-restarts", "0"),
+            ("--order-time", "-1"),
+            ("--circuit", "/nonexistent"),
+        ],
+    )
+    def test_bad_flag_is_one_line_usage_error(self, capsys, ref4q_file, flag, value):
+        argv = ["amplitude", "--circuit", ref4q_file, flag, value]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert (value if flag == "--circuit" else flag) in lines[0]
+
     def test_budget_unreachable_error_json(self, capsys, ref4q_file):
         code, out = run_cli(capsys, "amplitude", "--circuit", ref4q_file,
                             "--max-rank", "0", "--fix-max", "0")

@@ -1,0 +1,250 @@
+"""Incremental pricing against full-replay references.
+
+The ordering search prices adjacent swaps from the prefix-elimination
+graph, and fix-set selection prices every candidate in one sweep of the
+base elimination.  The full-replay versions they replaced are kept here
+as references; the planners must return exactly what the references
+return, so every plan is unchanged.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridamp import (
+    CostBudget,
+    GenParams,
+    OrderingBudget,
+    build_model,
+    generate,
+    min_fill_ordering,
+    search_ordering,
+    select_fix_set,
+    vertical_ordering,
+)
+from gridamp import ordering, partition
+from gridamp.circuit import Circuit, CustomGate, GateKind
+from gridamp.elimination import eliminate_vertex, simulate_cost
+
+
+def _copy(adj):
+    return {v: set(ns) for v, ns in adj.items()}
+
+
+def reference_local_improve(adj, vars_list, est, deadline):
+    """Adjacent-swap sweeps, each candidate priced by a full replay."""
+    cur = list(vars_list)
+    cur_est = est
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(cur) - 1):
+            if deadline is not None and time.perf_counter() >= deadline:
+                return cur, cur_est
+            cur[i], cur[i + 1] = cur[i + 1], cur[i]
+            cand_est = simulate_cost(_copy(adj), cur)
+            if cand_est.total < cur_est.total:
+                cur_est = cand_est
+                improved = True
+            else:
+                cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    return cur, cur_est
+
+
+def reference_best_fix(adj, order, pool):
+    """Every candidate priced by replaying the whole reduced elimination;
+    ties go to the lower id."""
+    best_v, best_total = None, None
+    for v in sorted(pool):
+        reduced = {u: ns - {v} for u, ns in adj.items() if u != v}
+        total = simulate_cost(reduced, [u for u in order if u != v]).total
+        if best_total is None or total < best_total:
+            best_v, best_total = v, total
+    return best_v
+
+
+def grid_model(rows, depth, seed, custom_every=0):
+    """Model of a generated square-grid circuit.  With ``custom_every``,
+    every that-many-th CZ becomes a random non-diagonal two-qubit
+    ``CustomGate``, whose gadget adds two variables and a rank-4 factor."""
+    c = generate(GenParams(rows, rows, depth, seed))
+    if custom_every:
+        rng = np.random.default_rng(seed)
+        cycles, n_cz = [], 0
+        for gates in c.cycles:
+            out = []
+            for g in gates:
+                if g.kind is GateKind.CZ:
+                    n_cz += 1
+                    if n_cz % custom_every == 0:
+                        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                        g = CustomGate(g.qubits, np.linalg.qr(z)[0])
+                        assert not g.diagonal
+                out.append(g)
+            cycles.append(tuple(out))
+        c = Circuit(c.rows, c.cols, tuple(cycles))
+    return build_model(c, "0" * (rows * rows))
+
+
+# (rows, depth, seed, custom_every): 4x4 to 6x6, with and without
+# non-diagonal two-qubit gates
+CASES = [
+    (4, 12, 0, 0),
+    (4, 16, 3, 2),
+    (5, 16, 1, 0),
+    (5, 20, 2, 3),
+    (6, 16, 4, 0),
+    (6, 16, 5, 5),
+]
+CASE_IDS = [f"{r}x{r}x{d}:{s}" + ("+custom" if k else "") for r, d, s, k in CASES]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=CASE_IDS)
+def model(request):
+    return grid_model(*request.param)
+
+
+def test_custom_gate_models_have_rank_four_factors():
+    m = grid_model(4, 16, 3, custom_every=2)
+    assert any(f.rank == 4 for f in m.factors)
+
+
+class TestLocalImprove:
+    def _check(self, m, start):
+        adj = _copy(m.adj)
+        est = simulate_cost(_copy(adj), start)
+        got = ordering._local_improve(adj, list(start), est, None)
+        want = reference_local_improve(adj, list(start), est, None)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert adj == m.adj  # the caller's graph is left alone
+
+    def test_from_min_fill(self, model):
+        for seed in range(2):
+            self._check(model, min_fill_ordering(model, seed=seed).vars)
+
+    def test_from_vertical(self, model):
+        # far from a local optimum: many swaps are taken, and elements
+        # bubble across several positions in one sweep
+        self._check(model, vertical_ordering(model).vars)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), perm_seed=st.integers(0, 10_000),
+           custom=st.sampled_from([0, 2]))
+    def test_from_random_orderings(self, seed, perm_seed, custom):
+        m = grid_model(4, 10, seed, custom)
+        start = np.random.default_rng(perm_seed).permutation(sorted(m.adj))
+        self._check(m, [int(v) for v in start])
+
+    def test_expired_deadline_returns_the_input(self, model):
+        start = list(vertical_ordering(model).vars)
+        est = simulate_cost(_copy(model.adj), start)
+        got = ordering._local_improve(model.adj, start, est, time.perf_counter())
+        assert got == (start, est)
+
+
+def test_search_ordering_matches_full_replay_search(model, monkeypatch):
+    budget = OrderingBudget(time_s=None, max_restarts=3, seed=2)
+    got = search_ordering(model, budget)
+    monkeypatch.setattr(ordering, "_local_improve", reference_local_improve)
+    assert search_ordering(model, budget) == got
+
+
+class TestFixSelection:
+    @pytest.mark.parametrize("shortlist", [None, 5])
+    def test_every_round_picks_the_reference_candidate(self, model, shortlist):
+        adj = _copy(model.adj)
+        order = list(min_fill_ordering(model, seed=0).vars)
+        for _ in range(4):
+            pool = sorted(adj)
+            if shortlist is not None:
+                pool = sorted(adj, key=lambda v: (-len(adj[v]), v))[:shortlist]
+            best = partition._best_fix(adj, order, pool)
+            assert best == reference_best_fix(adj, order, pool)
+            for u in adj.pop(best):
+                adj[u].discard(best)
+            order.remove(best)
+
+    @pytest.mark.parametrize("shortlist", [None, 4])
+    def test_select_fix_set_matches_reference_plan(self, model, shortlist, monkeypatch):
+        base = min_fill_ordering(model, seed=1)
+        rank = simulate_cost(_copy(model.adj), base.vars).max_rank
+
+        def plan():
+            return select_fix_set(
+                model, base, t_max=3, budget=CostBudget(max_rank=rank - 2),
+                ordering_budget=OrderingBudget(time_s=None, max_restarts=2),
+                allow_over_budget=True, shortlist=shortlist,
+            )
+
+        got = plan()
+        assert len(got.fix_vars) >= 1
+        monkeypatch.setattr(partition, "_best_fix", reference_best_fix)
+        monkeypatch.setattr(ordering, "_local_improve", reference_local_improve)
+        assert plan() == got
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), order_seed=st.integers(0, 10_000),
+           custom=st.sampled_from([0, 3]), shortlist=st.sampled_from([None, 1, 6]))
+    def test_random_orderings(self, seed, order_seed, custom, shortlist):
+        m = grid_model(4, 8, seed, custom)
+        order = [int(v) for v in np.random.default_rng(order_seed).permutation(sorted(m.adj))]
+        pool = sorted(m.adj)
+        if shortlist is not None:
+            pool = sorted(m.adj, key=lambda v: (-len(m.adj[v]), v))[:shortlist]
+        assert partition._best_fix(m.adj, order, pool) == reference_best_fix(
+            m.adj, order, pool
+        )
+
+
+def test_empty_pool_stops_fixing():
+    # shortlist=0 leaves nothing to fix: the over-budget plan stands
+    m = grid_model(4, 12, 0)
+    base = min_fill_ordering(m, seed=0)
+    plan = select_fix_set(m, base, t_max=2, budget=CostBudget(max_rank=-1),
+                          allow_over_budget=True, shortlist=0)
+    assert plan.fix_vars == ()
+
+
+def random_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 12))
+        adj = {v: set() for v in range(n)}
+        for u, w in rng.integers(0, n, size=(2 * n, 2)):
+            if u != w:
+                adj[int(u)].add(int(w))
+                adj[int(w)].add(int(u))
+        yield adj, [int(v) for v in rng.permutation(n)]
+
+
+def n_edges(adj):
+    return sum(map(len, adj.values())) // 2
+
+
+def test_eliminate_vertex_joins_neighbors_pairwise():
+    for adj, order in random_graphs(20, seed=7):
+        v = order[0]
+        want = _copy(adj)
+        nbs = sorted(want.pop(v))
+        for u in nbs:
+            want[u].discard(v)
+        for i, u in enumerate(nbs):
+            for w in nbs[i + 1 :]:
+                want[u].add(w)
+                want[w].add(u)
+        got = _copy(adj)
+        assert sorted(eliminate_vertex(got, v)) == nbs
+        assert got == want
+
+
+def test_counting_elimination_tracks_degree_and_edges():
+    # fix-set pricing stops a replay when its edge count meets the base
+    # elimination's, so the count must be exact
+    for adj, order in random_graphs(20, seed=8):
+        for v in order:
+            deg, edges = len(adj[v]), n_edges(adj)
+            assert partition._eliminate_counting(adj, v) == (deg, n_edges(adj) - edges)
