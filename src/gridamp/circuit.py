@@ -96,14 +96,6 @@ def gate_matrix(kind: GateKind) -> np.ndarray:
     return kind.matrix
 
 
-def qubit_index(row: int, col: int, cols: int) -> int:
-    return row * cols + col
-
-
-def qubit_rc(index: int, cols: int) -> tuple[int, int]:
-    return divmod(index, cols)
-
-
 @dataclass(frozen=True)
 class Gate:
     """One catalog gate applied to one or two grid qubits.

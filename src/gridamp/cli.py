@@ -73,16 +73,14 @@ def _load_circuit(args) -> Circuit:
     if args.circuit:
         return _read_circuit(args.circuit)
     if args.rows is None or args.cols is None or args.depth is None:
-        raise SystemExit("either --circuit or --rows/--cols/--depth is required")
+        raise UsageError("either --circuit or --rows/--cols/--depth is required")
     return generate(GenParams(args.rows, args.cols, args.depth, args.seed))
 
 
 def _resolve_x(args, circuit: Circuit) -> str:
     x = args.x if args.x is not None else "0" * circuit.n_qubits
     if len(x) != circuit.n_qubits or any(ch not in "01" for ch in x):
-        raise SystemExit(
-            f"usage error: --x must be {circuit.n_qubits} bits of 0/1, got {x!r}"
-        )
+        raise UsageError(f"--x must be {circuit.n_qubits} bits of 0/1, got {x!r}")
     return x
 
 

@@ -1,25 +1,32 @@
-"""Variable-elimination contraction and the cost model used for planning.
+"""Contraction by bucket elimination, and the cost model used for planning.
 
-Eliminating a variable multiplies every factor containing it into one
-product tensor, sums the variable out, and replaces those factors with
-the result; the graph mirrors this by connecting all of the variable's
-neighbors (the fill-in clique) and removing it.  ``eliminate_vertex`` is
-that graph update, and every routine that replays an elimination (the
-contraction, the cost model, min-fill, the searches) goes through it.
-The cost of a step is 2^degree(v) at elimination time, the size of the
-post-summation tensor; ``estimate_cost`` replays only the graph dynamics
-and never touches tensor data, so the same routine prices candidate
-orderings cheaply.
+Eliminating a variable multiplies the factors that contain it, sums it
+out and keeps the result in their place.  ``contract`` does this on
+factor lists alone: each factor waits in the bucket of its
+earliest-eliminated variable, and each step's result goes to the bucket
+of its earliest remaining one.  No live factor holds an eliminated
+variable, so bucket k is exactly the live factors that contain step k's
+variable, in the order a scan of the live factor list meets them
+(original factors in list order, then results in creation order).
+``multiply_all`` thus pairs the same tensors as a rescan would, and the
+amplitude is bit-identical to applying ``eliminate_variable`` in order.
+
+On the graph, eliminating v joins its neighbors into a clique (the
+fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
+the cost model, min-fill and the searches.  A step costs 2^degree(v) at
+elimination time, the size of the post-summation tensor, so
+``estimate_cost`` prices an ordering from graph dynamics alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_model import GraphModel, remove_vertex
+from .graph_model import GraphModel, copy_adj, remove_vertex
 from .tensor import (
     DEFAULT_MAX_RANK,
     RankOverflowError,
+    Tensor,
     VarId,
     multiply_all,
     sum_out,
@@ -109,39 +116,39 @@ def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
 def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
     """Price an ordering without touching tensor data."""
     _check_covers(g, order)
-    adj = {v: set(ns) for v, ns in g.adj.items()}
-    return simulate_cost(adj, order.vars)
+    return simulate_cost(copy_adj(g.adj), order.vars)
 
 
-def _eliminate_inplace(g: GraphModel, v: VarId, max_rank: int, step: int | None = None):
-    if v not in g.adj:
-        raise KeyError(f"variable {v} is not free in this model")
-    touching = [f for f in g.factors if v in f.axes]
-    rest = [f for f in g.factors if v not in f.axes]
-    if touching:
-        try:
-            sigma = multiply_all(touching, max_rank=max_rank)
-        except RankOverflowError as e:
-            where = f"eliminating v{v}" + ("" if step is None else f" at step {step}")
-            raise RankOverflowError(e.variables, context=where) from None
-        reduced = sum_out(sigma, v)
-        if reduced.rank == 0:
-            g.scalar *= complex(reduced.data)
-        else:
-            rest.append(reduced)
-    else:
-        # no factor mentions v: summing an absent variable doubles the term
-        g.scalar *= 2.0
-    g.factors = rest
-    eliminate_vertex(g.adj, v)
+def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, scalar, step=None):
+    """Multiply the factors that contain ``v`` and sum ``v`` out.  Returns
+    the result, or None when it folds into the returned ``scalar``: at
+    rank 0, or for an empty bucket, which doubles the term."""
+    if not bucket:
+        return None, scalar * 2.0
+    try:
+        product = multiply_all(bucket, max_rank=max_rank)
+    except RankOverflowError as e:
+        where = f"eliminating v{v}" + ("" if step is None else f" at step {step}")
+        raise RankOverflowError(e.variables, context=where) from None
+    out = sum_out(product, v)
+    if out.rank == 0:
+        return None, scalar * complex(out.data)
+    return out, scalar
 
 
 def eliminate_variable(
     g: GraphModel, v: VarId, max_rank: int = DEFAULT_MAX_RANK
 ) -> GraphModel:
     """New model with ``v`` summed out and its fill-in clique added."""
+    if v not in g.adj:
+        raise KeyError(f"variable {v} is not free in this model")
     out = g.clone()
-    _eliminate_inplace(out, v, max_rank)
+    bucket = [f for f in g.factors if v in f.axes]
+    out.factors = [f for f in g.factors if v not in f.axes]
+    r, out.scalar = _eliminate_bucket(bucket, v, max_rank, g.scalar)
+    if r is not None:
+        out.factors.append(r)
+    eliminate_vertex(out.adj, v)
     return out
 
 
@@ -153,22 +160,23 @@ def contract(
 ) -> complex:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``trace_ranks``, if supplied, receives the rank of each intermediate
-    product tensor (one entry per step), which is what peak memory
-    follows.  Factor lists and neighbor sets are iterated in a fixed
-    order, so the result is bit-reproducible.
+    ``g`` is only read.  ``trace_ranks``, if supplied, receives the rank
+    of each intermediate product tensor (one entry per step), which is
+    what peak memory follows.  Buckets keep a fixed order, so the result
+    is bit-reproducible.
     """
     _check_covers(g, order)
-    work = g.clone()
-    for step, v in enumerate(order.vars):
+    pos = {v: k for k, v in enumerate(order.vars)}
+    buckets: list[list[Tensor] | None] = [[] for _ in order.vars]
+    for f in g.factors:
+        buckets[min(map(pos.__getitem__, f.axes))].append(f)
+    scalar = g.scalar
+    for k, v in enumerate(order.vars):
+        # release the bucket's list, so its factors die with the step
+        bucket, buckets[k] = buckets[k], None
         if trace_ranks is not None:
-            union: set[VarId] = set()
-            for f in work.factors:
-                if v in f.axes:
-                    union.update(f.axes)
-            trace_ranks.append(len(union))
-        _eliminate_inplace(work, v, max_rank, step=step)
-    for f in work.factors:
-        # unreachable for a covering ordering; guard against misuse
-        raise RuntimeError(f"non-scalar factor {f!r} left after contraction")
-    return complex(work.scalar)
+            trace_ranks.append(len({u for f in bucket for u in f.axes}))
+        r, scalar = _eliminate_bucket(bucket, v, max_rank, scalar, step=k)
+        if r is not None:
+            buckets[min(map(pos.__getitem__, r.axes))].append(r)
+    return complex(scalar)

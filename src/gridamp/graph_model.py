@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .tensor import Tensor, VarId
+from .tensor import Tensor, VarId, slice_axis
 
 
 class TooManyVariablesError(ValueError):
@@ -44,8 +44,9 @@ class VarInfo:
 class GraphModel:
     """Vertices, edges, tensor factors and the fixed-variable record.
 
-    Mutating helpers are private; public pipeline operations clone first,
-    so a model handed to concurrent workers is never written to.
+    Mutating helpers are private, and public operations apply them only
+    to clones or to models they build; ``contract`` and the planners only
+    read, so a model handed to concurrent workers is never written to.
     """
 
     __slots__ = ("adj", "factors", "fixed", "scalar", "var_info")
@@ -77,7 +78,7 @@ class GraphModel:
 
     def clone(self) -> "GraphModel":
         m = GraphModel()
-        m.adj = {v: set(ns) for v, ns in self.adj.items()}
+        m.adj = copy_adj(self.adj)
         m.factors = list(self.factors)
         m.fixed = dict(self.fixed)
         m.scalar = self.scalar
@@ -110,8 +111,7 @@ class GraphModel:
         new_factors = []
         for f in self.factors:
             if v in f.axes:
-                k = f.axes.index(v)
-                f = Tensor(f.axes[:k] + f.axes[k + 1 :], np.take(f.data, bit, axis=k))
+                f = slice_axis(f, v, bit)
                 if f.rank == 0:
                     self.scalar *= complex(f.data)
                     continue
@@ -119,6 +119,11 @@ class GraphModel:
         self.factors = new_factors
         remove_vertex(self.adj, v)
         self.fixed[v] = bit
+
+
+def copy_adj(adj: dict[VarId, set[VarId]]) -> dict[VarId, set[VarId]]:
+    """Copy of an adjacency map that shares no neighbor set with it."""
+    return {v: set(ns) for v, ns in adj.items()}
 
 
 def remove_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:

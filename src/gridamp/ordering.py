@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import CostEstimate, Ordering, eliminate_vertex, simulate_cost
-from .graph_model import GraphModel
+from .graph_model import GraphModel, copy_adj
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def fill_count(adj: dict[int, set[int]], v: int) -> int:
 def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
     """Greedy ordering: repeatedly eliminate a vertex adding the fewest
     fill edges; ties broken by lower degree, then seeded random choice."""
-    adj = {v: set(ns) for v, ns in g.adj.items()}
+    adj = copy_adj(g.adj)
     rng = np.random.default_rng(seed)
     fills = {v: fill_count(adj, v) for v in adj}
     order: list[int] = []
@@ -95,7 +95,7 @@ def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
 
 
 def _cost_of(adj: dict[int, set[int]], order) -> CostEstimate:
-    return simulate_cost({v: set(ns) for v, ns in adj.items()}, order)
+    return simulate_cost(copy_adj(adj), order)
 
 
 def _swap_delta(prefix: dict[int, set[int]], a: int, b: int) -> int:
@@ -118,7 +118,7 @@ def _local_improve(adj, vars_list, est, deadline) -> tuple[list[int], CostEstima
     improved = True
     while improved:
         improved = False
-        prefix = {v: set(ns) for v, ns in adj.items()}
+        prefix = copy_adj(adj)
         for i in range(len(cur) - 1):
             if deadline is not None and time.perf_counter() >= deadline:
                 return cur, (_cost_of(adj, cur) if moved else est)
@@ -139,7 +139,7 @@ def search_ordering(
     ``min_fill_ordering(g, budget.seed)``, so the result is never worse
     than that.  Candidates are compared by (total cost, variable tuple).
     """
-    adj = {v: set(ns) for v, ns in g.adj.items()}
+    adj = copy_adj(g.adj)
     deadline = (
         None if budget.time_s is None else time.perf_counter() + budget.time_s
     )

@@ -40,7 +40,7 @@ from .elimination import (
     eliminate_vertex,
     simulate_cost,
 )
-from .graph_model import GraphModel, remove_vertex
+from .graph_model import GraphModel, copy_adj, remove_vertex
 from .ordering import OrderingBudget, search_ordering
 from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
 
@@ -109,10 +109,6 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
-def _copy(adj: dict[VarId, set[VarId]]) -> dict[VarId, set[VarId]]:
-    return {v: set(ns) for v, ns in adj.items()}
-
-
 def _eliminate_counting(adj: dict[VarId, set[VarId]], v: VarId) -> tuple[int, int]:
     """Eliminate ``v``; returns its degree and the change in edge count."""
     nbs = adj[v]
@@ -128,7 +124,7 @@ def _best_fix(adj: dict[VarId, set[VarId]], order: list[VarId], pool) -> VarId:
     elimination of ``adj`` under ``order`` (ties to the lower id), priced
     in one sweep with prefix reuse (see the module docstring)."""
     # base elimination: cost of each step, and edges left before it
-    base = _copy(adj)
+    base = copy_adj(adj)
     edges = [sum(map(len, base.values())) // 2]
     costs = []
     for v in order:
@@ -139,12 +135,12 @@ def _best_fix(adj: dict[VarId, set[VarId]], order: list[VarId], pool) -> VarId:
     for k in range(len(order) - 1, -1, -1):
         after[k] = after[k + 1] + costs[k]
     pool = set(pool)
-    prefix = _copy(adj)
+    prefix = copy_adj(adj)
     halves = dict.fromkeys(adj, 0)  # what the steps taken cost less without v
     best: tuple[int, VarId] | None = None
     for k, v in enumerate(order):
         if v in pool:
-            rest = _copy(prefix)
+            rest = copy_adj(prefix)
             e = edges[k] - len(remove_vertex(rest, v))
             total = after[0] - after[k] - halves[v]
             for j in range(k + 1, len(order)):
@@ -185,11 +181,11 @@ def select_fix_set(
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    adj = _copy(g.adj)
+    adj = copy_adj(g.adj)
     remaining = list(base.restrict(adj).vars)
     if set(remaining) != set(adj):
         raise ValueError("base ordering does not cover the model's variables")
-    current = simulate_cost(_copy(adj), remaining)
+    current = simulate_cost(copy_adj(adj), remaining)
     fix_vars: list[VarId] = []
     while not budget.satisfied_by(current) and len(fix_vars) < t_max:
         if shortlist is not None:
@@ -202,7 +198,7 @@ def select_fix_set(
         fix_vars.append(best_v)
         remove_vertex(adj, best_v)
         remaining.remove(best_v)
-        current = simulate_cost(_copy(adj), remaining)
+        current = simulate_cost(copy_adj(adj), remaining)
     if not budget.satisfied_by(current) and not allow_over_budget:
         raise BudgetUnreachableError(len(fix_vars), current, budget)
     if not fix_vars:

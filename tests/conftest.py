@@ -3,9 +3,10 @@ golden coupling-layout data for the 8x7 grid."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from gridamp import Circuit, GraphModel, build_model, parse_circuit
+from gridamp import Circuit, CustomGate, GateKind, GraphModel, build_model, parse_circuit
 
 # Four qubits in a row, eight cycles: a Hadamard layer, six mixed cycles
 # whose CZ pairs walk (0,1),(2,3),(0,2),(1,3),(1,2),(0,3), and a closing
@@ -80,6 +81,26 @@ LAYOUT_PAIRS_8X7 = {
     8: [(1, 8), (3, 10), (5, 12), (14, 21), (16, 23), (18, 25), (20, 27),
         (29, 36), (31, 38), (33, 40), (42, 49), (44, 51), (46, 53), (48, 55)],
 }
+
+
+def with_custom_gates(c: Circuit, every: int, seed: int) -> Circuit:
+    """``c`` with every ``every``-th CZ replaced by a random non-diagonal
+    two-qubit ``CustomGate``, whose gadget adds two variables and a
+    rank-4 factor."""
+    rng = np.random.default_rng(seed)
+    cycles, n_cz = [], 0
+    for gates in c.cycles:
+        out = []
+        for g in gates:
+            if g.kind is GateKind.CZ:
+                n_cz += 1
+                if n_cz % every == 0:
+                    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                    g = CustomGate(g.qubits, np.linalg.qr(z)[0])
+                    assert not g.diagonal
+            out.append(g)
+        cycles.append(tuple(out))
+    return Circuit(c.rows, c.cols, tuple(cycles))
 
 
 def letter_ids(model: GraphModel) -> dict[str, int]:

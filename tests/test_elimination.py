@@ -18,9 +18,9 @@ from gridamp import (
     generate,
     model_value_bruteforce,
 )
-from gridamp.graph_model import GraphModel, VarInfo
+from gridamp.graph_model import GraphModel, VarInfo, copy_adj
 
-from conftest import edge_names, letter_ids
+from conftest import edge_names, letter_ids, with_custom_gates
 
 
 def ordering_starting_with(model, first):
@@ -164,12 +164,36 @@ class TestEstimateCost:
             g = eliminate_variable(g, v)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 5000))
-def test_contract_matches_bruteforce(seed):
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    custom_every=st.sampled_from([0, 2, 3]),
+    data=st.data(),
+)
+def test_contract_matches_bruteforce(seed, custom_every, data):
+    """Random orderings, circuits with and without non-diagonal two-qubit
+    gates; the input model is left as it was, and the amplitude equals
+    eliminating one variable at a time bit for bit."""
     c = generate(GenParams(2, 3, 8, seed=seed))
+    if custom_every:
+        c = with_custom_gates(c, custom_every, seed)
     model = build_model(c, "0" * 6)
     if len(model.vertices) > 16:
         return
-    order = Ordering(tuple(sorted(model.vertices)))
-    assert abs(contract(model, order) - model_value_bruteforce(model)) < 1e-10
+    order = Ordering(tuple(data.draw(st.permutations(sorted(model.vertices)))))
+    factors = list(model.factors)
+    arrays = [f.data.copy() for f in factors]
+    adj = copy_adj(model.adj)
+    scalar = model.scalar
+
+    amp = contract(model, order)
+
+    assert abs(amp - model_value_bruteforce(model)) < 1e-10
+    assert model.factors == factors
+    assert all(np.array_equal(f.data, a) for f, a in zip(model.factors, arrays))
+    assert model.adj == adj
+    assert model.scalar == scalar
+    stepwise = model
+    for v in order:
+        stepwise = eliminate_variable(stepwise, v)
+    assert amp == complex(stepwise.scalar)

@@ -26,8 +26,9 @@ from gridamp import (
     vertical_ordering,
 )
 from gridamp import ordering, partition
-from gridamp.circuit import Circuit, CustomGate, GateKind
 from gridamp.elimination import eliminate_vertex, simulate_cost
+
+from conftest import with_custom_gates
 
 
 def _copy(adj):
@@ -69,23 +70,10 @@ def reference_best_fix(adj, order, pool):
 def grid_model(rows, depth, seed, custom_every=0):
     """Model of a generated square-grid circuit.  With ``custom_every``,
     every that-many-th CZ becomes a random non-diagonal two-qubit
-    ``CustomGate``, whose gadget adds two variables and a rank-4 factor."""
+    ``CustomGate``."""
     c = generate(GenParams(rows, rows, depth, seed))
     if custom_every:
-        rng = np.random.default_rng(seed)
-        cycles, n_cz = [], 0
-        for gates in c.cycles:
-            out = []
-            for g in gates:
-                if g.kind is GateKind.CZ:
-                    n_cz += 1
-                    if n_cz % custom_every == 0:
-                        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                        g = CustomGate(g.qubits, np.linalg.qr(z)[0])
-                        assert not g.diagonal
-                out.append(g)
-            cycles.append(tuple(out))
-        c = Circuit(c.rows, c.cols, tuple(cycles))
+        c = with_custom_gates(c, custom_every, seed)
     return build_model(c, "0" * (rows * rows))
 
 
