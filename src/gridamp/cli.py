@@ -22,7 +22,7 @@ from .elimination import Ordering, estimate_cost
 from .fidelity import ErrorRates, fidelity_report
 from .generator import GenParams, generate
 from .graph_model import build_model, export_dot
-from .oracle import amplitude_of
+from .oracle import TooManyQubitsError, amplitude_of
 from .ordering import OrderingBudget, min_fill_ordering, search_ordering, vertical_ordering
 from .partition import (
     AmplitudeResult,
@@ -32,7 +32,7 @@ from .partition import (
     run_partitioned,
     select_fix_set,
 )
-from .tensor import DEFAULT_MAX_RANK, RankOverflowError
+from .tensor import DEFAULT_MAX_RANK, MAX_RANK_LIMIT, RankOverflowError
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,22 @@ def _read_circuit(path: str) -> Circuit:
     except OSError as e:
         raise UsageError(f"cannot read circuit file {path!r}: {e.strerror}") from None
     return parse_circuit(text)
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot write {path!r}: {e.strerror}") from None
+
+
+def _write_output(path: str | None, text: str):
+    """Write to the file at ``path``, or to stdout when there is none."""
+    if path:
+        with _open_output(path) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_circuit(args) -> Circuit:
@@ -164,12 +180,7 @@ def _config_from_args(args, circuit: Circuit) -> RunConfig:
 
 def cmd_generate(args) -> int:
     circuit = generate(GenParams(args.rows, args.cols, args.depth, args.seed))
-    text = serialize_circuit(circuit)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, serialize_circuit(circuit))
     return 0
 
 
@@ -240,7 +251,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    rates = ErrorRates.from_two_qubit_rate(args.eps)
+    try:
+        rates = ErrorRates.from_two_qubit_rate(args.eps)
+    except ValueError as e:
+        raise UsageError(f"--eps {args.eps}: {e}") from None
     circuit = None
     if args.circuit:
         circuit = _read_circuit(args.circuit)
@@ -258,13 +272,7 @@ def cmd_fidelity(args) -> int:
 def cmd_export_dot(args) -> int:
     circuit = _load_circuit(args)
     x = _resolve_x(args, circuit)
-    model = build_model(circuit, x)
-    text = export_dot(model)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, export_dot(build_model(circuit, x)))
     return 0
 
 
@@ -275,18 +283,16 @@ def _percentile_ms(times: list[float], pct: float) -> float:
 
 
 def cmd_bench(args) -> int:
-    grids = [int(t) for t in args.grids.split(",") if t]
-    depths = [int(t) for t in args.depths.split(",") if t]
     writer = sys.stdout
     close = None
     if args.output:
-        close = writer = open(args.output, "w", encoding="utf-8")
+        close = writer = _open_output(args.output)
     try:
         writer.write(
             "n,d,seed,samples,ok,status,percentile_ms,mean_max_rank,mean_t,mean_est_cost\n"
         )
-        for n in grids:
-            for d in depths:
+        for n in args.grids:
+            for d in args.depths:
                 times, ranks, ts, costs = [], [], [], []
                 failures = []
                 for s in range(args.samples):
@@ -327,27 +333,44 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _at_least(low, kind=int):
-    """Argparse type: a number of ``kind`` no smaller than ``low``."""
+def _bounded(low, high=None, kind=int):
+    """Argparse type: a number of ``kind`` in ``low..high`` (no upper
+    bound when ``high`` is None)."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} {text!r}") from None
-        if not value >= low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if not (value >= low and (high is None or value <= high)):  # NaN fails too
+            span = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
         return value
 
     return parse
 
 
+def _bounded_list(low):
+    """Argparse type: a comma list of ints, each no smaller than ``low``."""
+    each = _bounded(low)
+
+    def parse(text: str):
+        return [each(t) for t in text.split(",") if t]
+
+    return parse
+
+
+def _add_grid_size(p: argparse.ArgumentParser, required: bool):
+    p.add_argument("--rows", type=_bounded(1), required=required, help="grid rows")
+    p.add_argument("--cols", type=_bounded(1), required=required, help="grid cols")
+    p.add_argument("--depth", type=_bounded(0), required=required,
+                   help="cycles after the Hadamard layer")
+
+
 def _add_circuit_source(p: argparse.ArgumentParser):
     p.add_argument("--circuit", help="circuit file to load")
-    p.add_argument("--rows", type=int, help="grid rows (generate on the fly)")
-    p.add_argument("--cols", type=int, help="grid cols")
-    p.add_argument("--depth", type=int, help="cycles after the Hadamard layer")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    _add_grid_size(p, required=False)
+    p.add_argument("--seed", type=_bounded(0), default=0, help="generator seed")
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser):
@@ -355,18 +378,19 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--order", choices=("vertical", "minfill", "search"), default="search"
     )
-    p.add_argument("--order-time", type=_at_least(0.0, float), default=2.0,
+    p.add_argument("--order-time", type=_bounded(0.0, kind=float), default=2.0,
                    help="ordering search time budget, seconds")
-    p.add_argument("--order-restarts", type=_at_least(1), default=8,
+    p.add_argument("--order-restarts", type=_bounded(1), default=8,
                    help="ordering search restart cap")
-    p.add_argument("--order-seed", type=int, default=0)
-    p.add_argument("--fix-max", type=_at_least(0), default=8,
+    p.add_argument("--order-seed", type=_bounded(0), default=0)
+    p.add_argument("--fix-max", type=_bounded(0), default=8,
                    help="max number of variables fixed for parallelization")
     p.add_argument("--max-rank", type=int, default=27,
                    help="per-subtask rank budget")
-    p.add_argument("--engine-max-rank", type=int, default=DEFAULT_MAX_RANK,
+    p.add_argument("--engine-max-rank", type=_bounded(1, MAX_RANK_LIMIT),
+                   default=DEFAULT_MAX_RANK,
                    help="hard cap on materialized tensor rank")
-    p.add_argument("--workers", type=_at_least(1), default=1)
+    p.add_argument("--workers", type=_bounded(1), default=1)
     p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
 
@@ -386,10 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random circuit file")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _add_grid_size(p, required=True)
+    p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_generate)
 
@@ -409,23 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fidelity", help="gate counts and fidelity estimates")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    _add_grid_size(p, required=True)
     p.add_argument("--eps", type=float, default=0.005,
                    help="two-qubit Pauli error rate")
     p.add_argument("--circuit", help="count gates of this file instead")
     p.add_argument("--exact", action="store_true",
                    help="generate a circuit (--seed) for exact counts")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(0), default=0)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("bench", help="percentile-runtime sweep, CSV output")
-    p.add_argument("--grids", required=True, help="comma list of n (n x n grids)")
-    p.add_argument("--depths", required=True, help="comma list of depths")
+    p.add_argument("--grids", type=_bounded_list(1), required=True,
+                   help="comma list of n (n x n grids)")
+    p.add_argument("--depths", type=_bounded_list(0), required=True,
+                   help="comma list of depths")
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--percentile", type=float, default=80.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--percentile", type=_bounded(0.0, 100.0, float), default=80.0)
+    p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("-o", "--output")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_bench)
@@ -443,7 +465,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CircuitError, UsageError) as e:
+    except (CircuitError, TooManyQubitsError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

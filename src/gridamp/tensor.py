@@ -5,12 +5,27 @@ tensors over their shared variables and summing one variable out.  Axes
 carry variable ids; data is a complex128 array of shape (2,)*rank in axis
 order.  Tensors are treated as immutable values: every operation returns
 a new tensor and never writes through ``data``.
+
+``multiply_all`` replays a memoized schedule.  How it pairs its inputs
+depends on their axes alone: the output axes in first-appearance order,
+the smallest-first pairing with ties to the earlier tensor, each pair's
+einsum subscripts and the final permutation.  ``_schedule`` works all
+of that out once per tuple of input axes, so the 2^t subtasks of a fix
+plan, which share every bucket layout, only run the einsums.
+
+Results are bit-identical to pairing afresh on every call.  The pairing
+is the same function of the axes, and each pair product is elementwise
+(no index is summed), so every entry is one complex multiply whatever
+the memory layout.  ``sum_out`` keeps numpy's reduce, which computes
+(0 + a) + b over the two halves: a plain a + b differs from it when
+both halves are -0.0.  Both primitives skip the checks of the public
+constructor, since their axes and shapes are right by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import string
 
 import numpy as np
@@ -19,7 +34,12 @@ VarId = int
 
 DEFAULT_MAX_RANK = 30
 
-_LETTERS = string.ascii_letters  # einsum subscripts; bounds usable rank at 52
+_LETTERS = string.ascii_letters
+MAX_RANK_LIMIT = len(_LETTERS)  # einsum subscripts run out past 52 axes
+
+# Distinct bucket layouts kept.  A plan has one per elimination step
+# (about 200 at 7x7x24), and every subtask of the plan reuses them.
+_SCHEDULE_MEMO = 4096
 
 
 class RankOverflowError(RuntimeError):
@@ -66,28 +86,55 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(axes={self.axes}, rank={self.rank})"
 
-    def transpose_to(self, axes) -> "Tensor":
-        """Same tensor with axes reordered to the given permutation."""
-        axes = tuple(axes)
-        if set(axes) != set(self.axes) or len(axes) != len(self.axes):
-            raise ValueError(f"{axes} is not a permutation of {self.axes}")
-        perm = [self.axes.index(v) for v in axes]
-        return Tensor(axes, np.transpose(self.data, perm))
-
 
 def scalar_tensor(value: complex) -> Tensor:
     return Tensor((), np.asarray(value, dtype=np.complex128))
 
 
-def _pair_product(a: Tensor, b: Tensor) -> Tensor:
-    out_axes = a.axes + tuple(v for v in b.axes if v not in set(a.axes))
-    sub = {v: _LETTERS[i] for i, v in enumerate(out_axes)}
-    expr = "{},{}->{}".format(
-        "".join(sub[v] for v in a.axes),
-        "".join(sub[v] for v in b.axes),
-        "".join(sub[v] for v in out_axes),
-    )
-    return Tensor(out_axes, np.einsum(expr, a.data, b.data))
+def _tensor(axes: tuple[VarId, ...], data: np.ndarray) -> Tensor:
+    """Tensor from axes and a complex128 array already known to match
+    them; skips the checks of the public constructor."""
+    t = object.__new__(Tensor)
+    t.axes = axes
+    t.data = data
+    return t
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_MEMO)
+def _schedule(layouts: tuple[tuple[VarId, ...], ...], max_rank: int):
+    """How ``multiply_all`` combines tensors with these axes.
+
+    Returns the output axes, the steps and the final permutation (None
+    if there is none).  Slots 0..n-1 hold the inputs; step (i, j, expr)
+    multiplies slots i and j by ``np.einsum(expr, ...)`` and fills the
+    next slot.  The rank check comes before any subscript is built.
+    """
+    combined = tuple(dict.fromkeys(v for axes in layouts for v in axes))
+    if len(combined) > min(max_rank, MAX_RANK_LIMIT):
+        raise RankOverflowError(combined)
+    slot_axes = list(layouts)
+    # (size, slot): slots are numbered in creation order, which breaks
+    # size ties toward the earlier tensor
+    heap = [(1 << len(axes), k) for k, axes in enumerate(layouts)]
+    heapq.heapify(heap)
+    steps = []
+    while len(heap) > 1:
+        _, i = heapq.heappop(heap)
+        _, j = heapq.heappop(heap)
+        a, b = slot_axes[i], slot_axes[j]
+        out = a + tuple(v for v in b if v not in a)
+        sub = {v: _LETTERS[k] for k, v in enumerate(out)}
+        expr = "{},{}->{}".format(
+            "".join(map(sub.__getitem__, a)),
+            "".join(map(sub.__getitem__, b)),
+            "".join(map(sub.__getitem__, out)),
+        )
+        steps.append((i, j, expr))
+        heapq.heappush(heap, (1 << len(out), len(slot_axes)))
+        slot_axes.append(out)
+    final = slot_axes[-1]
+    perm = None if final == combined else tuple(map(final.index, combined))
+    return combined, tuple(steps), perm
 
 
 def multiply_all(tensors, max_rank: int = DEFAULT_MAX_RANK) -> Tensor:
@@ -97,29 +144,19 @@ def multiply_all(tensors, max_rank: int = DEFAULT_MAX_RANK) -> Tensor:
     entry at an assignment is the product of the inputs' entries at that
     assignment restricted to their own axes.  Inputs are combined pairwise
     smallest-first so large intermediates appear as late as possible.
+    More than ``max_rank`` variables, or more than ``MAX_RANK_LIMIT``,
+    raise ``RankOverflowError`` before anything is allocated.
     """
     tensors = list(tensors)
     if not tensors:
         return scalar_tensor(1.0)
-    combined: list[VarId] = []
-    seen: set[VarId] = set()
-    for t in tensors:
-        for v in t.axes:
-            if v not in seen:
-                seen.add(v)
-                combined.append(v)
-    if len(combined) > max_rank:
-        raise RankOverflowError(combined)
-    counter = itertools.count()
-    heap = [(t.size, next(counter), t) for t in tensors]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        _, _, a = heapq.heappop(heap)
-        _, _, b = heapq.heappop(heap)
-        p = _pair_product(a, b)
-        heapq.heappush(heap, (p.size, next(counter), p))
-    product = heap[0][2]
-    return product.transpose_to(combined) if product.axes != tuple(combined) else product
+    axes, steps, perm = _schedule(tuple(t.axes for t in tensors), max_rank)
+    slots = [t.data for t in tensors]
+    for i, j, expr in steps:
+        slots.append(np.einsum(expr, slots[i], slots[j]))
+        slots[i] = slots[j] = None  # free consumed intermediates
+    data = np.asarray(slots[-1])  # einsum returns a numpy scalar at rank 0
+    return _tensor(axes, data if perm is None else np.transpose(data, perm))
 
 
 def sum_out(t: Tensor, v: VarId) -> Tensor:
@@ -127,7 +164,8 @@ def sum_out(t: Tensor, v: VarId) -> Tensor:
     if v not in t.axes:
         raise MissingAxisError(f"variable {v} is not an axis of {t.axes}")
     k = t.axes.index(v)
-    return Tensor(t.axes[:k] + t.axes[k + 1 :], t.data.sum(axis=k))
+    # a sum down to rank 0 comes back as a numpy scalar
+    return _tensor(t.axes[:k] + t.axes[k + 1 :], np.asarray(t.data.sum(axis=k)))
 
 
 def slice_axis(t: Tensor, v: VarId, bit: int) -> Tensor:

@@ -56,6 +56,39 @@ class TestGenerate:
         parse_circuit(out_path.read_text())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--rows", "0", "--cols", "3", "--depth", "4"],
+        ["generate", "--rows", "2", "--cols", "2", "--depth", "4", "--seed", "-1"],
+        ["amplitude", "--rows", "2", "--cols", "2", "--depth", "-3"],
+        ["amplitude", "--rows", "2", "--cols", "2", "--depth", "4",
+         "--engine-max-rank", "53"],
+        ["amplitude", "--rows", "2", "--cols", "2", "--depth", "4",
+         "--engine-max-rank", "0"],
+        ["bench", "--grids", "a", "--depths", "4"],
+        ["bench", "--grids", "2", "--depths", "4", "--percentile", "101"],
+        ["fidelity", "--rows", "2", "--cols", "2", "--depth", "4", "--eps", "2"],
+        ["fidelity", "--rows", "0", "--cols", "2", "--depth", "4"],
+        ["oracle", "--rows", "5", "--cols", "6", "--depth", "4"],
+        ["generate", "--rows", "2", "--cols", "2", "--depth", "4", "-o", "{missing}"],
+        ["bench", "--grids", "2", "--depths", "4", "-o", "{missing}"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_is_one_line_usage_error(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    try:
+        code = main([a.format(missing=missing) for a in argv])
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestAmplitude:
     def test_json_schema_and_value(self, capsys, ref4q_file):
         code, out = run_cli(capsys, "amplitude", "--circuit", ref4q_file,

@@ -47,12 +47,6 @@ class TestTensor:
         with pytest.raises(ValueError):
             Tensor((1,), np.zeros((3,)))
 
-    def test_transpose_to(self):
-        t = Tensor((0, 1), np.array([[1, 2], [3, 4]], dtype=complex))
-        s = t.transpose_to((1, 0))
-        assert s.axes == (1, 0)
-        assert s.data[0, 1] == t.data[1, 0]
-
 
 class TestMultiplyAll:
     def test_scalars(self):
@@ -75,11 +69,34 @@ class TestMultiplyAll:
         b = Tensor((1, 0), np.ones((2, 2)))
         assert multiply_all([a, b]).axes == (2, 0, 1)
 
+    def test_result_is_permuted_to_first_appearance_order(self):
+        # the size-2 tensor pairs first, so the raw product's axes are
+        # (2, 0, 1) and must be permuted back to (0, 1, 2)
+        a = Tensor((0, 1), np.arange(4).reshape(2, 2))
+        b = Tensor((2,), [1, 10])
+        out = multiply_all([a, b])
+        assert out.axes == (0, 1, 2)
+        raw = np.einsum("a,bc->abc", b.data, a.data)
+        assert np.array_equal(out.data, np.transpose(raw, (1, 2, 0)))
+
     def test_rank_overflow_names_variables(self):
         ts = [Tensor((i, i + 1), np.ones((2, 2))) for i in range(5)]
         with pytest.raises(RankOverflowError) as err:
             multiply_all(ts, max_rank=3)
         assert err.value.variables == (0, 1, 2, 3, 4, 5)
+
+    def test_einsum_letter_limit_is_rank_overflow(self, monkeypatch):
+        # 53 variables need 53 einsum letters; only 52 exist, whatever
+        # max_rank allows.  einsum must not even be reached.
+        ts = [Tensor((v,), [1, 1]) for v in range(53)]
+
+        def einsum(*args, **kwargs):
+            raise AssertionError("einsum called on an overflowing product")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        with pytest.raises(RankOverflowError) as err:
+            multiply_all(ts, max_rank=60)
+        assert err.value.variables == tuple(range(53))
 
     @settings(max_examples=60, deadline=None)
     @given(ts=tensor_lists(), seed=st.integers(0, 999))
@@ -89,9 +106,8 @@ class TestMultiplyAll:
         shuffled = list(ts)
         rng.shuffle(shuffled)
         other = multiply_all(shuffled)
-        assert np.allclose(
-            other.transpose_to(base.axes).data, base.data, atol=1e-12
-        )
+        perm = [other.axes.index(v) for v in base.axes]
+        assert np.allclose(np.transpose(other.data, perm), base.data, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(ts=tensor_lists())
@@ -125,7 +141,8 @@ class TestSumOut:
         t = Tensor((0, 1, 2, 3), rng.standard_normal((2,) * 4) * (1 + 1j))
         a = sum_out(sum_out(t, 1), 3)
         b = sum_out(sum_out(t, 3), 1)
-        assert np.allclose(a.transpose_to(b.axes).data, b.data, atol=1e-12)
+        perm = [a.axes.index(v) for v in b.axes]
+        assert np.allclose(np.transpose(a.data, perm), b.data, atol=1e-12)
 
 
 class TestSliceAxis:
