@@ -116,9 +116,8 @@ def _base_ordering(model, cfg: RunConfig) -> Ordering:
     return search_ordering(model, _budget(cfg))[0]
 
 
-def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, int]:
+def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, Ordering]:
     base = _base_ordering(model, cfg)
-    base_cost = estimate_cost(model, base)
     plan = select_fix_set(
         model,
         base,
@@ -126,7 +125,7 @@ def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, int]:
         budget=CostBudget(max_rank=cfg.max_rank),
         ordering_budget=_budget(cfg),
     )
-    return plan, base_cost.total
+    return plan, base
 
 
 def _run_pipeline(circuit: Circuit, cfg: RunConfig) -> tuple[AmplitudeResult, FixPlan]:
@@ -219,7 +218,7 @@ def cmd_plan(args) -> int:
     cfg = _config_from_args(args, circuit)
     model = build_model(circuit, cfg.x)
     try:
-        plan, base_total = _make_plan(model, cfg)
+        plan, base = _make_plan(model, cfg)
     except BudgetUnreachableError as e:
         return _emit_error("budget_unreachable", e, cfg)
     print(
@@ -234,7 +233,7 @@ def cmd_plan(args) -> int:
                     "max_rank": plan.est_subtask_cost.max_rank,
                 },
                 "est_total_cost": plan.est_subtask_cost.total * plan.num_subtasks,
-                "base_ordering_cost": base_total,
+                "base_ordering_cost": estimate_cost(model, base).total,
                 "config": asdict(cfg),
             }
         )

@@ -17,6 +17,16 @@ if b is a neighbor of a then whichever goes second has degree
 local moves therefore keeps P, prices each swap from N(a) and N(b)
 alone, and then eliminates cur[i] from P; it never replays the whole
 ordering.
+
+Fill counts: min-fill keeps each vertex's fill count (the non-adjacent
+pairs among its neighbors) current with exact integer deltas instead of
+recounting them.  Eliminating v first removes v: each neighbor u loses
+the pairs {v, w} with w outside N[v] = N(v) + v, |N(u) - N[v]| of them.
+Then v's fill edges are added one at a time.  Adding {x, y} makes the
+pair adjacent for every common neighbor of x and y, which loses 1,
+while x gains the pairs {y, w} for w in N(x) - N(y), and y gains
+|N(y) - N(x)| likewise.  The counts, and so the pool, the tie-breaks
+and the rng draws, are those of a recount.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import CostEstimate, Ordering, eliminate_vertex, simulate_cost
-from .graph_model import GraphModel, copy_adj
+from .graph_model import GraphModel, copy_adj, remove_vertex
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,30 @@ def fill_count(adj: dict[int, set[int]], v: int) -> int:
     return fills
 
 
+def _eliminate_keeping_fills(adj: dict[int, set[int]], fills: dict[int, int], v: int):
+    """Eliminate ``v`` and bring every fill count up to date by the exact
+    deltas of the module docstring: first drop ``v``, then add its fill
+    edges one at a time."""
+    nbs = remove_vertex(adj, v)
+    del fills[v]
+    for u in nbs:
+        au = adj[u]
+        fills[u] -= len(au) - len(au & nbs)
+    for x in nbs:
+        ax = adj[x]
+        missing = nbs - ax
+        missing.discard(x)
+        for y in missing:
+            ay = adj[y]
+            common = ax & ay
+            for w in common:
+                fills[w] -= 1
+            fills[x] += len(ax) - len(common)
+            fills[y] += len(ay) - len(common)
+            ax.add(y)
+            ay.add(x)
+
+
 def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
     """Greedy ordering: repeatedly eliminate a vertex adding the fewest
     fill edges; ties broken by lower degree, then seeded random choice."""
@@ -81,16 +115,7 @@ def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
         pool = sorted(v for v in pool if len(adj[v]) == best_deg)
         v = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         order.append(v)
-        nbs = eliminate_vertex(adj, v)
-        del fills[v]
-        # only vertices whose neighborhood (or whose neighbors' adjacency)
-        # changed can have a stale fill count
-        affected = set(nbs)
-        for u in nbs:
-            affected.update(adj[u])
-        affected &= set(adj)
-        for u in affected:
-            fills[u] = fill_count(adj, u)
+        _eliminate_keeping_fills(adj, fills, v)
     return Ordering(tuple(order), "min-fill")
 
 

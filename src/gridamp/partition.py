@@ -12,16 +12,22 @@ Before step p_v, the graph left by eliminating the same prefix from
 G - v is that of G with v removed (removing a vertex commutes with
 eliminating others).  Each step k < p_v therefore costs the same in
 G - v, halved when v is a neighbor of the step's vertex.  One sweep of
-the base elimination prices every candidate: its prefix cost is the
-base prefix total minus those halves, and only the suffix after p_v is
-replayed, on a snapshot of the sweep's graph with v removed.
+the base elimination prices every candidate's prefix: the base prefix
+total minus those halves.  The sweep also records each step's neighbor
+set B and its fill pairs, the pairs of B it joins.
 
-Suffix merge: after step p_v both graphs have the same vertices, and the
-candidate's is a subgraph of the base one (eliminating a vertex keeps
-that relation).  So as soon as the replay has as many edges left as the
-base elimination had at the same step, the two graphs are equal and the
-rest of the candidate's cost is the base suffix total; the replay stops
-there.
+Missing edges: after step p_v the candidate's graph has the same
+vertices as the base one and is the base graph minus a set D of its
+edges.  D starts as v's fill pairs, which the base step p_v adds and
+the candidate, which only removes v, does not.  At step j, with
+u = order[j] and D(u) the partners of u in D, u has |B| - |D(u)|
+neighbors in the candidate's graph, so the step costs
+2^|B| - 2^(|B| - |D(u)|) less than the base step.  Eliminating u then
+drops u's pairs from D, drops the pairs with both ends in B - D(u)
+(the candidate's clique joins them too), and adds the step's fill pairs
+that touch D(u) (the candidate's u does not reach that end).  When D is
+empty the two graphs are equal, and the rest of the candidate's cost is
+the base suffix total.
 
 Subtask summation uses a fixed-shape binary reduction tree over the
 subtask index, so the amplitude is bit-identical for any worker count.
@@ -109,53 +115,77 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
-def _eliminate_counting(adj: dict[VarId, set[VarId]], v: VarId) -> tuple[int, int]:
-    """Eliminate ``v``; returns its degree and the change in edge count."""
-    nbs = adj[v]
-    before = sum(map(len, map(adj.__getitem__, nbs)))
-    eliminate_vertex(adj, v)
-    # each neighbor lost v and gained its fill edges, two ends per edge
-    after = sum(map(len, map(adj.__getitem__, nbs)))
-    return len(nbs), (after - before - len(nbs)) // 2
-
-
-def _best_fix(adj: dict[VarId, set[VarId]], order: list[VarId], pool) -> VarId:
-    """The candidate in ``pool`` whose removal leaves the cheapest
-    elimination of ``adj`` under ``order`` (ties to the lower id), priced
-    in one sweep with prefix reuse (see the module docstring)."""
-    # base elimination: cost of each step, and edges left before it
+def _fix_totals(
+    adj: dict[VarId, set[VarId]], order: list[VarId], pool
+) -> dict[VarId, int]:
+    """Total cost of eliminating ``adj`` under ``order`` with each
+    candidate in ``pool`` removed, priced in one sweep of the base
+    elimination plus a missing-edge walk per candidate (see the module
+    docstring)."""
     base = copy_adj(adj)
-    edges = [sum(map(len, base.values())) // 2]
-    costs = []
-    for v in order:
-        deg, de = _eliminate_counting(base, v)
-        costs.append(1 << deg)
-        edges.append(edges[-1] + de)
+    neighbors = []  # B of each step
+    fills = []  # each step's fill pairs, as partner sets of both ends
+    for u in order:
+        nbs = base[u]
+        fill = {}
+        for x in nbs:
+            joined = nbs - base[x]
+            joined.discard(x)
+            if joined:
+                fill[x] = joined
+        fills.append(fill)
+        neighbors.append(eliminate_vertex(base, u))
+    costs = [1 << len(nbs) for nbs in neighbors]
     after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
     for k in range(len(order) - 1, -1, -1):
         after[k] = after[k + 1] + costs[k]
     pool = set(pool)
-    prefix = copy_adj(adj)
     halves = dict.fromkeys(adj, 0)  # what the steps taken cost less without v
-    best: tuple[int, VarId] | None = None
+    totals = {}
     for k, v in enumerate(order):
         if v in pool:
-            rest = copy_adj(prefix)
-            e = edges[k] - len(remove_vertex(rest, v))
             total = after[0] - after[k] - halves[v]
-            for j in range(k + 1, len(order)):
-                if e == edges[j]:  # merged with the base elimination
-                    total += after[j]
-                    break
-                deg, de = _eliminate_counting(rest, order[j])
-                total += 1 << deg
-                e += de
-            if best is None or (total, v) < best:
-                best = (total, v)
-        for u in eliminate_vertex(prefix, v):
+            missing = {x: set(ys) for x, ys in fills[k].items()}  # D
+            j = k + 1
+            while missing:
+                nbs = neighbors[j]
+                du = missing.pop(order[j], None)
+                if du is None:
+                    total += costs[j]
+                    keep = nbs
+                else:
+                    for w in du:
+                        partners = missing[w]
+                        partners.discard(order[j])
+                        if not partners:
+                            del missing[w]
+                    total += 1 << (len(nbs) - len(du))
+                    keep = nbs - du
+                # the step's clique supplies the missing pairs inside keep
+                hit = keep.intersection(missing)
+                if len(hit) > 1:
+                    for x in hit:
+                        partners = missing[x]
+                        partners -= keep
+                        if not partners:
+                            del missing[x]
+                if du:  # the candidate makes no fill pair at du
+                    for x in du:
+                        for y in fills[j].get(x, ()):
+                            missing.setdefault(x, set()).add(y)
+                            missing.setdefault(y, set()).add(x)
+                j += 1
+            totals[v] = total + after[j]
+        for u in neighbors[k]:
             halves[u] += costs[k] >> 1
-    assert best is not None
-    return best[1]
+    return totals
+
+
+def _best_fix(adj: dict[VarId, set[VarId]], order: list[VarId], pool) -> VarId:
+    """The candidate in ``pool`` whose removal leaves the cheapest
+    elimination of ``adj`` under ``order``; ties go to the lower id."""
+    totals = _fix_totals(adj, order, pool)
+    return min(totals, key=lambda v: (totals[v], v))
 
 
 def select_fix_set(

@@ -12,6 +12,7 @@ from gridamp import (
     Tensor,
     build_model,
     estimate_cost,
+    fix_variable,
     generate,
     min_fill_ordering,
     parse_circuit,
@@ -21,7 +22,7 @@ from gridamp import (
 from gridamp.graph_model import GraphModel, VarInfo
 from gridamp.ordering import fill_count
 
-from conftest import letter_ids
+from conftest import letter_ids, with_custom_gates
 
 
 def model_from(rows, cols, depth, seed):
@@ -86,12 +87,25 @@ class TestMinFill:
         orders = {min_fill_ordering(m, seed=s).vars for s in range(8)}
         assert len(orders) > 1
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 500), mf_seed=st.integers(0, 10))
-    def test_incremental_fill_matches_scratch_recompute(self, seed, mf_seed):
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.integers(4, 6), depth=st.sampled_from([8, 12, 16]),
+           seed=st.integers(0, 500), custom=st.sampled_from([0, 2, 5]),
+           removed=st.integers(0, 3), pick_seed=st.integers(0, 10_000),
+           mf_seed=st.integers(0, 10))
+    def test_incremental_fill_matches_scratch_recompute(
+        self, rows, depth, seed, custom, removed, pick_seed, mf_seed
+    ):
         # rerun the greedy loop with every fill count recomputed from
-        # scratch; identical pools mean identical rng draws and ordering
-        m = model_from(3, 3, 10, seed=seed)
+        # scratch; identical pools mean identical rng draws and ordering.
+        # Fixing 1-3 variables gives the reduced graphs that the post-fix
+        # search orders.
+        c = generate(GenParams(rows, rows, depth, seed))
+        if custom:
+            c = with_custom_gates(c, custom, seed)
+        m = build_model(c, "0" * (rows * rows))
+        picks = np.random.default_rng(pick_seed).permutation(sorted(m.adj))
+        for v in picks[:removed]:
+            m = fix_variable(m, int(v), 0)
         fast = min_fill_ordering(m, seed=mf_seed)
         adj = {v: set(ns) for v, ns in m.adj.items()}
         rng = np.random.default_rng(mf_seed)

@@ -2,9 +2,10 @@
 
 The ordering search prices adjacent swaps from the prefix-elimination
 graph, and fix-set selection prices every candidate in one sweep of the
-base elimination.  The full-replay versions they replaced are kept here
-as references; the planners must return exactly what the references
-return, so every plan is unchanged.
+base elimination plus a walk over the edges its graph lacks.  The
+full-replay versions they replaced are kept here as references; the
+planners must return exactly what the references return, so every plan
+is unchanged.
 """
 
 import time
@@ -55,13 +56,19 @@ def reference_local_improve(adj, vars_list, est, deadline):
     return cur, cur_est
 
 
-def reference_best_fix(adj, order, pool):
-    """Every candidate priced by replaying the whole reduced elimination;
-    ties go to the lower id."""
-    best_v, best_total = None, None
-    for v in sorted(pool):
+def reference_fix_totals(adj, order, pool):
+    """Every candidate priced by replaying the whole reduced elimination."""
+    totals = {}
+    for v in pool:
         reduced = {u: ns - {v} for u, ns in adj.items() if u != v}
-        total = simulate_cost(reduced, [u for u in order if u != v]).total
+        totals[v] = simulate_cost(reduced, [u for u in order if u != v]).total
+    return totals
+
+
+def reference_best_fix(adj, order, pool):
+    """The cheapest candidate by full replay; ties go to the lower id."""
+    best_v, best_total = None, None
+    for v, total in sorted(reference_fix_totals(adj, order, pool).items()):
         if best_total is None or total < best_total:
             best_v, best_total = v, total
     return best_v
@@ -141,20 +148,43 @@ def test_search_ordering_matches_full_replay_search(model, monkeypatch):
     assert search_ordering(model, budget) == got
 
 
+def shortlisted(adj, k):
+    """The k highest-degree vertices, as ``select_fix_set`` shortlists."""
+    if k is None:
+        return sorted(adj)
+    return sorted(adj, key=lambda v: (-len(adj[v]), v))[:k]
+
+
+def check_fix_pricing(adj, order, pool):
+    """Every candidate's total equals a full replay's, and the pick is
+    the reference pick; the caller's graph is left alone."""
+    before = _copy(adj)
+    assert partition._fix_totals(adj, order, pool) == reference_fix_totals(
+        adj, order, pool
+    )
+    assert partition._best_fix(adj, order, pool) == reference_best_fix(adj, order, pool)
+    assert adj == before
+
+
 class TestFixSelection:
     @pytest.mark.parametrize("shortlist", [None, 5])
     def test_every_round_picks_the_reference_candidate(self, model, shortlist):
         adj = _copy(model.adj)
         order = list(min_fill_ordering(model, seed=0).vars)
         for _ in range(4):
-            pool = sorted(adj)
-            if shortlist is not None:
-                pool = sorted(adj, key=lambda v: (-len(adj[v]), v))[:shortlist]
+            pool = shortlisted(adj, shortlist)
+            check_fix_pricing(adj, order, pool)
             best = partition._best_fix(adj, order, pool)
-            assert best == reference_best_fix(adj, order, pool)
             for u in adj.pop(best):
                 adj[u].discard(best)
             order.remove(best)
+
+    @pytest.mark.parametrize("shortlist", [None, 5])
+    def test_vertical_ordering(self, model, shortlist):
+        # far from min-fill: long suffix walks with many missing edges
+        adj = _copy(model.adj)
+        check_fix_pricing(adj, list(vertical_ordering(model).vars),
+                          shortlisted(adj, shortlist))
 
     @pytest.mark.parametrize("shortlist", [None, 4])
     def test_select_fix_set_matches_reference_plan(self, model, shortlist, monkeypatch):
@@ -174,18 +204,15 @@ class TestFixSelection:
         monkeypatch.setattr(ordering, "_local_improve", reference_local_improve)
         assert plan() == got
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), order_seed=st.integers(0, 10_000),
-           custom=st.sampled_from([0, 3]), shortlist=st.sampled_from([None, 1, 6]))
-    def test_random_orderings(self, seed, order_seed, custom, shortlist):
-        m = grid_model(4, 8, seed, custom)
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(4, 5), seed=st.integers(0, 10_000),
+           order_seed=st.integers(0, 10_000), custom=st.sampled_from([0, 3]),
+           shortlist=st.sampled_from([None, 1, 6]))
+    def test_random_orderings(self, rows, seed, order_seed, custom, shortlist):
+        # random orderings keep the most edges missing for the longest
+        m = grid_model(rows, 8, seed, custom)
         order = [int(v) for v in np.random.default_rng(order_seed).permutation(sorted(m.adj))]
-        pool = sorted(m.adj)
-        if shortlist is not None:
-            pool = sorted(m.adj, key=lambda v: (-len(m.adj[v]), v))[:shortlist]
-        assert partition._best_fix(m.adj, order, pool) == reference_best_fix(
-            m.adj, order, pool
-        )
+        check_fix_pricing(m.adj, order, shortlisted(m.adj, shortlist))
 
 
 def test_empty_pool_stops_fixing():
@@ -209,10 +236,6 @@ def random_graphs(count, seed):
         yield adj, [int(v) for v in rng.permutation(n)]
 
 
-def n_edges(adj):
-    return sum(map(len, adj.values())) // 2
-
-
 def test_eliminate_vertex_joins_neighbors_pairwise():
     for adj, order in random_graphs(20, seed=7):
         v = order[0]
@@ -229,10 +252,9 @@ def test_eliminate_vertex_joins_neighbors_pairwise():
         assert got == want
 
 
-def test_counting_elimination_tracks_degree_and_edges():
-    # fix-set pricing stops a replay when its edge count meets the base
-    # elimination's, so the count must be exact
-    for adj, order in random_graphs(20, seed=8):
-        for v in order:
-            deg, edges = len(adj[v]), n_edges(adj)
-            assert partition._eliminate_counting(adj, v) == (deg, n_edges(adj) - edges)
+def test_fix_pricing_on_random_graphs():
+    # arbitrary graphs, not only circuit models: dense spots, isolated
+    # vertices and candidates whose removal disconnects the graph
+    for adj, order in random_graphs(40, seed=8):
+        check_fix_pricing(adj, order, sorted(adj))
+        check_fix_pricing(adj, order, shortlisted(adj, 2))
