@@ -16,7 +16,6 @@ from .circuit import (
     Gate,
     GateKind,
     QubitBoundsError,
-    gate_matrix,
     parse_circuit,
     serialize_circuit,
 )

@@ -91,11 +91,6 @@ class GateKind(Enum):
         return self in (GateKind.T, GateKind.CZ, GateKind.ID)
 
 
-def gate_matrix(kind: GateKind) -> np.ndarray:
-    """Unitary matrix of a catalog gate (read-only array)."""
-    return kind.matrix
-
-
 @dataclass(frozen=True)
 class Gate:
     """One catalog gate applied to one or two grid qubits.

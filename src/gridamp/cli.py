@@ -136,7 +136,6 @@ def _run_pipeline(circuit: Circuit, cfg: RunConfig) -> tuple[AmplitudeResult, Fi
         plan,
         workers=cfg.workers,
         max_rank=cfg.engine_max_rank,
-        seed=cfg.order_seed,
     )
     return result, plan
 
@@ -157,13 +156,13 @@ def _emit_error(kind: str, exc: Exception, cfg: RunConfig) -> int:
     return 1
 
 
-def _config_from_args(args, circuit: Circuit) -> RunConfig:
+def _config_from_args(args, circuit: Circuit, gen_seed: int) -> RunConfig:
     return RunConfig(
         circuit=args.circuit,
-        rows=args.rows if args.circuit is None else circuit.rows,
-        cols=args.cols if args.circuit is None else circuit.cols,
-        depth=args.depth if args.circuit is None else circuit.depth,
-        gen_seed=args.seed,
+        rows=circuit.rows,
+        cols=circuit.cols,
+        depth=circuit.depth,
+        gen_seed=gen_seed,
         x=_resolve_x(args, circuit),
         order=args.order,
         order_time=args.order_time,
@@ -185,7 +184,7 @@ def cmd_generate(args) -> int:
 
 def cmd_amplitude(args) -> int:
     circuit = _load_circuit(args)
-    cfg = _config_from_args(args, circuit)
+    cfg = _config_from_args(args, circuit, args.seed)
     try:
         result, _ = _run_pipeline(circuit, cfg)
     except RankOverflowError as e:
@@ -215,7 +214,7 @@ def cmd_amplitude(args) -> int:
 
 def cmd_plan(args) -> int:
     circuit = _load_circuit(args)
-    cfg = _config_from_args(args, circuit)
+    cfg = _config_from_args(args, circuit, args.seed)
     model = build_model(circuit, cfg.x)
     try:
         plan, base = _make_plan(model, cfg)
@@ -297,16 +296,7 @@ def cmd_bench(args) -> int:
                 for s in range(args.samples):
                     seed = args.seed + s
                     circuit = generate(GenParams(n, n, d, seed))
-                    cfg = RunConfig(
-                        circuit=None, rows=n, cols=n, depth=d, gen_seed=seed,
-                        x="0" * circuit.n_qubits, order=args.order,
-                        order_time=args.order_time,
-                        order_restarts=args.order_restarts,
-                        order_seed=args.order_seed, fix_max=args.fix_max,
-                        max_rank=args.max_rank,
-                        engine_max_rank=args.engine_max_rank,
-                        workers=args.workers, format="csv",
-                    )
+                    cfg = _config_from_args(args, circuit, seed)
                     start = time.perf_counter()
                     try:
                         result, plan = _run_pipeline(circuit, cfg)
@@ -372,8 +362,10 @@ def _add_circuit_source(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_bounded(0), default=0, help="generator seed")
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser):
-    p.add_argument("--x", help="output bitstring, qubit 0 first (default all zeros)")
+def _add_pipeline_flags(p: argparse.ArgumentParser, one_amplitude: bool = True):
+    if one_amplitude:  # bench always runs the all-zeros string and writes CSV
+        p.add_argument("--x", help="output bitstring, qubit 0 first (default all zeros)")
+        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     p.add_argument(
         "--order", choices=("vertical", "minfill", "search"), default="search"
     )
@@ -390,7 +382,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
                    default=DEFAULT_MAX_RANK,
                    help="hard cap on materialized tensor rank")
     p.add_argument("--workers", type=_bounded(1), default=1)
-    p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -448,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile", type=_bounded(0.0, 100.0, float), default=80.0)
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("-o", "--output")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_bench)
+    _add_pipeline_flags(p, one_amplitude=False)
+    p.set_defaults(func=cmd_bench, circuit=None, x=None, format="csv")
 
     p = sub.add_parser("export-dot", help="write the model graph as DOT")
     _add_circuit_source(p)

@@ -97,10 +97,10 @@ def eliminate_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:
 def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
     """Cost of eliminating in the given order, from graph dynamics alone.
 
-    ``adj`` is consumed as scratch; pass a copy if the caller still needs
-    it.  ``order`` may cover any subset; only listed vertices are
-    eliminated.
+    ``adj`` is only read; the elimination runs on a copy.  ``order`` may
+    cover any subset; only listed vertices are eliminated.
     """
+    adj = copy_adj(adj)
     steps = []
     total = 0
     max_rank = 0
@@ -116,7 +116,7 @@ def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
 def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
     """Price an ordering without touching tensor data."""
     _check_covers(g, order)
-    return simulate_cost(copy_adj(g.adj), order.vars)
+    return simulate_cost(g.adj, order.vars)
 
 
 def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, scalar, step=None):

@@ -119,10 +119,6 @@ def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
     return Ordering(tuple(order), "min-fill")
 
 
-def _cost_of(adj: dict[int, set[int]], order) -> CostEstimate:
-    return simulate_cost(copy_adj(adj), order)
-
-
 def _swap_delta(prefix: dict[int, set[int]], a: int, b: int) -> int:
     """Change in total cost from eliminating b before a on ``prefix``
     (see the module docstring)."""
@@ -146,12 +142,12 @@ def _local_improve(adj, vars_list, est, deadline) -> tuple[list[int], CostEstima
         prefix = copy_adj(adj)
         for i in range(len(cur) - 1):
             if deadline is not None and time.perf_counter() >= deadline:
-                return cur, (_cost_of(adj, cur) if moved else est)
+                return cur, (simulate_cost(adj, cur) if moved else est)
             if _swap_delta(prefix, cur[i], cur[i + 1]) < 0:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
                 improved = moved = True
             eliminate_vertex(prefix, cur[i])
-    return cur, (_cost_of(adj, cur) if moved else est)
+    return cur, (simulate_cost(adj, cur) if moved else est)
 
 
 def search_ordering(
@@ -164,7 +160,6 @@ def search_ordering(
     ``min_fill_ordering(g, budget.seed)``, so the result is never worse
     than that.  Candidates are compared by (total cost, variable tuple).
     """
-    adj = copy_adj(g.adj)
     deadline = (
         None if budget.time_s is None else time.perf_counter() + budget.time_s
     )
@@ -184,9 +179,9 @@ def search_ordering(
             if deadline is not None and time.perf_counter() >= deadline:
                 break
         cand = min_fill_ordering(g, seed=budget.seed + i)
-        est = _cost_of(adj, cand.vars)
+        est = simulate_cost(g.adj, cand.vars)
         consider(cand.vars, est)
-        moved, moved_est = _local_improve(adj, list(cand.vars), est, deadline)
+        moved, moved_est = _local_improve(g.adj, list(cand.vars), est, deadline)
         consider(tuple(moved), moved_est)
         i += 1
     assert best is not None

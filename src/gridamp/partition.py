@@ -4,8 +4,12 @@ Fixing a variable slices every factor at the chosen bit and deletes the
 vertex with its edges; no new tensor appears.  Fixing t variables splits
 the amplitude sum into 2^t independent subtasks that contract the same
 reduced graph under the same ordering and are summed at the end.  The
-fix set is chosen greedily against the estimated cost of the base
-ordering; the reduced graph then gets a fresh ordering search.
+fix set is chosen greedily: every surviving vertex is a candidate, priced
+by the cost of the base ordering restricted to the survivors, until that
+ordering meets the rank budget.  The reduced graph then gets a fresh
+ordering search.  Budget rule: the plan keeps the search result unless
+only the restricted base ordering meets the budget, and a plan whose own
+estimate breaks the budget raises instead of being returned.
 
 Prefix reuse: let candidate v sit at position p_v of the base ordering.
 Before step p_v, the graph left by eliminating the same prefix from
@@ -52,7 +56,7 @@ from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
 
 
 class BudgetUnreachableError(RuntimeError):
-    """The fix-set cap was hit with the subtask cost still over budget."""
+    """The plan's subtask estimate is over budget after the last fix."""
 
     def __init__(self, t: int, estimate: CostEstimate, budget: "CostBudget"):
         self.t = t
@@ -66,18 +70,12 @@ class BudgetUnreachableError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostBudget:
-    """Per-subtask budget: a maximum post-summation rank and optionally a
-    ceiling on the total step-cost sum."""
+    """Per-subtask budget: a maximum post-summation rank (None: no limit)."""
 
     max_rank: int | None = 27
-    total_cost: int | None = None
 
     def satisfied_by(self, est: CostEstimate) -> bool:
-        if self.max_rank is not None and est.max_rank > self.max_rank:
-            return False
-        if self.total_cost is not None and est.total > self.total_cost:
-            return False
-        return True
+        return self.max_rank is None or est.max_rank <= self.max_rank
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,6 @@ class AmplitudeResult:
     max_rank: int
     est_total_cost: int
     wall_ms: float
-    seed: int | None = None
     ordering_provenance: str = "user"
 
 
@@ -115,13 +112,10 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
-def _fix_totals(
-    adj: dict[VarId, set[VarId]], order: list[VarId], pool
-) -> dict[VarId, int]:
-    """Total cost of eliminating ``adj`` under ``order`` with each
-    candidate in ``pool`` removed, priced in one sweep of the base
-    elimination plus a missing-edge walk per candidate (see the module
-    docstring)."""
+def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId, int]:
+    """Total cost of eliminating ``adj`` under ``order`` with each vertex
+    removed, priced in one sweep of the base elimination plus a
+    missing-edge walk per vertex (see the module docstring)."""
     base = copy_adj(adj)
     neighbors = []  # B of each step
     fills = []  # each step's fill pairs, as partner sets of both ends
@@ -139,53 +133,44 @@ def _fix_totals(
     after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
     for k in range(len(order) - 1, -1, -1):
         after[k] = after[k + 1] + costs[k]
-    pool = set(pool)
     halves = dict.fromkeys(adj, 0)  # what the steps taken cost less without v
     totals = {}
     for k, v in enumerate(order):
-        if v in pool:
-            total = after[0] - after[k] - halves[v]
-            missing = {x: set(ys) for x, ys in fills[k].items()}  # D
-            j = k + 1
-            while missing:
-                nbs = neighbors[j]
-                du = missing.pop(order[j], None)
-                if du is None:
-                    total += costs[j]
-                    keep = nbs
-                else:
-                    for w in du:
-                        partners = missing[w]
-                        partners.discard(order[j])
-                        if not partners:
-                            del missing[w]
-                    total += 1 << (len(nbs) - len(du))
-                    keep = nbs - du
-                # the step's clique supplies the missing pairs inside keep
-                hit = keep.intersection(missing)
-                if len(hit) > 1:
-                    for x in hit:
-                        partners = missing[x]
-                        partners -= keep
-                        if not partners:
-                            del missing[x]
-                if du:  # the candidate makes no fill pair at du
-                    for x in du:
-                        for y in fills[j].get(x, ()):
-                            missing.setdefault(x, set()).add(y)
-                            missing.setdefault(y, set()).add(x)
-                j += 1
-            totals[v] = total + after[j]
+        total = after[0] - after[k] - halves[v]
+        missing = {x: set(ys) for x, ys in fills[k].items()}  # D
+        j = k + 1
+        while missing:
+            nbs = neighbors[j]
+            du = missing.pop(order[j], None)
+            if du is None:
+                total += costs[j]
+                keep = nbs
+            else:
+                for w in du:
+                    partners = missing[w]
+                    partners.discard(order[j])
+                    if not partners:
+                        del missing[w]
+                total += 1 << (len(nbs) - len(du))
+                keep = nbs - du
+            # the step's clique supplies the missing pairs inside keep
+            hit = keep.intersection(missing)
+            if len(hit) > 1:
+                for x in hit:
+                    partners = missing[x]
+                    partners -= keep
+                    if not partners:
+                        del missing[x]
+            if du:  # the candidate makes no fill pair at du
+                for x in du:
+                    for y in fills[j].get(x, ()):
+                        missing.setdefault(x, set()).add(y)
+                        missing.setdefault(y, set()).add(x)
+            j += 1
+        totals[v] = total + after[j]
         for u in neighbors[k]:
             halves[u] += costs[k] >> 1
     return totals
-
-
-def _best_fix(adj: dict[VarId, set[VarId]], order: list[VarId], pool) -> VarId:
-    """The candidate in ``pool`` whose removal leaves the cheapest
-    elimination of ``adj`` under ``order``; ties go to the lower id."""
-    totals = _fix_totals(adj, order, pool)
-    return min(totals, key=lambda v: (totals[v], v))
 
 
 def select_fix_set(
@@ -196,18 +181,19 @@ def select_fix_set(
     *,
     ordering_budget: OrderingBudget | None = None,
     allow_over_budget: bool = False,
-    shortlist: int | None = None,
 ) -> FixPlan:
-    """Greedily pick variables to fix until the subtask cost fits.
+    """Greedily pick variables to fix until the subtask fits the budget.
 
-    Each step scores every remaining vertex (or a highest-degree
-    ``shortlist``) by the cost of the reduced graph under ``base``
-    restricted to the survivors, and keeps the minimizer (ties to the
-    lower id).  Afterwards the reduced graph is re-ordered by
-    ``search_ordering`` and the plan carries that ordering's estimate.
+    Each round prices every surviving vertex by the cost of the reduced
+    graph under ``base`` restricted to the survivors, and fixes the
+    cheapest (ties to the lower id).  Rounds stop once that restricted
+    ordering meets the budget, after ``t_max`` fixes, or when no vertex
+    is left.  If anything was fixed, the reduced graph is re-ordered by
+    ``search_ordering``.  The plan takes the search result unless only
+    the restricted base ordering meets the budget.
 
-    Raises :class:`BudgetUnreachableError` when ``t_max`` fixes leave the
-    estimate over budget, unless ``allow_over_budget`` is set.
+    Raises :class:`BudgetUnreachableError` when the returned estimate is
+    over budget, unless ``allow_over_budget`` is set.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -215,36 +201,28 @@ def select_fix_set(
     remaining = list(base.restrict(adj).vars)
     if set(remaining) != set(adj):
         raise ValueError("base ordering does not cover the model's variables")
-    current = simulate_cost(copy_adj(adj), remaining)
+    current = simulate_cost(adj, remaining)
     fix_vars: list[VarId] = []
-    while not budget.satisfied_by(current) and len(fix_vars) < t_max:
-        if shortlist is not None:
-            pool = sorted(adj, key=lambda v: (-len(adj[v]), v))[:shortlist]
-        else:
-            pool = adj
-        if not pool:
-            break  # nothing left to fix
-        best_v = _best_fix(adj, remaining, pool)
+    while adj and len(fix_vars) < t_max and not budget.satisfied_by(current):
+        totals = _fix_totals(adj, remaining)
+        best_v = min(totals, key=lambda v: (totals[v], v))
         fix_vars.append(best_v)
         remove_vertex(adj, best_v)
         remaining.remove(best_v)
-        current = simulate_cost(copy_adj(adj), remaining)
-    if not budget.satisfied_by(current) and not allow_over_budget:
-        raise BudgetUnreachableError(len(fix_vars), current, budget)
-    if not fix_vars:
-        # nothing was removed; a second ordering search would just re-rank
-        # the same graph, so the base ordering and its cost stand
-        return FixPlan((), Ordering(tuple(remaining), base.provenance), current)
-    reduced_model = g.clone()
-    for v in fix_vars:
-        reduced_model._fix(v, 0)  # bit irrelevant: only structure matters here
-    if reduced_model.adj:
+        current = simulate_cost(adj, remaining)
+    plan = FixPlan(tuple(fix_vars), base.restrict(adj), current)
+    if fix_vars:
+        reduced_model = g.clone()
+        for v in fix_vars:
+            reduced_model._fix(v, 0)  # bit irrelevant: only structure matters here
         if ordering_budget is None:
             ordering_budget = OrderingBudget(time_s=None, max_restarts=4)
         post, est = search_ordering(reduced_model, ordering_budget)
-    else:
-        post, est = Ordering((), "search"), CostEstimate((), 0, 0)
-    return FixPlan(tuple(fix_vars), post, est)
+        if budget.satisfied_by(est) or not budget.satisfied_by(current):
+            plan = FixPlan(plan.fix_vars, post, est)
+    if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost)):
+        raise BudgetUnreachableError(len(fix_vars), plan.est_subtask_cost, budget)
+    return plan
 
 
 def _tree_sum(values: list[complex]) -> complex:
@@ -268,7 +246,6 @@ def run_partitioned(
     plan: FixPlan,
     workers: int = 1,
     max_rank: int = DEFAULT_MAX_RANK,
-    seed: int | None = None,
 ) -> AmplitudeResult:
     """Contract all 2^t slices of the model and sum them.
 
@@ -309,6 +286,5 @@ def run_partitioned(
         max_rank=plan.est_subtask_cost.max_rank,
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
-        seed=seed,
         ordering_provenance=plan.post_fix_ordering.provenance,
     )

@@ -13,7 +13,6 @@ from gridamp import (
     GateKind,
     GenParams,
     QubitBoundsError,
-    gate_matrix,
     generate,
     parse_circuit,
     serialize_circuit,
@@ -30,30 +29,30 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 class TestCatalog:
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_unitary(self, kind):
-        u = gate_matrix(kind)
+        u = kind.matrix
         eye = np.eye(u.shape[0])
         assert np.allclose(u.conj().T @ u, eye, atol=1e-12)
 
     @pytest.mark.parametrize("kind", list(GateKind))
     def test_diagonal_flag_matches_matrix(self, kind):
-        u = gate_matrix(kind)
+        u = kind.matrix
         off_diag_zero = np.allclose(u - np.diag(np.diagonal(u)), 0, atol=1e-12)
         assert kind.diagonal == off_diag_zero
 
     def test_id_is_identity(self):
-        assert np.array_equal(gate_matrix(GateKind.ID), np.eye(2))
+        assert np.array_equal(GateKind.ID.matrix, np.eye(2))
 
     def test_t_squares_to_phase_gate(self):
-        t = gate_matrix(GateKind.T)
+        t = GateKind.T.matrix
         assert np.allclose(t @ t, np.diag([1, 1j]), atol=1e-12)
 
     def test_sqrt_x_squares_to_x(self):
-        r = gate_matrix(GateKind.SQRT_X)
+        r = GateKind.SQRT_X.matrix
         assert np.allclose(r @ r, X, atol=1e-12)
         assert np.allclose(r, 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]))
 
     def test_sqrt_y_squares_to_y(self):
-        r = gate_matrix(GateKind.SQRT_Y)
+        r = GateKind.SQRT_Y.matrix
         assert np.allclose(r @ r, Y, atol=1e-12)
 
 
@@ -145,7 +144,7 @@ class TestGateConstruction:
 
     def test_custom_gate_diagonal_detection(self):
         assert CustomGate((0, 1), np.diag([1, 1, 1, 1j])).diagonal
-        assert not CustomGate((0,), gate_matrix(GateKind.H)).diagonal
+        assert not CustomGate((0,), GateKind.H.matrix).diagonal
 
     def test_custom_gate_rejects_non_unitary(self):
         with pytest.raises(CircuitError):

@@ -73,6 +73,7 @@ class TestGenerate:
         ["oracle", "--rows", "5", "--cols", "6", "--depth", "4"],
         ["generate", "--rows", "2", "--cols", "2", "--depth", "4", "-o", "{missing}"],
         ["bench", "--grids", "2", "--depths", "4", "-o", "{missing}"],
+        ["bench", "--grids", "2", "--depths", "4", "--x", "0000"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -183,6 +184,15 @@ class TestPlanOracleDot:
         assert payload["num_subtasks"] == 1 << len(payload["fix_vars"])
         assert "est_subtask_cost" in payload
         assert "base_ordering_cost" in payload
+
+    def test_plan_meets_its_rank_budget(self, capsys):
+        # the post-fix search finds rank 6 here; the plan must keep the
+        # rank-5 base ordering instead
+        code, out = run_cli(capsys, "plan", "--rows", "4", "--cols", "5",
+                            "--depth", "16", "--seed", "2", "--max-rank", "5",
+                            "--order-restarts", "2", "--fix-max", "24")
+        assert code == 0
+        assert json.loads(out)["est_subtask_cost"]["max_rank"] <= 5
 
     def test_oracle_matches_amplitude(self, capsys, ref4q_file):
         _, a = run_cli(capsys, "oracle", "--circuit", ref4q_file, "--x", "1010")

@@ -21,6 +21,7 @@ from gridamp import (
     min_fill_ordering,
     model_value_bruteforce,
     run_partitioned,
+    search_ordering,
     select_fix_set,
 )
 
@@ -100,11 +101,10 @@ class TestSelectFixSet:
 
     def test_generous_budget_fixes_nothing(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
-        total = estimate_cost(ref4q_model, base).total
-        plan = select_fix_set(
-            ref4q_model, base, t_max=5, budget=CostBudget(max_rank=None, total_cost=total)
-        )
+        rank = estimate_cost(ref4q_model, base).max_rank
+        plan = select_fix_set(ref4q_model, base, t_max=5, budget=CostBudget(max_rank=rank))
         assert plan.fix_vars == ()
+        assert plan.post_fix_ordering.vars == base.vars
 
     def test_greedy_pick_dominates_alternatives(self, ref4q_model):
         base = Ordering(tuple(sorted(ref4q_model.vertices)))
@@ -138,13 +138,48 @@ class TestSelectFixSet:
         with pytest.raises(BudgetUnreachableError):
             select_fix_set(ref4q_model, base, t_max=1, budget=CostBudget(max_rank=-1))
 
-    def test_shortlist_restricts_candidates(self, ref4q_model):
+    def test_t_max_caps_the_fixes(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = select_fix_set(
             ref4q_model, base, t_max=2, budget=CostBudget(max_rank=-1),
-            allow_over_budget=True, shortlist=3,
+            allow_over_budget=True,
         )
         assert len(plan.fix_vars) == 2
+
+    def test_keeps_base_when_only_it_meets_the_rank_budget(self):
+        # the post-fix search minimizes total cost, not rank: here it finds
+        # a rank-6 ordering (total 575) while the base restricted to the
+        # survivors has rank 5 (total 507), so the plan must keep the base
+        c = generate(GenParams(4, 5, 16, seed=2))
+        model = build_model(c, "0" * 20)
+        base, _ = search_ordering(model, SEARCH_BUDGET)
+        plan = select_fix_set(
+            model, base, t_max=24, budget=CostBudget(max_rank=5),
+            ordering_budget=SEARCH_BUDGET,
+        )
+        assert plan.est_subtask_cost.max_rank <= 5
+        assert plan.post_fix_ordering == base.restrict(
+            set(model.vertices) - set(plan.fix_vars)
+        )
+        amp = run_partitioned(model, plan).amplitude
+        assert abs(amp - amplitude_of(c, "0" * 20)) < 1e-10
+
+    @pytest.mark.parametrize("rows, depth, seed", [(3, 10, 0), (4, 12, 1), (4, 16, 2)])
+    def test_returned_estimate_never_breaks_the_budget(self, rows, depth, seed):
+        model = build_model(generate(GenParams(rows, 4, depth, seed)), "0" * (rows * 4))
+        base = min_fill_ordering(model, seed=0)
+        for rank in range(estimate_cost(model, base).max_rank + 1):
+            for t_max in (1, 3, 8):
+                try:
+                    plan = select_fix_set(
+                        model, base, t_max=t_max, budget=CostBudget(max_rank=rank),
+                        ordering_budget=SEARCH_BUDGET,
+                    )
+                except BudgetUnreachableError as e:
+                    assert e.estimate.max_rank > rank
+                    continue
+                assert plan.est_subtask_cost.max_rank <= rank
+                assert len(plan.fix_vars) <= t_max
 
     def test_rank_budget_stops_early(self):
         c = generate(GenParams(4, 4, 16, seed=1))
@@ -156,6 +191,30 @@ class TestSelectFixSet:
             ordering_budget=SEARCH_BUDGET,
         )
         assert 1 <= len(plan.fix_vars) <= 10
+
+
+@pytest.mark.parametrize("slack", [1, 3])
+@pytest.mark.parametrize(
+    "rows, depth, seed, custom_every",
+    [(4, 12, 0, 0), (4, 16, 3, 2), (5, 16, 1, 0), (5, 20, 2, 3), (6, 16, 4, 0), (6, 16, 5, 5)],
+)
+def test_plan_estimate_prices_its_own_ordering(rows, depth, seed, custom_every, slack):
+    """The returned estimate is the cost of the returned ordering on the
+    reduced model, and it meets the rank budget."""
+    c = generate(GenParams(rows, rows, depth, seed))
+    if custom_every:
+        c = with_custom_gates(c, custom_every, seed)
+    model = build_model(c, "0" * (rows * rows))
+    base, est = search_ordering(model, SEARCH_BUDGET)
+    plan = select_fix_set(
+        model, base, t_max=8, budget=CostBudget(max_rank=est.max_rank - slack),
+        ordering_budget=SEARCH_BUDGET,
+    )
+    reduced = model
+    for v in plan.fix_vars:
+        reduced = fix_variable(reduced, v, 0)
+    assert estimate_cost(reduced, plan.post_fix_ordering) == plan.est_subtask_cost
+    assert plan.est_subtask_cost.max_rank <= est.max_rank - slack
 
 
 class TestRunPartitioned:
@@ -183,9 +242,8 @@ class TestRunPartitioned:
     def test_metadata(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = forced_plan(ref4q_model, base, 2)
-        result = run_partitioned(ref4q_model, plan, seed=123)
+        result = run_partitioned(ref4q_model, plan)
         assert result.num_subtasks == 4
-        assert result.seed == 123
         assert result.ordering_provenance == "search"
         assert result.est_total_cost == plan.est_subtask_cost.total * 4
         assert result.wall_ms >= 0

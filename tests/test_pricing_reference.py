@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gridamp import (
     CostBudget,
+    CostEstimate,
     GenParams,
     OrderingBudget,
     build_model,
@@ -56,19 +57,19 @@ def reference_local_improve(adj, vars_list, est, deadline):
     return cur, cur_est
 
 
-def reference_fix_totals(adj, order, pool):
-    """Every candidate priced by replaying the whole reduced elimination."""
+def reference_fix_totals(adj, order):
+    """Every vertex priced by replaying the whole reduced elimination."""
     totals = {}
-    for v in pool:
+    for v in adj:
         reduced = {u: ns - {v} for u, ns in adj.items() if u != v}
         totals[v] = simulate_cost(reduced, [u for u in order if u != v]).total
     return totals
 
 
-def reference_best_fix(adj, order, pool):
-    """The cheapest candidate by full replay; ties go to the lower id."""
+def reference_best_fix(adj, order):
+    """The cheapest vertex by full replay; ties go to the lower id."""
     best_v, best_total = None, None
-    for v, total in sorted(reference_fix_totals(adj, order, pool).items()):
+    for v, total in sorted(reference_fix_totals(adj, order).items()):
         if best_total is None or total < best_total:
             best_v, best_total = v, total
     return best_v
@@ -148,80 +149,64 @@ def test_search_ordering_matches_full_replay_search(model, monkeypatch):
     assert search_ordering(model, budget) == got
 
 
-def shortlisted(adj, k):
-    """The k highest-degree vertices, as ``select_fix_set`` shortlists."""
-    if k is None:
-        return sorted(adj)
-    return sorted(adj, key=lambda v: (-len(adj[v]), v))[:k]
-
-
-def check_fix_pricing(adj, order, pool):
-    """Every candidate's total equals a full replay's, and the pick is
-    the reference pick; the caller's graph is left alone."""
+def check_fix_pricing(adj, order):
+    """Every vertex's total equals a full replay's; the caller's graph is
+    left alone."""
     before = _copy(adj)
-    assert partition._fix_totals(adj, order, pool) == reference_fix_totals(
-        adj, order, pool
-    )
-    assert partition._best_fix(adj, order, pool) == reference_best_fix(adj, order, pool)
+    assert partition._fix_totals(adj, order) == reference_fix_totals(adj, order)
     assert adj == before
 
 
 class TestFixSelection:
-    @pytest.mark.parametrize("shortlist", [None, 5])
-    def test_every_round_picks_the_reference_candidate(self, model, shortlist):
+    def test_every_round_prices_like_the_reference(self, model):
         adj = _copy(model.adj)
         order = list(min_fill_ordering(model, seed=0).vars)
         for _ in range(4):
-            pool = shortlisted(adj, shortlist)
-            check_fix_pricing(adj, order, pool)
-            best = partition._best_fix(adj, order, pool)
+            check_fix_pricing(adj, order)
+            best = reference_best_fix(adj, order)
             for u in adj.pop(best):
                 adj[u].discard(best)
             order.remove(best)
 
-    @pytest.mark.parametrize("shortlist", [None, 5])
-    def test_vertical_ordering(self, model, shortlist):
+    def test_vertical_ordering(self, model):
         # far from min-fill: long suffix walks with many missing edges
-        adj = _copy(model.adj)
-        check_fix_pricing(adj, list(vertical_ordering(model).vars),
-                          shortlisted(adj, shortlist))
+        check_fix_pricing(_copy(model.adj), list(vertical_ordering(model).vars))
 
-    @pytest.mark.parametrize("shortlist", [None, 4])
-    def test_select_fix_set_matches_reference_plan(self, model, shortlist, monkeypatch):
+    def test_select_fix_set_matches_reference_plan(self, model, monkeypatch):
         base = min_fill_ordering(model, seed=1)
-        rank = simulate_cost(_copy(model.adj), base.vars).max_rank
+        rank = simulate_cost(model.adj, base.vars).max_rank
 
         def plan():
             return select_fix_set(
                 model, base, t_max=3, budget=CostBudget(max_rank=rank - 2),
                 ordering_budget=OrderingBudget(time_s=None, max_restarts=2),
-                allow_over_budget=True, shortlist=shortlist,
+                allow_over_budget=True,
             )
 
         got = plan()
         assert len(got.fix_vars) >= 1
-        monkeypatch.setattr(partition, "_best_fix", reference_best_fix)
+        monkeypatch.setattr(partition, "_fix_totals", reference_fix_totals)
         monkeypatch.setattr(ordering, "_local_improve", reference_local_improve)
         assert plan() == got
 
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(4, 5), seed=st.integers(0, 10_000),
-           order_seed=st.integers(0, 10_000), custom=st.sampled_from([0, 3]),
-           shortlist=st.sampled_from([None, 1, 6]))
-    def test_random_orderings(self, rows, seed, order_seed, custom, shortlist):
+           order_seed=st.integers(0, 10_000), custom=st.sampled_from([0, 3]))
+    def test_random_orderings(self, rows, seed, order_seed, custom):
         # random orderings keep the most edges missing for the longest
         m = grid_model(rows, 8, seed, custom)
         order = [int(v) for v in np.random.default_rng(order_seed).permutation(sorted(m.adj))]
-        check_fix_pricing(m.adj, order, shortlisted(m.adj, shortlist))
+        check_fix_pricing(m.adj, order)
 
 
-def test_empty_pool_stops_fixing():
-    # shortlist=0 leaves nothing to fix: the over-budget plan stands
-    m = grid_model(4, 12, 0)
+def test_t_max_above_vertex_count_fixes_every_vertex():
+    m = grid_model(3, 6, 0)
     base = min_fill_ordering(m, seed=0)
-    plan = select_fix_set(m, base, t_max=2, budget=CostBudget(max_rank=-1),
-                          allow_over_budget=True, shortlist=0)
-    assert plan.fix_vars == ()
+    plan = select_fix_set(m, base, t_max=len(m.adj) + 5, budget=CostBudget(max_rank=-1),
+                          allow_over_budget=True)
+    assert sorted(plan.fix_vars) == sorted(m.adj)
+    assert plan.post_fix_ordering.vars == ()
+    assert plan.est_subtask_cost == CostEstimate((), 0, 0)
 
 
 def random_graphs(count, seed):
@@ -256,5 +241,4 @@ def test_fix_pricing_on_random_graphs():
     # arbitrary graphs, not only circuit models: dense spots, isolated
     # vertices and candidates whose removal disconnects the graph
     for adj, order in random_graphs(40, seed=8):
-        check_fix_pricing(adj, order, sorted(adj))
-        check_fix_pricing(adj, order, shortlisted(adj, 2))
+        check_fix_pricing(adj, order)
