@@ -340,11 +340,15 @@ def _bounded(low, high=None, kind=int):
 
 
 def _bounded_list(low):
-    """Argparse type: a comma list of ints, each no smaller than ``low``."""
+    """Argparse type: a non-empty comma list of ints, each no smaller
+    than ``low``."""
     each = _bounded(low)
 
     def parse(text: str):
-        return [each(t) for t in text.split(",") if t]
+        values = [each(t) for t in text.split(",") if t]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return values
 
     return parse
 
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of n (n x n grids)")
     p.add_argument("--depths", type=_bounded_list(0), required=True,
                    help="comma list of depths")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_bounded(1), default=10)
     p.add_argument("--percentile", type=_bounded(0.0, 100.0, float), default=80.0)
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("-o", "--output")

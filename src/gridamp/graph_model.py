@@ -1,15 +1,21 @@
 """Undirected graphical model of a circuit amplitude.
 
 Each qubit wire threads through the circuit as a sequence of binary
-variables.  Diagonal gates reuse the wire's current variable (their
-factor is the diagonal, stored at the rank of their qubit count);
-non-diagonal gates introduce fresh variables and contribute their full
-matrix as a factor linking old and new.  The input state |0...0> is a
-boundary condition, not a variable: the first factor on each wire is
-already sliced at input bit 0.  The requested output bitstring is applied
-the same way at the end, so output-layer variables never survive into
-the model.  Two vertices share an edge exactly when some factor contains
-both.
+variables.  Every gate contributes one factor by one rule.  A
+non-diagonal gate gives its wires fresh variables ``new`` and links them
+to the current ones ``old`` by its full matrix,
+``data[old..., new...] = <new...|U|old...>``; a diagonal gate reuses
+``old`` and contributes its diagonal over them.  Identity gates are
+skipped.
+
+Both boundaries are slices, not variables.  A wire that has no variable
+yet is still at its input |0>, so a gate that meets it slices its factor
+at bit 0 on that wire; at the end, the requested output bitstring fixes
+each wire's last variable through ``GraphModel._fix``, so output-layer
+variables never survive into the model.  Both use the slicing rule that
+``_fix`` applies to any fixed variable: an int index at each fixed axis
+and a full slice elsewhere.  Two vertices share an edge exactly when
+some factor contains both.
 
 The resulting object is the summation target: the amplitude equals
 ``scalar`` times the sum over all 0/1 assignments of the free vertices of
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .tensor import Tensor, VarId, slice_axis
+from .tensor import Tensor, VarId
 
 
 class TooManyVariablesError(ValueError):
@@ -63,12 +69,7 @@ class GraphModel:
         return set(self.adj)
 
     def edges(self) -> set[tuple[VarId, VarId]]:
-        out = set()
-        for u, ns in self.adj.items():
-            for v in ns:
-                if u < v:
-                    out.add((u, v))
-        return out
+        return {(u, v) for u, ns in self.adj.items() for v in ns if u < v}
 
     def neighbors(self, v: VarId) -> set[VarId]:
         return set(self.adj[v])
@@ -104,21 +105,36 @@ class GraphModel:
                 self.adj[u].add(v)
                 self.adj[v].add(u)
 
-    def _fix(self, v: VarId, bit: int):
-        """Slice every factor at ``v = bit`` and drop the vertex."""
-        if v not in self.adj:
-            raise KeyError(f"variable {v} is not free in this model")
-        new_factors = []
+    def _fix(self, assignment: dict[VarId, int]):
+        """Fix each variable of ``assignment`` to its bit: slice every
+        factor at all its assigned axes in one pass, fold rank-0 results
+        into ``scalar`` and drop the vertices.  Every pair is checked
+        before anything changes."""
+        for v, bit in assignment.items():
+            if v not in self.adj:
+                raise KeyError(f"variable {v} is not free in this model")
+            if bit not in (0, 1):
+                raise ValueError(f"bit must be 0 or 1, got {bit}")
+        factors = []
         for f in self.factors:
-            if v in f.axes:
-                f = slice_axis(f, v, bit)
+            if not assignment.keys().isdisjoint(f.axes):
+                f = _sliced(f.axes, f.data, assignment)
                 if f.rank == 0:
                     self.scalar *= complex(f.data)
                     continue
-            new_factors.append(f)
-        self.factors = new_factors
-        remove_vertex(self.adj, v)
-        self.fixed[v] = bit
+            factors.append(f)
+        self.factors = factors
+        for v, bit in assignment.items():
+            remove_vertex(self.adj, v)
+            self.fixed[v] = bit
+
+
+def _sliced(axes: tuple, data: np.ndarray, bits: dict) -> Tensor:
+    """The tensor left when the axes named in ``bits`` are fixed: numpy
+    basic indexing with an int at each of them and a full slice
+    elsewhere."""
+    index = tuple(bits.get(v, slice(None)) for v in axes)
+    return Tensor(tuple(v for v in axes if v not in bits), data[index])
 
 
 def copy_adj(adj: dict[VarId, set[VarId]]) -> dict[VarId, set[VarId]]:
@@ -136,10 +152,7 @@ def remove_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:
 
 
 def _as_bits(output_bits, n: int) -> tuple[int, ...]:
-    if isinstance(output_bits, str):
-        bits = tuple(int(ch) for ch in output_bits)
-    else:
-        bits = tuple(int(b) for b in output_bits)
+    bits = tuple(int(b) for b in output_bits)  # a string gives its characters
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"output bits must be {n} binary values")
     return bits
@@ -150,79 +163,39 @@ def build_model(circuit: Circuit, output_bits) -> GraphModel:
 
     ``output_bits[q]`` is qubit q's measured bit.  Identity gates are
     skipped (their factor is the constant all-ones vector); every other
-    catalog or custom gate contributes its gadget as described in the
+    catalog or custom gate contributes one factor by the rule of the
     module docstring.
     """
     n = circuit.n_qubits
     bits = _as_bits(output_bits, n)
     model = GraphModel()
-    cur: list[VarId | None] = [None] * n
-    next_id = 0
-
-    def new_var(q: int, cycle: int) -> VarId:
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        model._add_vertex(v, VarInfo(q, cycle))
-        return v
-
+    cur: list[VarId | None] = [None] * n  # each wire's current variable
     for k, gates in enumerate(circuit.cycles):
         for gate in gates:
-            m = gate.matrix
-            if len(gate.qubits) == 1:
-                (q,) = gate.qubits
-                if gate.diagonal:
-                    if gate.kind is GateKind.ID:
-                        continue
-                    diag = np.diagonal(m)
-                    if cur[q] is None:
-                        model.scalar *= complex(diag[0])
-                    else:
-                        model._add_factor(Tensor((cur[q],), np.array(diag)))
-                else:
-                    w = new_var(q, k)
-                    if cur[q] is None:
-                        # <w|U|0>: input boundary folded into the column
-                        model._add_factor(Tensor((w,), np.array(m[:, 0])))
-                    else:
-                        # data[old, new] = <new|U|old>
-                        model._add_factor(Tensor((cur[q], w), m.T.copy()))
-                    cur[q] = w
+            if gate.kind is GateKind.ID:
+                continue
+            old = tuple(cur[q] for q in gate.qubits)
+            r = len(old)
+            if gate.diagonal:
+                axes = old
+                data = np.diagonal(gate.matrix).reshape((2,) * r)
             else:
-                qa, qb = gate.qubits
-                va, vb = cur[qa], cur[qb]
-                if gate.diagonal:
-                    diag = np.diagonal(m).reshape(2, 2)  # [bit_a, bit_b]
-                    if va is None and vb is None:
-                        model.scalar *= complex(diag[0, 0])
-                    elif va is None:
-                        model._add_factor(Tensor((vb,), np.array(diag[0, :])))
-                    elif vb is None:
-                        model._add_factor(Tensor((va,), np.array(diag[:, 0])))
-                    else:
-                        model._add_factor(Tensor((va, vb), np.array(diag)))
-                else:
-                    wa = new_var(qa, k)
-                    wb = new_var(qb, k)
-                    # u[ia, ib, ja, jb] = <ja jb|U|ia ib>
-                    u = np.transpose(m.reshape(2, 2, 2, 2), (2, 3, 0, 1))
-                    if va is None and vb is None:
-                        model._add_factor(Tensor((wa, wb), u[0, 0]))
-                    elif va is None:
-                        model._add_factor(Tensor((vb, wa, wb), u[0]))
-                    elif vb is None:
-                        model._add_factor(Tensor((va, wa, wb), u[:, 0]))
-                    else:
-                        model._add_factor(Tensor((va, vb, wa, wb), u))
-                    cur[qa], cur[qb] = wa, wb
-    for q in range(n):
-        v = cur[q]
-        if v is None:
-            # wire never left |0>; <x_q|0> is 1 or 0
-            if bits[q] == 1:
-                model.scalar *= 0.0
-        else:
-            model._fix(v, bits[q])
+                for q in gate.qubits:  # fresh ids count up from 0
+                    cur[q] = len(model.var_info)
+                    model._add_vertex(cur[q], VarInfo(q, k))
+                axes = old + tuple(cur[q] for q in gate.qubits)
+                # rows of U are new bits, columns old: move old first
+                u = gate.matrix.reshape((2,) * (2 * r))
+                data = np.transpose(u, tuple(range(r, 2 * r)) + tuple(range(r)))
+            if None in old:
+                # wires still at the input |0>: slice them at bit 0
+                model._add_factor(_sliced(axes, data, {None: 0}))
+            else:
+                model._add_factor(Tensor(axes, data))
+    # a wire that never left |0> has no variable; <x_q|0> is 1 or 0
+    if any(b for v, b in zip(cur, bits) if v is None):
+        model.scalar *= 0.0
+    model._fix({v: b for v, b in zip(cur, bits) if v is not None})
     return model
 
 

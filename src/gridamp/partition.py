@@ -1,13 +1,14 @@
 """Parallelization by fixing variable values.
 
-Fixing a variable slices every factor at the chosen bit and deletes the
-vertex with its edges; no new tensor appears.  Fixing t variables splits
-the amplitude sum into 2^t independent subtasks that contract the same
-reduced graph under the same ordering and are summed at the end.  The
-fix set is chosen greedily: every surviving vertex is a candidate, priced
-by the cost of the base ordering restricted to the survivors, until that
-ordering meets the rank budget.  The reduced graph then gets a fresh
-ordering search.  Budget rule: the plan keeps the search result unless
+Fixing variables slices every factor at the chosen bits in one pass of
+``GraphModel._fix``, the rule that also applies the circuit's boundary
+conditions, and deletes the vertices with their edges; no new tensor
+appears.  Fixing t variables splits the amplitude sum into 2^t
+independent subtasks that contract the same reduced graph under the
+same ordering and are summed at the end.  The fix set is chosen
+greedily: every surviving vertex is a candidate, priced by the cost of
+the base ordering restricted to the survivors, until that ordering meets
+the rank budget.  The reduced graph then gets a fresh ordering search.  Budget rule: the plan keeps the search result unless
 only the restricted base ordering meets the budget, and a plan whose own
 estimate breaks the budget raises instead of being returned.
 
@@ -105,10 +106,8 @@ class AmplitudeResult:
 def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     """New model with ``v`` fixed to ``bit``; factors sliced, vertex and
     its edges removed, assignment recorded."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
     out = g.clone()
-    out._fix(v, bit)
+    out._fix({v: bit})
     return out
 
 
@@ -213,8 +212,7 @@ def select_fix_set(
     plan = FixPlan(tuple(fix_vars), base.restrict(adj), current)
     if fix_vars:
         reduced_model = g.clone()
-        for v in fix_vars:
-            reduced_model._fix(v, 0)  # bit irrelevant: only structure matters here
+        reduced_model._fix(dict.fromkeys(fix_vars, 0))  # bits irrelevant: only structure matters
         if ordering_budget is None:
             ordering_budget = OrderingBudget(time_s=None, max_restarts=4)
         post, est = search_ordering(reduced_model, ordering_budget)
@@ -227,17 +225,10 @@ def select_fix_set(
 
 def _tree_sum(values: list[complex]) -> complex:
     """Fixed-shape pairwise reduction; independent of completion order."""
-    if not values:
-        return 0.0 + 0.0j
-    level = list(values)
+    level = list(values) or [0.0 + 0.0j]
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level), 2):
-            if i + 1 < len(level):
-                nxt.append(level[i] + level[i + 1])
-            else:
-                nxt.append(level[i])
-        level = nxt
+        # add neighbors pairwise; an odd last value moves up unchanged
+        level = [a + b for a, b in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
     return level[0]
 
 
@@ -261,15 +252,14 @@ def run_partitioned(
 
     def subtask(i: int) -> complex:
         m = g.clone()
-        for j, v in enumerate(plan.fix_vars):
-            bit = (i >> (t - 1 - j)) & 1
-            m._fix(v, bit)
+        m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
         try:
             return contract(m, plan.post_fix_ordering, max_rank=max_rank)
         except RankOverflowError as e:
             bits = format(i, f"0{t}b") if t else ""
+            where = f"subtask {i} (assignment {bits!r})"
             raise RankOverflowError(
-                e.variables, context=f"subtask {i} (assignment {bits!r})"
+                e.variables, context=f"{e.context}, {where}" if e.context else where
             ) from None
 
     indices = range(plan.num_subtasks)

@@ -167,12 +167,3 @@ def sum_out(t: Tensor, v: VarId) -> Tensor:
     # a sum down to rank 0 comes back as a numpy scalar
     return _tensor(t.axes[:k] + t.axes[k + 1 :], np.asarray(t.data.sum(axis=k)))
 
-
-def slice_axis(t: Tensor, v: VarId, bit: int) -> Tensor:
-    """Fix one variable to a bit value; rank drops by one."""
-    if v not in t.axes:
-        raise MissingAxisError(f"variable {v} is not an axis of {t.axes}")
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    k = t.axes.index(v)
-    return Tensor(t.axes[:k] + t.axes[k + 1 :], np.take(t.data, bit, axis=k))

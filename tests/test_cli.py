@@ -74,6 +74,10 @@ class TestGenerate:
         ["generate", "--rows", "2", "--cols", "2", "--depth", "4", "-o", "{missing}"],
         ["bench", "--grids", "2", "--depths", "4", "-o", "{missing}"],
         ["bench", "--grids", "2", "--depths", "4", "--x", "0000"],
+        ["bench", "--grids", "2", "--depths", "4", "--samples", "0"],
+        ["bench", "--grids", "2", "--depths", "4", "--samples", "-1"],
+        ["bench", "--grids", "", "--depths", "4"],
+        ["bench", "--grids", "2", "--depths", ","],
     ],
     ids=lambda argv: " ".join(argv),
 )

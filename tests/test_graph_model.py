@@ -1,10 +1,11 @@
 """Model construction, brute-force evaluation, DOT export."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridamp import (
@@ -151,6 +152,76 @@ class TestCustomGates:
         m = build_model(c, "01")
         assert m.vertices == set()
         assert abs(model_value_bruteforce(m) - amplitude_of(c, "01")) < 1e-12
+
+
+def _random_unitary(rng, dim: int) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def _random_phases(rng, dim: int) -> np.ndarray:
+    return np.diag(np.exp(1j * rng.uniform(0.0, 2 * math.pi, dim)))
+
+
+# one-qubit choices; "none" leaves the wire alone for the cycle
+_ONE_QUBIT_KINDS = ["none", "h", "t", "x_1_2", "y_1_2", "id", "diag", "dense"]
+
+
+@st.composite
+def unprepared_circuits(draw):
+    """1x2, 2x2 and 1x3 circuits with no Hadamard layer, so gates of
+    every kind meet the |0> input with one, both or neither wire unset.
+    Custom gates get random matrices (catalog CZ is symmetric in its two
+    wires, so it cannot tell the two wires' slices apart)."""
+    rows, cols = draw(st.sampled_from([(1, 2), (2, 2), (1, 3)]))
+    n = rows * cols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a first cycle that gives some wires a variable and leaves the rest
+    # at the input, so two-qubit gates meet every mix of set and unset
+    started = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cycles = [tuple(CustomGate((q,), _random_unitary(rng, 2)) for q in range(n) if started[q])]
+    for _ in range(draw(st.integers(1, 5))):
+        free = list(draw(st.permutations(range(n))))
+        gates = []
+        for _ in range(draw(st.integers(0, len(free) // 2))):
+            pair = (free.pop(), free.pop())
+            kind = draw(st.sampled_from(["dense", "diag", "cz"]))
+            if kind == "dense":
+                gates.append(CustomGate(pair, _random_unitary(rng, 4)))
+            elif kind == "diag":
+                gates.append(CustomGate(pair, _random_phases(rng, 4)))
+            else:
+                gates.append(Gate(GateKind.CZ, pair))
+        for q in free:
+            kind = draw(st.sampled_from(_ONE_QUBIT_KINDS))
+            if kind == "diag":
+                gates.append(CustomGate((q,), _random_phases(rng, 2)))
+            elif kind == "dense":
+                gates.append(CustomGate((q,), _random_unitary(rng, 2)))
+            elif kind != "none":
+                gates.append(Gate(GateKind(kind), (q,)))
+        cycles.append(tuple(gates))
+    return Circuit(rows, cols, tuple(cycles))
+
+
+def _first_wire_started(pair_matrix) -> Circuit:
+    """1x2 circuit: wire 0 gets a variable, then a two-qubit gate meets
+    wire 1 still at the input."""
+    rng = np.random.default_rng(7)
+    return Circuit(
+        1, 2, ((CustomGate((0,), _random_unitary(rng, 2)),), (CustomGate((0, 1), pair_matrix),))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=unprepared_circuits())
+@example(c=_first_wire_started(_random_unitary(np.random.default_rng(8), 4)))
+@example(c=_first_wire_started(_random_phases(np.random.default_rng(9), 4)))
+def test_input_boundary_matches_oracle(c):
+    for bits in itertools.product("01", repeat=c.n_qubits):
+        x = "".join(bits)
+        value = model_value_bruteforce(build_model(c, x))
+        assert abs(value - amplitude_of(c, x)) < 1e-12
 
 
 class TestGeneratedCircuits:

@@ -1,5 +1,8 @@
 """Variable fixing, greedy fix-set selection, partitioned execution."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from gridamp import (
     CostBudget,
     FixPlan,
     GenParams,
+    GraphModel,
     Ordering,
     OrderingBudget,
     RankOverflowError,
@@ -24,6 +28,8 @@ from gridamp import (
     search_ordering,
     select_fix_set,
 )
+from gridamp.graph_model import VarInfo
+from gridamp.tensor import Tensor
 
 from conftest import edge_names, letter_ids, with_custom_gates
 
@@ -85,6 +91,57 @@ class TestFixVariable:
     def test_bad_bit(self, ref4q_model):
         with pytest.raises(ValueError):
             fix_variable(ref4q_model, letter_ids(ref4q_model)["e"], 2)
+
+    def test_slices_the_factor_at_the_bit(self):
+        g = GraphModel()
+        for v in (0, 1):
+            g._add_vertex(v, VarInfo(v, 0))
+        g._add_factor(Tensor((0, 1), np.array([[1, 2], [3, 4]], dtype=complex)))
+        (f,) = fix_variable(g, 0, 1).factors
+        assert f.axes == (1,) and np.array_equal(f.data, [3, 4])
+        (f,) = fix_variable(g, 1, 0).factors
+        assert f.axes == (0,) and np.array_equal(f.data, [1, 3])
+
+    @pytest.mark.parametrize("bad", [{"v": "missing"}, {"bit": 2}, {"bit": -1}])
+    def test_bad_pair_leaves_the_model_unchanged(self, ref4q_model, bad):
+        ids = letter_ids(ref4q_model)
+        v = bad.get("v", ids["e"])
+        assignment = {ids["a"]: 1, ids["c"]: 0, v: bad.get("bit", 0)}
+        m = ref4q_model.clone()
+        with pytest.raises(KeyError if "v" in bad else ValueError):
+            m._fix(assignment)
+        assert m.factors == ref4q_model.factors
+        assert m.adj == ref4q_model.adj
+        assert m.fixed == ref4q_model.fixed
+        assert m.scalar == ref4q_model.scalar
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.sampled_from([2, 3]), seed=st.integers(0, 10_000),
+       custom_every=st.sampled_from([0, 2]), data=st.data())
+def test_one_pass_fix_equals_chained_fixes(rows, seed, custom_every, data):
+    """Fixing several variables in one ``_fix`` gives the factors,
+    adjacency and record of fixing them one at a time; only the scalar
+    may differ, at rounding level, since rank-0 results fold in another
+    order."""
+    c = generate(GenParams(rows, 3, 8, seed=seed))
+    if custom_every:
+        c = with_custom_gates(c, custom_every, seed)
+    model = build_model(c, "0" * (rows * 3))
+    fix = data.draw(st.lists(st.sampled_from(sorted(model.adj)), max_size=6, unique=True))
+    assignment = {v: data.draw(st.integers(0, 1)) for v in fix}
+    one = model.clone()
+    one._fix(assignment)
+    chained = model
+    for v, bit in assignment.items():
+        chained = fix_variable(chained, v, bit)
+    assert [f.axes for f in one.factors] == [f.axes for f in chained.factors]
+    for a, b in zip(one.factors, chained.factors):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert one.adj == chained.adj
+    assert list(one.fixed.items()) == list(chained.fixed.items())
+    order = min_fill_ordering(one, seed=0)
+    assert abs(contract(one, order) - contract(chained, order)) < 1e-12
 
 
 class TestSelectFixSet:
@@ -253,7 +310,9 @@ class TestRunPartitioned:
         plan = forced_plan(ref4q_model, base, 1)
         with pytest.raises(RankOverflowError) as err:
             run_partitioned(ref4q_model, plan, max_rank=1)
-        assert "subtask" in str(err.value)
+        # the step that overflowed and the subtask it ran in
+        msg = str(err.value)
+        assert re.search(r"eliminating v\d+ at step \d+, subtask 0 \(assignment '0'\)", msg)
 
     def test_workers_validation(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)

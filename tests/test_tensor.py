@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridamp import MissingAxisError, RankOverflowError, Tensor, multiply_all, sum_out
-from gridamp.tensor import scalar_tensor, slice_axis
+from gridamp.tensor import scalar_tensor
 
 
 def assignment_sum(tensors, free_vars):
@@ -143,17 +143,6 @@ class TestSumOut:
         b = sum_out(sum_out(t, 3), 1)
         perm = [a.axes.index(v) for v in b.axes]
         assert np.allclose(np.transpose(a.data, perm), b.data, atol=1e-12)
-
-
-class TestSliceAxis:
-    def test_slice(self):
-        t = Tensor((0, 1), np.array([[1, 2], [3, 4]], dtype=complex))
-        assert np.array_equal(slice_axis(t, 0, 1).data, [3, 4])
-        assert np.array_equal(slice_axis(t, 1, 0).data, [1, 3])
-
-    def test_bad_bit(self):
-        with pytest.raises(ValueError):
-            slice_axis(Tensor((0,), [1, 0]), 0, 2)
 
 
 @settings(max_examples=40, deadline=None)
