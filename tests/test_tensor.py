@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridamp import MissingAxisError, RankOverflowError, Tensor, multiply_all, sum_out
+from gridamp import (
+    GraphModel,
+    MissingAxisError,
+    RankOverflowError,
+    Tensor,
+    fix_variable,
+    multiply_all,
+    sum_out,
+)
+from gridamp.graph_model import VarInfo
 from gridamp.tensor import scalar_tensor
 
 
@@ -143,6 +152,18 @@ class TestSumOut:
         b = sum_out(sum_out(t, 3), 1)
         perm = [a.axes.index(v) for v in b.axes]
         assert np.allclose(np.transpose(a.data, perm), b.data, atol=1e-12)
+
+
+class TestSliceAxis:
+    """Slicing a tensor axis at a bit goes through ``GraphModel._fix``;
+    here it is reached by ``fix_variable`` on a one-factor model."""
+
+    def test_bad_bit(self):
+        g = GraphModel()
+        g._add_vertex(0, VarInfo(0, 0))
+        g._add_factor(Tensor((0,), np.array([1, 0], dtype=complex)))
+        with pytest.raises(ValueError):
+            fix_variable(g, 0, 2)
 
 
 @settings(max_examples=40, deadline=None)
