@@ -2,9 +2,10 @@
 contractions, run the reference simulator, report fidelity estimates,
 benchmark, and export graphs.
 
-Every run is seeded via flags (no environment configuration) and the
-amplitude result JSON embeds the fully resolved configuration, so runs
-are reproducible from their own output.
+Every run is seeded via flags (no environment configuration).  The JSON
+that ``amplitude`` and ``plan`` print embeds the fully resolved
+configuration, and that configuration alone determines the plan: the
+ordering search stops at a restart cap, never at a wall-clock limit.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ class RunConfig:
     gen_seed: int
     x: str
     order: str
-    order_time: float
     order_restarts: int
     order_seed: int
     fix_max: int
     max_rank: int
     engine_max_rank: int
     workers: int
-    format: str
 
 
 class UsageError(Exception):
@@ -85,12 +84,16 @@ def _write_output(path: str | None, text: str):
         sys.stdout.write(text)
 
 
+def _grid_size(args) -> tuple[int, int, int]:
+    if args.rows is None or args.cols is None or args.depth is None:
+        raise UsageError("either --circuit or --rows/--cols/--depth is required")
+    return args.rows, args.cols, args.depth
+
+
 def _load_circuit(args) -> Circuit:
     if args.circuit:
         return _read_circuit(args.circuit)
-    if args.rows is None or args.cols is None or args.depth is None:
-        raise UsageError("either --circuit or --rows/--cols/--depth is required")
-    return generate(GenParams(args.rows, args.cols, args.depth, args.seed))
+    return generate(GenParams(*_grid_size(args), args.seed))
 
 
 def _resolve_x(args, circuit: Circuit) -> str:
@@ -101,11 +104,7 @@ def _resolve_x(args, circuit: Circuit) -> str:
 
 
 def _budget(cfg: RunConfig) -> OrderingBudget:
-    return OrderingBudget(
-        time_s=cfg.order_time,
-        max_restarts=cfg.order_restarts,
-        seed=cfg.order_seed,
-    )
+    return OrderingBudget(time_s=None, max_restarts=cfg.order_restarts, seed=cfg.order_seed)
 
 
 def _base_ordering(model, cfg: RunConfig) -> Ordering:
@@ -139,16 +138,6 @@ def _run_pipeline(circuit: Circuit, cfg: RunConfig) -> tuple[AmplitudeResult, Fi
     )
     return result, plan
 
-def _result_payload(result: AmplitudeResult, cfg: RunConfig) -> dict:
-    return {
-        "amplitude": {"re": result.amplitude.real, "im": result.amplitude.imag},
-        "num_subtasks": result.num_subtasks,
-        "max_rank": result.max_rank,
-        "est_total_cost": result.est_total_cost,
-        "wall_ms": result.wall_ms,
-        "config": asdict(cfg),
-    }
-
 
 def _emit_error(kind: str, exc: Exception, cfg: RunConfig) -> int:
     print(json.dumps({"error": {"type": kind, "message": str(exc)},
@@ -165,14 +154,12 @@ def _config_from_args(args, circuit: Circuit, gen_seed: int) -> RunConfig:
         gen_seed=gen_seed,
         x=_resolve_x(args, circuit),
         order=args.order,
-        order_time=args.order_time,
         order_restarts=args.order_restarts,
         order_seed=args.order_seed,
         fix_max=args.fix_max,
         max_rank=args.max_rank,
         engine_max_rank=args.engine_max_rank,
         workers=args.workers,
-        format=args.format,
     )
 
 
@@ -193,22 +180,14 @@ def cmd_amplitude(args) -> int:
         return _emit_error("budget_unreachable", e, cfg)
     if not (math.isfinite(result.amplitude.real) and math.isfinite(result.amplitude.imag)):
         return _emit_error("non_finite", ValueError("amplitude is not finite"), cfg)
-    if cfg.format == "json":
-        print(json.dumps(_result_payload(result, cfg)))
-    elif cfg.format == "csv":
-        print("amplitude_re,amplitude_im,num_subtasks,max_rank,est_total_cost,wall_ms")
-        print(
-            f"{result.amplitude.real!r},{result.amplitude.imag!r},"
-            f"{result.num_subtasks},{result.max_rank},{result.est_total_cost},"
-            f"{result.wall_ms}"
-        )
-    else:
-        print(f"amplitude    {result.amplitude.real} {result.amplitude.imag:+}j")
-        print(f"|amplitude|2 {abs(result.amplitude) ** 2}")
-        print(f"subtasks     {result.num_subtasks}")
-        print(f"max rank     {result.max_rank}")
-        print(f"est cost     {result.est_total_cost}")
-        print(f"wall ms      {result.wall_ms:.2f}")
+    print(json.dumps({
+        "amplitude": {"re": result.amplitude.real, "im": result.amplitude.imag},
+        "num_subtasks": result.num_subtasks,
+        "max_rank": result.max_rank,
+        "est_total_cost": result.est_total_cost,
+        "wall_ms": result.wall_ms,
+        "config": asdict(cfg),
+    }))
     return 0
 
 
@@ -253,15 +232,12 @@ def cmd_fidelity(args) -> int:
         rates = ErrorRates.from_two_qubit_rate(args.eps)
     except ValueError as e:
         raise UsageError(f"--eps {args.eps}: {e}") from None
-    circuit = None
-    if args.circuit:
-        circuit = _read_circuit(args.circuit)
+    if args.circuit or args.exact:
+        circuit = _load_circuit(args)
         m, n, d = circuit.rows, circuit.cols, circuit.depth
-    elif args.exact:
-        circuit = generate(GenParams(args.rows, args.cols, args.depth, args.seed))
-        m, n, d = args.rows, args.cols, args.depth
     else:
-        m, n, d = args.rows, args.cols, args.depth
+        circuit = None
+        m, n, d = _grid_size(args)
     report = fidelity_report(m, n, d, rates, circuit)
     print(json.dumps({**asdict(report), "eps": args.eps}))
     return 0
@@ -367,14 +343,11 @@ def _add_circuit_source(p: argparse.ArgumentParser):
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser, one_amplitude: bool = True):
-    if one_amplitude:  # bench always runs the all-zeros string and writes CSV
+    if one_amplitude:  # bench always runs the all-zeros string
         p.add_argument("--x", help="output bitstring, qubit 0 first (default all zeros)")
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     p.add_argument(
         "--order", choices=("vertical", "minfill", "search"), default="search"
     )
-    p.add_argument("--order-time", type=_bounded(0.0, kind=float), default=2.0,
-                   help="ordering search time budget, seconds")
     p.add_argument("--order-restarts", type=_bounded(1), default=8,
                    help="ordering search restart cap")
     p.add_argument("--order-seed", type=_bounded(0), default=0)
@@ -425,13 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fidelity", help="gate counts and fidelity estimates")
-    _add_grid_size(p, required=True)
+    _add_circuit_source(p)
     p.add_argument("--eps", type=float, default=0.005,
                    help="two-qubit Pauli error rate")
-    p.add_argument("--circuit", help="count gates of this file instead")
     p.add_argument("--exact", action="store_true",
-                   help="generate a circuit (--seed) for exact counts")
-    p.add_argument("--seed", type=_bounded(0), default=0)
+                   help="generate a circuit (--seed) for exact counts; implied by --circuit")
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("bench", help="percentile-runtime sweep, CSV output")
@@ -444,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_bounded(0), default=0)
     p.add_argument("-o", "--output")
     _add_pipeline_flags(p, one_amplitude=False)
-    p.set_defaults(func=cmd_bench, circuit=None, x=None, format="csv")
+    p.set_defaults(func=cmd_bench, circuit=None, x=None)
 
     p = sub.add_parser("export-dot", help="write the model graph as DOT")
     _add_circuit_source(p)

@@ -71,12 +71,6 @@ class GraphModel:
     def edges(self) -> set[tuple[VarId, VarId]]:
         return {(u, v) for u, ns in self.adj.items() for v in ns if u < v}
 
-    def neighbors(self, v: VarId) -> set[VarId]:
-        return set(self.adj[v])
-
-    def degree(self, v: VarId) -> int:
-        return len(self.adj[v])
-
     def clone(self) -> "GraphModel":
         m = GraphModel()
         m.adj = copy_adj(self.adj)

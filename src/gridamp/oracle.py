@@ -62,10 +62,7 @@ def simulate(circuit: Circuit) -> np.ndarray:
 def amplitude_of(circuit: Circuit, x) -> complex:
     """<x|C|0...0> with x a bitstring (qubit 0 first) or bit sequence."""
     n = circuit.n_qubits
-    if isinstance(x, str):
-        bits = [int(ch) for ch in x]
-    else:
-        bits = [int(b) for b in x]
+    bits = [int(b) for b in x]  # a string gives its characters
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"output must be {n} binary values")
     index = 0

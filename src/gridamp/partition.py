@@ -178,7 +178,7 @@ def select_fix_set(
     t_max: int,
     budget: CostBudget,
     *,
-    ordering_budget: OrderingBudget | None = None,
+    ordering_budget: OrderingBudget,
     allow_over_budget: bool = False,
 ) -> FixPlan:
     """Greedily pick variables to fix until the subtask fits the budget.
@@ -187,9 +187,9 @@ def select_fix_set(
     graph under ``base`` restricted to the survivors, and fixes the
     cheapest (ties to the lower id).  Rounds stop once that restricted
     ordering meets the budget, after ``t_max`` fixes, or when no vertex
-    is left.  If anything was fixed, the reduced graph is re-ordered by
-    ``search_ordering``.  The plan takes the search result unless only
-    the restricted base ordering meets the budget.
+    is left.  If anything was fixed, ``search_ordering`` re-orders the
+    reduced graph under ``ordering_budget``.  The plan takes the search
+    result unless only the restricted base ordering meets the budget.
 
     Raises :class:`BudgetUnreachableError` when the returned estimate is
     over budget, unless ``allow_over_budget`` is set.
@@ -213,8 +213,6 @@ def select_fix_set(
     if fix_vars:
         reduced_model = g.clone()
         reduced_model._fix(dict.fromkeys(fix_vars, 0))  # bits irrelevant: only structure matters
-        if ordering_budget is None:
-            ordering_budget = OrderingBudget(time_s=None, max_restarts=4)
         post, est = search_ordering(reduced_model, ordering_budget)
         if budget.satisfied_by(est) or not budget.satisfied_by(current):
             plan = FixPlan(plan.fix_vars, post, est)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gridamp import GateKind, amplitude_of, cz_layer, parse_circuit
+from gridamp import GateKind, amplitude_of, count_gates, cz_layer, parse_circuit
 from gridamp.cli import _percentile_ms, main
 
 from conftest import REF4Q_TEXT
@@ -78,6 +78,13 @@ class TestGenerate:
         ["bench", "--grids", "2", "--depths", "4", "--samples", "-1"],
         ["bench", "--grids", "", "--depths", "4"],
         ["bench", "--grids", "2", "--depths", ","],
+        ["fidelity"],
+        ["amplitude", "--rows", "2", "--cols", "2", "--depth", "4", "--order-time", "2"],
+        ["plan", "--rows", "2", "--cols", "2", "--depth", "4", "--order-time", "2"],
+        ["bench", "--grids", "2", "--depths", "4", "--order-time", "2"],
+        ["amplitude", "--rows", "2", "--cols", "2", "--depth", "4", "--format", "csv"],
+        ["plan", "--rows", "2", "--cols", "2", "--depth", "4", "--format", "csv"],
+        ["bench", "--grids", "2", "--depths", "4", "--format", "csv"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -127,7 +134,6 @@ class TestAmplitude:
             ("--workers", "0"),
             ("--fix-max", "-1"),
             ("--order-restarts", "0"),
-            ("--order-time", "-1"),
             ("--circuit", "/nonexistent"),
             ("--x", "01"),
             pytest.param(None, None, id="no-circuit-source"),
@@ -165,20 +171,39 @@ class TestAmplitude:
         payload = json.loads(out)
         assert payload["error"]["type"] == "rank_overflow"
 
-    def test_plain_and_csv_formats(self, capsys, ref4q_file):
-        code, out = run_cli(capsys, "amplitude", "--circuit", ref4q_file,
-                            "--format", "plain")
-        assert code == 0 and "amplitude" in out
-        code, out = run_cli(capsys, "amplitude", "--circuit", ref4q_file,
-                            "--format", "csv")
-        header, row = out.strip().splitlines()
-        assert header.startswith("amplitude_re,amplitude_im")
-
     def test_generated_source(self, capsys):
         code, out = run_cli(capsys, "amplitude", "--rows", "2", "--cols", "2",
                             "--depth", "6", "--seed", "3")
         assert code == 0
         assert "amplitude" in json.loads(out)
+
+
+def replay_argv(command: str, config: dict) -> list[str]:
+    """The command line that the ``config`` of a run's output records."""
+    argv = [command]
+    for key, value in config.items():
+        if value is not None:
+            flag = "--seed" if key == "gen_seed" else "--" + key.replace("_", "-")
+            argv += [flag, str(value)]
+    return argv
+
+
+def test_runs_replay_from_their_own_config(capsys):
+    argv = ["--rows", "4", "--cols", "5", "--depth", "16", "--seed", "1",
+            "--x", "01101001011010010110", "--order-restarts", "3",
+            "--order-seed", "5", "--max-rank", "4", "--fix-max", "6", "--workers", "2"]
+    code, plan = run_cli(capsys, "plan", *argv)
+    assert code == 0 and len(json.loads(plan)["fix_vars"]) == 2
+    code, replayed = run_cli(capsys, *replay_argv("plan", json.loads(plan)["config"]))
+    assert code == 0 and replayed == plan
+
+    code, out = run_cli(capsys, "amplitude", *argv)
+    first = json.loads(out)
+    assert code == 0 and first["num_subtasks"] == 4
+    code, out = run_cli(capsys, *replay_argv("amplitude", first["config"]))
+    second = json.loads(out)
+    assert code == 0 and second["config"] == first["config"]
+    assert second["amplitude"] == first["amplitude"]
 
 
 class TestPlanOracleDot:
@@ -226,6 +251,14 @@ class TestFidelityCmd:
                             "--depth", "16", "--exact", "--seed", "5")
         payload = json.loads(out)
         assert payload["g2_exact"] == payload["g2"] == 48
+
+    def test_circuit_file_sets_the_grid(self, capsys, ref4q_file):
+        c = parse_circuit(REF4Q_TEXT)
+        code, out = run_cli(capsys, "fidelity", "--circuit", ref4q_file)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["rows"], payload["cols"], payload["depth"]) == (c.rows, c.cols, c.depth)
+        assert (payload["g1_exact"], payload["g2_exact"]) == count_gates(c)
 
 
 class TestBench:

@@ -58,7 +58,7 @@ class TestReferenceModel:
         touching = [f for f in ref4q_model.factors if e in f.axes]
         sigma = multiply_all(touching)
         assert sigma.rank == 5
-        assert set(sigma.axes) == {e} | ref4q_model.neighbors(e)
+        assert set(sigma.axes) == {e} | ref4q_model.adj[e]
         work = [f for f in ref4q_model.factors if e not in f.axes]
         work.append(sum_out(sigma, e))
         remaining = sorted({v for f in work for v in f.axes})

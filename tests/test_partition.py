@@ -35,6 +35,7 @@ from conftest import edge_names, letter_ids, with_custom_gates
 
 
 SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
+FOUR_RESTARTS = OrderingBudget(time_s=None, max_restarts=4)
 
 
 def forced_plan(model, base, t):
@@ -149,7 +150,7 @@ class TestSelectFixSet:
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = select_fix_set(
             ref4q_model, base, t_max=0, budget=CostBudget(max_rank=-1),
-            allow_over_budget=True,
+            ordering_budget=FOUR_RESTARTS, allow_over_budget=True,
         )
         assert plan.fix_vars == ()
         assert plan.num_subtasks == 1
@@ -159,7 +160,8 @@ class TestSelectFixSet:
     def test_generous_budget_fixes_nothing(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         rank = estimate_cost(ref4q_model, base).max_rank
-        plan = select_fix_set(ref4q_model, base, t_max=5, budget=CostBudget(max_rank=rank))
+        plan = select_fix_set(ref4q_model, base, t_max=5, budget=CostBudget(max_rank=rank),
+                              ordering_budget=FOUR_RESTARTS)
         assert plan.fix_vars == ()
         assert plan.post_fix_ordering.vars == base.vars
 
@@ -193,13 +195,14 @@ class TestSelectFixSet:
     def test_budget_unreachable_raises(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         with pytest.raises(BudgetUnreachableError):
-            select_fix_set(ref4q_model, base, t_max=1, budget=CostBudget(max_rank=-1))
+            select_fix_set(ref4q_model, base, t_max=1, budget=CostBudget(max_rank=-1),
+                           ordering_budget=FOUR_RESTARTS)
 
     def test_t_max_caps_the_fixes(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = select_fix_set(
             ref4q_model, base, t_max=2, budget=CostBudget(max_rank=-1),
-            allow_over_budget=True,
+            ordering_budget=FOUR_RESTARTS, allow_over_budget=True,
         )
         assert len(plan.fix_vars) == 2
 
@@ -279,6 +282,7 @@ class TestRunPartitioned:
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = select_fix_set(
             ref4q_model, base, t_max=0, budget=CostBudget(max_rank=None),
+            ordering_budget=FOUR_RESTARTS,
         )
         result = run_partitioned(ref4q_model, plan)
         assert result.num_subtasks == 1

@@ -203,6 +203,7 @@ def test_t_max_above_vertex_count_fixes_every_vertex():
     m = grid_model(3, 6, 0)
     base = min_fill_ordering(m, seed=0)
     plan = select_fix_set(m, base, t_max=len(m.adj) + 5, budget=CostBudget(max_rank=-1),
+                          ordering_budget=OrderingBudget(time_s=None, max_restarts=4),
                           allow_over_budget=True)
     assert sorted(plan.fix_vars) == sorted(m.adj)
     assert plan.post_fix_ordering.vars == ()
