@@ -16,6 +16,7 @@ import math
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .circuit import Circuit, CircuitError, parse_circuit, serialize_circuit
@@ -257,14 +258,13 @@ def _percentile_ms(times: list[float], pct: float) -> float:
 
 
 def cmd_bench(args) -> int:
-    writer = sys.stdout
-    close = None
-    if args.output:
-        close = writer = _open_output(args.output)
-    try:
-        writer.write(
-            "n,d,seed,samples,ok,status,percentile_ms,mean_max_rank,mean_t,mean_est_cost\n"
-        )
+    # every row repeats the run's pipeline flags, so it can be replayed
+    names = ("order", "order_restarts", "order_seed", "fix_max", "max_rank",
+             "engine_max_rank", "workers")
+    flags = ",".join(str(getattr(args, f)) for f in names)
+    with _open_output(args.output) if args.output else nullcontext(sys.stdout) as writer:
+        writer.write("n,d,seed,samples,ok,status,percentile_ms,mean_max_rank,mean_t,"
+                     f"mean_est_cost,{','.join(names)}\n")
         for n in args.grids:
             for d in args.depths:
                 times, ranks, ts, costs = [], [], [], []
@@ -288,13 +288,10 @@ def cmd_bench(args) -> int:
                         f"{n},{d},{args.seed},{args.samples},{len(times)},ok,"
                         f"{_percentile_ms(times, args.percentile):.3f},"
                         f"{statistics.mean(ranks):.3f},{statistics.mean(ts):.3f},"
-                        f"{statistics.mean(costs):.1f}\n"
+                        f"{statistics.mean(costs):.1f},{flags}\n"
                     )
                 for seed, kind in failures:
-                    writer.write(f"{n},{d},{seed},1,0,{kind},,,,\n")
-    finally:
-        if close:
-            close.close()
+                    writer.write(f"{n},{d},{seed},1,0,{kind},,,,,{flags}\n")
     return 0
 
 

@@ -5,12 +5,11 @@ Fixing variables slices every factor at the chosen bits in one pass of
 conditions, and deletes the vertices with their edges; no new tensor
 appears.  Fixing t variables splits the amplitude sum into 2^t
 independent subtasks that contract the same reduced graph under the
-same ordering and are summed at the end.  The fix set is chosen
-greedily: every surviving vertex is a candidate, priced by the cost of
-the base ordering restricted to the survivors, until that ordering meets
-the rank budget.  The reduced graph then gets a fresh ordering search.  Budget rule: the plan keeps the search result unless
-only the restricted base ordering meets the budget, and a plan whose own
-estimate breaks the budget raises instead of being returned.
+same ordering and are summed at the end.  ``select_fix_set`` plans in
+three stages (rules in its docstring): a greedy fix priced against the
+base ordering until that ordering meets the rank budget, a post-fix
+search of the reduced graph, and a give-back of the fixed variables the
+budget does not need, each eliminated last as a batch axis.
 
 Prefix reuse: let candidate v sit at position p_v of the base ordering.
 Before step p_v, the graph left by eliminating the same prefix from
@@ -33,6 +32,12 @@ drops u's pairs from D, drops the pairs with both ends in B - D(u)
 that touch D(u) (the candidate's u does not reach that end).  When D is
 empty the two graphs are equal, and the rest of the candidate's cost is
 the base suffix total.
+
+Give-back sweep: returning v adds only edges at v, so the reduced
+graph's own edges evolve as without v, and only v's neighbor set R(v)
+differs.  It starts as v's neighbors outside the fix set.  Eliminating
+u in R(v) with neighbors B makes it R(v) - u + B and costs 2^(|B|+1),
+not 2^|B|; v's own last step costs 1.  One sweep prices every candidate.
 
 Subtask summation uses a fixed-shape binary reduction tree over the
 subtask index, so the amplitude is bit-identical for any worker count.
@@ -75,14 +80,14 @@ class CostBudget:
 
     max_rank: int | None = 27
 
-    def satisfied_by(self, est: CostEstimate) -> bool:
-        return self.max_rank is None or est.max_rank <= self.max_rank
+    def satisfied_by(self, rank: int) -> bool:
+        return self.max_rank is None or rank <= self.max_rank
 
 
 @dataclass(frozen=True)
 class FixPlan:
-    """Variables to parallelize over, plus the ordering and estimated cost
-    of each of the 2^t reduced subtasks."""
+    """Variables to parallelize over, plus the ordering (ending with any
+    variables given back) and estimated cost of each of the 2^t subtasks."""
 
     fix_vars: tuple[VarId, ...]
     post_fix_ordering: Ordering
@@ -172,6 +177,24 @@ def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId,
     return totals
 
 
+def _give_back_costs(adj: dict[VarId, set[VarId]], order, fixed_adj) -> dict:
+    """(total, rank) of ``adj`` under ``order`` with each fixed v, mapped in
+    ``fixed_adj`` to its full neighbor set, given back and eliminated last."""
+    adj = copy_adj(adj)
+    reach = {v: nbs & adj.keys() for v, nbs in fixed_adj.items()}  # R(v)
+    costs = dict.fromkeys(reach, (1, 0))  # v's own last step
+    for u in order:
+        nbs = eliminate_vertex(adj, u)
+        for v, r in reach.items():
+            deg = len(nbs) + (u in r)
+            if u in r:
+                r.remove(u)
+                r |= nbs
+            total, rank = costs[v]
+            costs[v] = (total + (1 << deg), max(rank, deg))
+    return costs
+
+
 def select_fix_set(
     g: GraphModel,
     base: Ordering,
@@ -185,11 +208,12 @@ def select_fix_set(
 
     Each round prices every surviving vertex by the cost of the reduced
     graph under ``base`` restricted to the survivors, and fixes the
-    cheapest (ties to the lower id).  Rounds stop once that restricted
-    ordering meets the budget, after ``t_max`` fixes, or when no vertex
-    is left.  If anything was fixed, ``search_ordering`` re-orders the
-    reduced graph under ``ordering_budget``.  The plan takes the search
-    result unless only the restricted base ordering meets the budget.
+    cheapest (ties to the lower id), until that ordering meets the budget,
+    after ``t_max`` fixes, or when no vertex is left.  ``search_ordering``
+    then re-orders the reduced graph under ``ordering_budget``; the plan
+    takes its result unless only the restricted base ordering meets the
+    budget.  Last, the cheapest fixed variable (lower id on ties) is given
+    back while the rank fits and 2^t times the total falls.
 
     Raises :class:`BudgetUnreachableError` when the returned estimate is
     over budget, unless ``allow_over_budget`` is set.
@@ -202,7 +226,7 @@ def select_fix_set(
         raise ValueError("base ordering does not cover the model's variables")
     current = simulate_cost(adj, remaining)
     fix_vars: list[VarId] = []
-    while adj and len(fix_vars) < t_max and not budget.satisfied_by(current):
+    while adj and len(fix_vars) < t_max and not budget.satisfied_by(current.max_rank):
         totals = _fix_totals(adj, remaining)
         best_v = min(totals, key=lambda v: (totals[v], v))
         fix_vars.append(best_v)
@@ -211,13 +235,25 @@ def select_fix_set(
         current = simulate_cost(adj, remaining)
     plan = FixPlan(tuple(fix_vars), base.restrict(adj), current)
     if fix_vars:
-        reduced_model = g.clone()
-        reduced_model._fix(dict.fromkeys(fix_vars, 0))  # bits irrelevant: only structure matters
-        post, est = search_ordering(reduced_model, ordering_budget)
-        if budget.satisfied_by(est) or not budget.satisfied_by(current):
+        reduced = GraphModel()  # the search reads only the graph
+        reduced.adj = adj
+        post, est = search_ordering(reduced, ordering_budget)
+        if budget.satisfied_by(est.max_rank) or not budget.satisfied_by(current.max_rank):
             plan = FixPlan(plan.fix_vars, post, est)
-    if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost)):
+    if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost.max_rank)):
         raise BudgetUnreachableError(len(fix_vars), plan.est_subtask_cost, budget)
+    while plan.fix_vars:
+        costs = _give_back_costs(adj, plan.post_fix_ordering, {v: g.adj[v] for v in plan.fix_vars})
+        fits = [(total, v) for v, (total, rank) in costs.items()
+                if budget.satisfied_by(rank) and total < 2 * plan.est_subtask_cost.total]
+        if not fits:
+            break
+        v = min(fits)[1]
+        adj[v] = g.adj[v] & adj.keys()
+        for u in adj[v]:
+            adj[u].add(v)
+        order = Ordering(plan.post_fix_ordering.vars + (v,), plan.post_fix_ordering.provenance)
+        plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order, simulate_cost(adj, order))
     return plan
 
 

@@ -292,6 +292,20 @@ class TestBench:
 
         assert strip_timing(a) == strip_timing(b)
 
+    def test_rows_record_the_pipeline_flags(self, capsys):
+        flags = {"--order": "minfill", "--order-restarts": "3", "--order-seed": "2",
+                 "--fix-max": "0", "--max-rank": "1", "--engine-max-rank": "20",
+                 "--workers": "2"}
+        code, out = run_cli(capsys, "bench", "--grids", "2,3", "--depths", "4,8",
+                            "--samples", "1", *[x for kv in flags.items() for x in kv])
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.strip().splitlines()]
+        assert header[10:] == [f[2:].replace("-", "_") for f in flags]
+        assert {r[5] for r in rows} == {"ok", "BudgetUnreachableError"}
+        for row in rows:
+            assert len(row) == 17
+            assert row[10:] == list(flags.values())
+
     def test_failure_rows(self, capsys):
         code, out = run_cli(capsys, "bench", "--grids", "3", "--depths", "8",
                             "--samples", "2", "--order", "minfill",

@@ -28,6 +28,8 @@ from gridamp import (
     search_ordering,
     select_fix_set,
 )
+from gridamp import partition
+from gridamp.elimination import simulate_cost
 from gridamp.graph_model import VarInfo
 from gridamp.tensor import Tensor
 
@@ -275,6 +277,103 @@ def test_plan_estimate_prices_its_own_ordering(rows, depth, seed, custom_every, 
         reduced = fix_variable(reduced, v, 0)
     assert estimate_cost(reduced, plan.post_fix_ordering) == plan.est_subtask_cost
     assert plan.est_subtask_cost.max_rank <= est.max_rank - slack
+
+
+def without(adj, drop):
+    """The graph left when the vertices in ``drop`` are fixed."""
+    return {u: nbs - drop for u, nbs in adj.items() if u not in drop}
+
+
+def fanout_plan(rows=6, cols=6, depth=24, seed=0, rank=10, **kwargs):
+    """A plan made as the fanout-6x6x24 benchmark makes it: restart cap 2
+    for both searches, t_max 8, all-zeros output.  The defaults give that
+    workload's circuit 0."""
+    c = generate(GenParams(rows, cols, depth, seed))
+    model = build_model(c, "0" * (rows * cols))
+    base, _ = search_ordering(model, SEARCH_BUDGET)
+    plan = select_fix_set(model, base, t_max=8, budget=CostBudget(max_rank=rank),
+                          ordering_budget=SEARCH_BUDGET, **kwargs)
+    return c, model, plan
+
+
+class TestGiveBack:
+    @pytest.mark.parametrize("rows, depth, seed, rank", [(6, 24, 0, 10)] + [
+        (5, 20, seed, rank) for seed in range(6) for rank in (4, 5)
+    ])
+    def test_sweep_prices_each_candidate_like_a_replay(self, rows, depth, seed, rank):
+        _, model, plan = fanout_plan(rows, rows, depth, seed, rank, allow_over_budget=True)
+        fixed = set(plan.fix_vars)
+        assert fixed
+        order = plan.post_fix_ordering.vars
+        costs = partition._give_back_costs(
+            without(model.adj, fixed), order, {v: model.adj[v] for v in fixed}
+        )
+        for v in fixed:
+            est = simulate_cost(without(model.adj, fixed - {v}), order + (v,))
+            assert costs[v] == (est.total, est.max_rank)
+
+    def test_fanout_plan_returns_a_fix(self):
+        # the greedy fixes (14, 112, 94, 55, 9) leave rank 9 under a budget
+        # of 10 with 32 subtasks; returning v14 gives 16 at rank 10
+        _, _, plan = fanout_plan()
+        assert plan.fix_vars == (112, 94, 55, 9)
+        assert plan.post_fix_ordering.vars[-1] == 14
+        assert plan.est_subtask_cost.max_rank == 10
+        assert plan.est_subtask_cost.total == 12_535
+
+    @pytest.mark.parametrize("seed, rank, t_before, work_before, t_after, work_after", [
+        (0, 3, 4, 2_608, 3, 1_752),
+        (5, 5, 1, 686, 0, 483),  # every fix is returned
+    ])
+    def test_fewer_subtasks_less_work_same_amplitude(
+        self, monkeypatch, seed, rank, t_before, work_before, t_after, work_after
+    ):
+        def work(plan):
+            return plan.num_subtasks * plan.est_subtask_cost.total
+
+        with monkeypatch.context() as m:
+            m.setattr(partition, "_give_back_costs", lambda *args: {})
+            _, _, kept = fanout_plan(4, 5, 16, seed, rank)
+        c, model, plan = fanout_plan(4, 5, 16, seed, rank)
+        assert (len(kept.fix_vars), work(kept)) == (t_before, work_before)
+        assert (len(plan.fix_vars), work(plan)) == (t_after, work_after)
+        assert plan.post_fix_ordering.vars[: len(kept.post_fix_ordering)] == (
+            kept.post_fix_ordering.vars
+        )
+        one, two = (run_partitioned(model, plan, workers=w).amplitude for w in (1, 2))
+        assert one == two
+        assert abs(one - amplitude_of(c, "0" * 20)) < 1e-10
+
+    @pytest.mark.parametrize("rows, cols, depth", [(3, 4, 10), (4, 4, 12), (4, 5, 16)])
+    def test_plans_fit_and_no_fix_is_left_to_return(self, monkeypatch, rows, cols, depth):
+        changed = 0
+        for seed in range(4):
+            model = build_model(generate(GenParams(rows, cols, depth, seed)), "0" * (rows * cols))
+            base, est = search_ordering(model, SEARCH_BUDGET)
+            for rank in range(est.max_rank - 4, est.max_rank):
+                budget = CostBudget(max_rank=rank)
+                with monkeypatch.context() as m:
+                    m.setattr(partition, "_give_back_costs", lambda *args: {})
+                    kept = select_fix_set(model, base, t_max=8, budget=budget,
+                                          ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
+                plan = select_fix_set(model, base, t_max=8, budget=budget,
+                                      ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
+                if plan == kept:
+                    continue
+                changed += 1
+                fixed = set(plan.fix_vars)
+                est_plan = plan.est_subtask_cost
+                assert est_plan.max_rank <= rank
+                assert simulate_cost(without(model.adj, fixed), plan.post_fix_ordering) == est_plan
+                assert (est_plan.total * plan.num_subtasks
+                        < kept.est_subtask_cost.total * kept.num_subtasks)
+                costs = partition._give_back_costs(
+                    without(model.adj, fixed), plan.post_fix_ordering,
+                    {v: model.adj[v] for v in fixed},
+                )
+                assert not [v for v, (total, r) in costs.items()
+                            if r <= rank and total < 2 * est_plan.total]
+        assert changed
 
 
 class TestRunPartitioned:
