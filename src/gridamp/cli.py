@@ -350,7 +350,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, one_amplitude: bool = True):
     p.add_argument("--order-seed", type=_bounded(0), default=0)
     p.add_argument("--fix-max", type=_bounded(0), default=8,
                    help="max number of variables fixed for parallelization")
-    p.add_argument("--max-rank", type=int, default=27,
+    p.add_argument("--max-rank", type=_bounded(0), default=27,
                    help="per-subtask rank budget")
     p.add_argument("--engine-max-rank", type=_bounded(1, MAX_RANK_LIMIT),
                    default=DEFAULT_MAX_RANK,

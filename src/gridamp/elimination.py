@@ -13,7 +13,7 @@ amplitude is bit-identical to applying ``eliminate_variable`` in order.
 
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
-the cost model, min-fill and the searches.  A step costs 2^degree(v) at
+the cost model and fix-set selection.  A step costs 2^degree(v) at
 elimination time, the size of the post-summation tensor, so
 ``estimate_cost`` prices an ordering from graph dynamics alone.
 """
@@ -156,14 +156,13 @@ def contract(
     g: GraphModel,
     order: Ordering,
     max_rank: int = DEFAULT_MAX_RANK,
-    trace_ranks: list[int] | None = None,
 ) -> complex:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  ``trace_ranks``, if supplied, receives the rank
-    of each intermediate product tensor (one entry per step), which is
-    what peak memory follows.  Buckets keep a fixed order, so the result
-    is bit-reproducible.
+    ``g`` is only read.  Each step's product tensor comes from
+    ``multiply_all`` and has rank degree + 1, which is what peak memory
+    follows.  Buckets keep a fixed order, so the result is
+    bit-reproducible.
     """
     _check_covers(g, order)
     pos = {v: k for k, v in enumerate(order.vars)}
@@ -174,8 +173,6 @@ def contract(
     for k, v in enumerate(order.vars):
         # release the bucket's list, so its factors die with the step
         bucket, buckets[k] = buckets[k], None
-        if trace_ranks is not None:
-            trace_ranks.append(len({u for f in bucket for u in f.axes}))
         r, scalar = _eliminate_bucket(bucket, v, max_rank, scalar, step=k)
         if r is not None:
             buckets[min(map(pos.__getitem__, r.axes))].append(r)

@@ -2,21 +2,11 @@
 
 Three producers: the vertical ordering (each qubit's variables in
 temporal order, qubit by qubit), greedy min-fill, and an anytime
-randomized search that runs seeded min-fill restarts plus local
-adjacent-transposition improvements against the step-cost sum until a
-time or restart budget runs out.  The search's candidate stream is
-deterministic given the seed; budgets only truncate it, so a larger
-budget can never return a worse result.
-
-Swap locality: eliminating {a, b} leaves the same graph in either order,
-so swapping the neighbors a = cur[i], b = cur[i+1] changes only the
-costs of steps i and i+1.  On the graph P left by eliminating cur[:i],
-if b is a neighbor of a then whichever goes second has degree
-|N(a) ∪ N(b)| - 2 either way, so the swap changes the total by
-2^|N(b)| - 2^|N(a)|; otherwise neither degree changes.  A sweep of
-local moves therefore keeps P, prices each swap from N(a) and N(b)
-alone, and then eliminates cur[i] from P; it never replays the whole
-ordering.
+randomized search that runs seeded min-fill restarts and keeps the
+cheapest by the step-cost sum until a time or restart budget runs out.
+The search's candidate stream is deterministic given the seed; budgets
+only truncate it, between restarts, so a larger budget can never return
+a worse result.
 
 Fill counts: min-fill keeps each vertex's fill count (the non-adjacent
 pairs among its neighbors) current with exact integer deltas instead of
@@ -31,12 +21,13 @@ and the rng draws, are those of a recount.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import CostEstimate, Ordering, eliminate_vertex, simulate_cost
+from .elimination import CostEstimate, Ordering, simulate_cost
 from .graph_model import GraphModel, copy_adj, remove_vertex
 
 
@@ -119,72 +110,26 @@ def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
     return Ordering(tuple(order), "min-fill")
 
 
-def _swap_delta(prefix: dict[int, set[int]], a: int, b: int) -> int:
-    """Change in total cost from eliminating b before a on ``prefix``
-    (see the module docstring)."""
-    na = prefix[a]
-    if b not in na:
-        return 0
-    # the later of the two steps has degree |N(a) ∪ N(b)| - 2 in either
-    # order, so its cost cancels
-    return (1 << len(prefix[b])) - (1 << len(na))
-
-
-def _local_improve(adj, vars_list, est, deadline) -> tuple[list[int], CostEstimate]:
-    """First-improvement sweeps of adjacent transpositions; deterministic,
-    the deadline only truncates.  A swap is kept when it lowers the total
-    cost, priced incrementally against the sweep's prefix graph."""
-    cur = list(vars_list)
-    moved = False
-    improved = True
-    while improved:
-        improved = False
-        prefix = copy_adj(adj)
-        for i in range(len(cur) - 1):
-            if deadline is not None and time.perf_counter() >= deadline:
-                return cur, (simulate_cost(adj, cur) if moved else est)
-            if _swap_delta(prefix, cur[i], cur[i + 1]) < 0:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                improved = moved = True
-            eliminate_vertex(prefix, cur[i])
-    return cur, (simulate_cost(adj, cur) if moved else est)
-
-
 def search_ordering(
     g: GraphModel, budget: OrderingBudget
 ) -> tuple[Ordering, CostEstimate]:
-    """Best ordering found within the budget, with its cost estimate.
+    """Cheapest ordering found within the budget, with its cost estimate.
 
-    Restart ``i`` runs min-fill with seed ``budget.seed + i`` and then
-    polishes it with local moves; restart 0 therefore reproduces plain
-    ``min_fill_ordering(g, budget.seed)``, so the result is never worse
-    than that.  Candidates are compared by (total cost, variable tuple).
+    Restart ``i`` runs min-fill with seed ``budget.seed + i``, priced once
+    with ``simulate_cost``; restart 0 always runs, so the result is never
+    worse than plain ``min_fill_ordering(g, budget.seed)``.  The deadline
+    is checked only between restarts.  Candidates are compared by (total
+    cost, variable tuple).
     """
-    deadline = (
-        None if budget.time_s is None else time.perf_counter() + budget.time_s
-    )
+    deadline = None if budget.time_s is None else time.perf_counter() + budget.time_s
     best: tuple[int, tuple[int, ...], CostEstimate] | None = None
-
-    def consider(vars_tuple: tuple[int, ...], est: CostEstimate):
-        nonlocal best
-        key = (est.total, vars_tuple)
-        if best is None or key < (best[0], best[1]):
-            best = (est.total, vars_tuple, est)
-
-    i = 0
-    while True:
-        if i > 0:
-            if budget.max_restarts is not None and i >= budget.max_restarts:
-                break
-            if deadline is not None and time.perf_counter() >= deadline:
-                break
-        cand = min_fill_ordering(g, seed=budget.seed + i)
-        est = simulate_cost(g.adj, cand.vars)
-        consider(cand.vars, est)
-        moved, moved_est = _local_improve(g.adj, list(cand.vars), est, deadline)
-        consider(tuple(moved), moved_est)
-        i += 1
-    assert best is not None
+    for i in range(budget.max_restarts or sys.maxsize):  # no cap: until the deadline
+        if i and deadline is not None and time.perf_counter() >= deadline:
+            break
+        cand = min_fill_ordering(g, seed=budget.seed + i).vars
+        est = simulate_cost(g.adj, cand)
+        if best is None or (est.total, cand) < best[:2]:
+            best = (est.total, cand, est)
     return Ordering(best[1], "search"), best[2]
 
 

@@ -8,8 +8,9 @@ independent subtasks that contract the same reduced graph under the
 same ordering and are summed at the end.  ``select_fix_set`` plans in
 three stages (rules in its docstring): a greedy fix priced against the
 base ordering until that ordering meets the rank budget, a post-fix
-search of the reduced graph, and a give-back of the fixed variables the
-budget does not need, each eliminated last as a batch axis.
+search of the reduced graph that competes with the restricted base
+ordering, and a give-back of the fixed variables the budget does not
+need, each eliminated last as a batch axis.
 
 Prefix reuse: let candidate v sit at position p_v of the base ordering.
 Before step p_v, the graph left by eliminating the same prefix from
@@ -210,10 +211,11 @@ def select_fix_set(
     graph under ``base`` restricted to the survivors, and fixes the
     cheapest (ties to the lower id), until that ordering meets the budget,
     after ``t_max`` fixes, or when no vertex is left.  ``search_ordering``
-    then re-orders the reduced graph under ``ordering_budget``; the plan
-    takes its result unless only the restricted base ordering meets the
-    budget.  Last, the cheapest fixed variable (lower id on ties) is given
-    back while the rank fits and 2^t times the total falls.
+    then re-orders the reduced graph under ``ordering_budget``; of its
+    result and the restricted base ordering, the plan takes one that
+    meets the budget if either does, then the lower total, ties to the
+    search result.  Last, the cheapest fixed variable (lower id on ties)
+    is given back while the rank fits and 2^t times the total falls.
 
     Raises :class:`BudgetUnreachableError` when the returned estimate is
     over budget, unless ``allow_over_budget`` is set.
@@ -237,9 +239,9 @@ def select_fix_set(
     if fix_vars:
         reduced = GraphModel()  # the search reads only the graph
         reduced.adj = adj
-        post, est = search_ordering(reduced, ordering_budget)
-        if budget.satisfied_by(est.max_rank) or not budget.satisfied_by(current.max_rank):
-            plan = FixPlan(plan.fix_vars, post, est)
+        searched = FixPlan(plan.fix_vars, *search_ordering(reduced, ordering_budget))
+        plan = min((searched, plan), key=lambda p: (
+            not budget.satisfied_by(p.est_subtask_cost.max_rank), p.est_subtask_cost.total))
     if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost.max_rank)):
         raise BudgetUnreachableError(len(fix_vars), plan.est_subtask_cost, budget)
     while plan.fix_vars:

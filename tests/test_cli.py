@@ -85,6 +85,8 @@ class TestGenerate:
         ["amplitude", "--rows", "2", "--cols", "2", "--depth", "4", "--format", "csv"],
         ["plan", "--rows", "2", "--cols", "2", "--depth", "4", "--format", "csv"],
         ["bench", "--grids", "2", "--depths", "4", "--format", "csv"],
+        ["plan", "--rows", "3", "--cols", "3", "--depth", "8", "--max-rank", "-3"],
+        ["bench", "--grids", "2", "--depths", "4", "--max-rank", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
 )

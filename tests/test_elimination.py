@@ -18,7 +18,9 @@ from gridamp import (
     generate,
     model_value_bruteforce,
 )
+from gridamp import elimination
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
+from gridamp.tensor import multiply_all
 
 from conftest import edge_names, letter_ids, with_custom_gates
 
@@ -147,11 +149,18 @@ class TestEstimateCost:
         assert est.total == sum(s.cost for s in est.steps)
         assert est.max_rank == max(s.degree for s in est.steps)
 
-    def test_materialized_ranks_track_degrees(self, ref4q_model):
+    def test_materialized_ranks_track_degrees(self, ref4q_model, monkeypatch):
         order = Ordering(tuple(sorted(ref4q_model.vertices)))
         est = estimate_cost(ref4q_model, order)
         ranks: list[int] = []
-        contract(ref4q_model, order, trace_ranks=ranks)
+
+        def recording(*args, **kwargs):  # each step's product tensor
+            product = multiply_all(*args, **kwargs)
+            ranks.append(product.rank)
+            return product
+
+        monkeypatch.setattr(elimination, "multiply_all", recording)
+        contract(ref4q_model, order)
         assert ranks == [s.degree + 1 for s in est.steps]
         assert max(ranks) == est.max_rank + 1
 

@@ -19,6 +19,7 @@ from gridamp import (
     search_ordering,
     vertical_ordering,
 )
+from gridamp.elimination import simulate_cost
 from gridamp.graph_model import GraphModel, VarInfo
 from gridamp.ordering import fill_count
 
@@ -140,6 +141,24 @@ class TestSearch:
         order, est = search_ordering(ref4q_model, budget)
         assert order.vars == min_fill_ordering(ref4q_model, seed=7).vars
         assert order.provenance == "search"
+
+    @pytest.mark.parametrize("rows, depth, seed, budget_seed, cap", [
+        (4, 12, 0, 0, 1),
+        (4, 16, 2, 3, 4),
+        (5, 16, 1, 2, 2),
+        (5, 20, 5, 0, 3),
+        (6, 20, 2, 1, 4),
+        (7, 24, 3, 0, 2),  # adjacent swaps would beat both restarts here
+        (7, 20, 4, 5, 1),
+    ])
+    def test_search_is_the_cheapest_restart(self, rows, depth, seed, budget_seed, cap):
+        m = model_from(rows, rows, depth, seed)
+        budget = OrderingBudget(time_s=None, max_restarts=cap, seed=budget_seed)
+        order, est = search_ordering(m, budget)
+        restarts = [min_fill_ordering(m, seed=budget_seed + i).vars for i in range(cap)]
+        want = min(restarts, key=lambda vs: (simulate_cost(m.adj, vs).total, vs))
+        assert order.vars == want
+        assert est == simulate_cost(m.adj, want)
 
     def test_never_worse_than_min_fill(self):
         for seed in range(5):

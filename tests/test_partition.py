@@ -226,6 +226,33 @@ class TestSelectFixSet:
         amp = run_partitioned(model, plan).amplitude
         assert abs(amp - amplitude_of(c, "0" * 20)) < 1e-10
 
+    @pytest.mark.parametrize("rows, cols, depth, seed, rank, fixed, total", [
+        (5, 5, 20, 2, 8, (10,), 2_579),  # the search totals 2,667
+        (6, 6, 24, 1, 12, (17, 104, 99), 28_650),  # the search totals 39,462
+        (4, 5, 20, 4, 6, (2,), 895),  # the search totals 951
+    ])
+    def test_keeps_the_cheaper_of_two_in_budget_orderings(
+        self, rows, cols, depth, seed, rank, fixed, total
+    ):
+        # the post-fix search and the base restricted to the survivors both
+        # meet the budget, and the restricted base costs less
+        c, model, plan = fanout_plan(rows, cols, depth, seed, rank)
+        base, _ = search_ordering(model, SEARCH_BUDGET)
+        reduced = GraphModel()
+        reduced.adj = without(model.adj, set(fixed))
+        _, searched = search_ordering(reduced, SEARCH_BUDGET)
+        assert searched.max_rank <= rank and searched.total > total
+        assert plan.fix_vars == fixed
+        assert plan.post_fix_ordering == base.restrict(reduced.adj)
+        assert (plan.est_subtask_cost.max_rank, plan.est_subtask_cost.total) == (rank, total)
+        one, two = (run_partitioned(model, plan, workers=w).amplitude for w in (1, 2))
+        assert one == two
+        n = rows * cols
+        # above 20 qubits the state vector takes minutes: the unsliced
+        # contraction is the reference there
+        want = amplitude_of(c, "0" * n) if n <= 20 else contract(model, base)
+        assert abs(one - want) < 1e-10
+
     @pytest.mark.parametrize("rows, depth, seed", [(3, 10, 0), (4, 12, 1), (4, 16, 2)])
     def test_returned_estimate_never_breaks_the_budget(self, rows, depth, seed):
         model = build_model(generate(GenParams(rows, 4, depth, seed)), "0" * (rows * 4))

@@ -1,14 +1,10 @@
-"""Incremental pricing against full-replay references.
+"""Incremental fix pricing against full-replay references.
 
-The ordering search prices adjacent swaps from the prefix-elimination
-graph, and fix-set selection prices every candidate in one sweep of the
-base elimination plus a walk over the edges its graph lacks.  The
-full-replay versions they replaced are kept here as references; the
-planners must return exactly what the references return, so every plan
-is unchanged.
+Fix-set selection prices every candidate in one sweep of the base
+elimination plus a walk over the edges its graph lacks.  The full-replay
+version it replaced is kept here as a reference; the planner must return
+exactly what the reference returns, so every plan is unchanged.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -23,11 +19,10 @@ from gridamp import (
     build_model,
     generate,
     min_fill_ordering,
-    search_ordering,
     select_fix_set,
     vertical_ordering,
 )
-from gridamp import ordering, partition
+from gridamp import partition
 from gridamp.elimination import eliminate_vertex, simulate_cost
 
 from conftest import with_custom_gates
@@ -35,26 +30,6 @@ from conftest import with_custom_gates
 
 def _copy(adj):
     return {v: set(ns) for v, ns in adj.items()}
-
-
-def reference_local_improve(adj, vars_list, est, deadline):
-    """Adjacent-swap sweeps, each candidate priced by a full replay."""
-    cur = list(vars_list)
-    cur_est = est
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(cur) - 1):
-            if deadline is not None and time.perf_counter() >= deadline:
-                return cur, cur_est
-            cur[i], cur[i + 1] = cur[i + 1], cur[i]
-            cand_est = simulate_cost(_copy(adj), cur)
-            if cand_est.total < cur_est.total:
-                cur_est = cand_est
-                improved = True
-            else:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    return cur, cur_est
 
 
 def reference_fix_totals(adj, order):
@@ -108,47 +83,6 @@ def test_custom_gate_models_have_rank_four_factors():
     assert any(f.rank == 4 for f in m.factors)
 
 
-class TestLocalImprove:
-    def _check(self, m, start):
-        adj = _copy(m.adj)
-        est = simulate_cost(_copy(adj), start)
-        got = ordering._local_improve(adj, list(start), est, None)
-        want = reference_local_improve(adj, list(start), est, None)
-        assert got[0] == want[0]
-        assert got[1] == want[1]
-        assert adj == m.adj  # the caller's graph is left alone
-
-    def test_from_min_fill(self, model):
-        for seed in range(2):
-            self._check(model, min_fill_ordering(model, seed=seed).vars)
-
-    def test_from_vertical(self, model):
-        # far from a local optimum: many swaps are taken, and elements
-        # bubble across several positions in one sweep
-        self._check(model, vertical_ordering(model).vars)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), perm_seed=st.integers(0, 10_000),
-           custom=st.sampled_from([0, 2]))
-    def test_from_random_orderings(self, seed, perm_seed, custom):
-        m = grid_model(4, 10, seed, custom)
-        start = np.random.default_rng(perm_seed).permutation(sorted(m.adj))
-        self._check(m, [int(v) for v in start])
-
-    def test_expired_deadline_returns_the_input(self, model):
-        start = list(vertical_ordering(model).vars)
-        est = simulate_cost(_copy(model.adj), start)
-        got = ordering._local_improve(model.adj, start, est, time.perf_counter())
-        assert got == (start, est)
-
-
-def test_search_ordering_matches_full_replay_search(model, monkeypatch):
-    budget = OrderingBudget(time_s=None, max_restarts=3, seed=2)
-    got = search_ordering(model, budget)
-    monkeypatch.setattr(ordering, "_local_improve", reference_local_improve)
-    assert search_ordering(model, budget) == got
-
-
 def check_fix_pricing(adj, order):
     """Every vertex's total equals a full replay's; the caller's graph is
     left alone."""
@@ -186,7 +120,6 @@ class TestFixSelection:
         got = plan()
         assert len(got.fix_vars) >= 1
         monkeypatch.setattr(partition, "_fix_totals", reference_fix_totals)
-        monkeypatch.setattr(ordering, "_local_improve", reference_local_improve)
         assert plan() == got
 
     @settings(max_examples=25, deadline=None)
