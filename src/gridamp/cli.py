@@ -174,7 +174,7 @@ def cmd_amplitude(args) -> int:
     circuit = _load_circuit(args)
     cfg = _config_from_args(args, circuit, args.seed)
     try:
-        result, _ = _run_pipeline(circuit, cfg)
+        result, plan = _run_pipeline(circuit, cfg)
     except RankOverflowError as e:
         return _emit_error("rank_overflow", e, cfg)
     except BudgetUnreachableError as e:
@@ -186,6 +186,8 @@ def cmd_amplitude(args) -> int:
         "num_subtasks": result.num_subtasks,
         "max_rank": result.max_rank,
         "est_total_cost": result.est_total_cost,
+        "fix_vars": list(plan.fix_vars),
+        "shared_steps": result.shared_steps,
         "wall_ms": result.wall_ms,
         "config": asdict(cfg),
     }))

@@ -72,10 +72,12 @@ class CostEstimate:
     max_rank: int
 
 
-def _check_covers(g: GraphModel, order: Ordering):
-    if set(order.vars) != set(g.adj):
-        missing = set(g.adj) - set(order.vars)
-        extra = set(order.vars) - set(g.adj)
+def _check_covers(free, order: Ordering):
+    """Raise ``ValueError`` unless ``order`` lists exactly the ``free``
+    variables."""
+    if set(order.vars) != set(free):
+        missing = set(free) - set(order.vars)
+        extra = set(order.vars) - set(free)
         raise ValueError(
             f"ordering does not match free variables (missing {sorted(missing)},"
             f" extra {sorted(extra)})"
@@ -115,25 +117,23 @@ def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
 
 def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
     """Price an ordering without touching tensor data."""
-    _check_covers(g, order)
+    _check_covers(g.adj, order)
     return simulate_cost(g.adj, order.vars)
 
 
-def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, scalar, step=None):
+def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step=None):
     """Multiply the factors that contain ``v`` and sum ``v`` out.  Returns
-    the result, or None when it folds into the returned ``scalar``: at
-    rank 0, or for an empty bucket, which doubles the term."""
+    the result, or the scalar it folds into: the value of a rank-0 result,
+    or 2.0 for an empty bucket, which doubles the term."""
     if not bucket:
-        return None, scalar * 2.0
+        return 2.0
     try:
         product = multiply_all(bucket, max_rank=max_rank)
     except RankOverflowError as e:
         where = f"eliminating v{v}" + ("" if step is None else f" at step {step}")
         raise RankOverflowError(e.variables, context=where) from None
     out = sum_out(product, v)
-    if out.rank == 0:
-        return None, scalar * complex(out.data)
-    return out, scalar
+    return complex(out.data) if out.rank == 0 else out
 
 
 def eliminate_variable(
@@ -145,9 +145,11 @@ def eliminate_variable(
     out = g.clone()
     bucket = [f for f in g.factors if v in f.axes]
     out.factors = [f for f in g.factors if v not in f.axes]
-    r, out.scalar = _eliminate_bucket(bucket, v, max_rank, g.scalar)
-    if r is not None:
+    r = _eliminate_bucket(bucket, v, max_rank)
+    if isinstance(r, Tensor):
         out.factors.append(r)
+    else:
+        out.scalar = g.scalar * r
     eliminate_vertex(out.adj, v)
     return out
 
@@ -156,6 +158,9 @@ def contract(
     g: GraphModel,
     order: Ordering,
     max_rank: int = DEFAULT_MAX_RANK,
+    *,
+    shared: dict[int, object] | None = None,
+    replay: bool = False,
 ) -> complex:
     """Eliminate every free variable in order; returns the amplitude.
 
@@ -163,8 +168,17 @@ def contract(
     ``multiply_all`` and has rank degree + 1, which is what peak memory
     follows.  Buckets keep a fixed order, so the result is
     bit-reproducible.
+
+    ``shared`` maps the steps that all subtasks of a fix plan compute
+    alike to their records (see ``partition.py``).  Without ``replay``
+    those steps run, and each records the scalar it folds, or its result
+    if an unshared step uses it, else None.  With ``replay`` they do not
+    run: each record is put back at its own step, where the result joins
+    its bucket and the scalar multiplies the running one, so buckets and
+    scalar see the same values in the same order as in the recording run.
     """
-    _check_covers(g, order)
+    _check_covers(g.adj, order)
+    shared = {} if shared is None else shared
     pos = {v: k for k, v in enumerate(order.vars)}
     buckets: list[list[Tensor] | None] = [[] for _ in order.vars]
     for f in g.factors:
@@ -173,7 +187,15 @@ def contract(
     for k, v in enumerate(order.vars):
         # release the bucket's list, so its factors die with the step
         bucket, buckets[k] = buckets[k], None
-        r, scalar = _eliminate_bucket(bucket, v, max_rank, scalar, step=k)
-        if r is not None:
-            buckets[min(map(pos.__getitem__, r.axes))].append(r)
+        replayed = replay and k in shared
+        r = shared[k] if replayed else _eliminate_bucket(bucket, v, max_rank, step=k)
+        if isinstance(r, Tensor):
+            j = min(map(pos.__getitem__, r.axes))
+            buckets[j].append(r)
+            if j in shared:  # only shared steps use it: nothing to record
+                r = None
+        elif r is not None:
+            scalar = scalar * r
+        if k in shared and not replayed:
+            shared[k] = r
     return complex(scalar)

@@ -40,6 +40,23 @@ differs.  It starts as v's neighbors outside the fix set.  Eliminating
 u in R(v) with neighbors B makes it R(v) - u + B and costs 2^(|B|+1),
 not 2^|B|; v's own last step costs 1.  One sweep prices every candidate.
 
+Shared steps: ``run_partitioned`` eliminates the post-fix ordering
+once on a copy of the full graph that keeps the fixed vertices, and
+step k is shared when no fixed vertex is a neighbor of its vertex at
+that time.  Edges are factors' variable pairs and each fill-in clique is
+a result's variables, so those neighbors are the variables of the
+step's product, fixed ones included, as if no leaf had been sliced.  A
+step is thus shared exactly when no tensor in its bucket comes from a
+sliced leaf: its bucket holds the same tensors in every subtask.
+Subtask 0 runs every step and records, for each shared step, the scalar
+it folds, or its result when an unshared step uses it.  The other
+subtasks drop the shared steps' leaves and replay each record at its
+own step, so every bucket holds the same tensors in the same order and
+the scalar is multiplied by the same values in the same order: the
+amplitude keeps its bits.  A record is one shared step's result, at most
+2^degree entries, so what is kept is at most 16 bytes times the shared
+steps' estimated cost.
+
 Subtask summation uses a fixed-shape binary reduction tree over the
 subtask index, so the amplitude is bit-identical for any worker count.
 """
@@ -53,6 +70,7 @@ from dataclasses import dataclass
 from .elimination import (
     CostEstimate,
     Ordering,
+    _check_covers,
     contract,
     eliminate_vertex,
     simulate_cost,
@@ -107,6 +125,7 @@ class AmplitudeResult:
     est_total_cost: int
     wall_ms: float
     ordering_provenance: str = "user"
+    shared_steps: int = 0  # steps run once, not once per subtask
 
 
 def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
@@ -196,6 +215,26 @@ def _give_back_costs(adj: dict[VarId, set[VarId]], order, fixed_adj) -> dict:
     return costs
 
 
+def _give_back(g: GraphModel, adj, plan: FixPlan, budget: CostBudget) -> FixPlan:
+    """``plan`` after returning its cheapest fixed variable (lower id on
+    ties), eliminated last, while the rank fits and 2^t times the total
+    falls; ``adj`` is the reduced graph, and is only read."""
+    adj = copy_adj(adj)
+    while plan.fix_vars:
+        costs = _give_back_costs(adj, plan.post_fix_ordering, {v: g.adj[v] for v in plan.fix_vars})
+        fits = [(total, v) for v, (total, rank) in costs.items()
+                if budget.satisfied_by(rank) and total < 2 * plan.est_subtask_cost.total]
+        if not fits:
+            break
+        v = min(fits)[1]
+        adj[v] = g.adj[v] & adj.keys()
+        for u in adj[v]:
+            adj[u].add(v)
+        order = Ordering(plan.post_fix_ordering.vars + (v,), plan.post_fix_ordering.provenance)
+        plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order, simulate_cost(adj, order))
+    return plan
+
+
 def select_fix_set(
     g: GraphModel,
     base: Ordering,
@@ -211,11 +250,12 @@ def select_fix_set(
     graph under ``base`` restricted to the survivors, and fixes the
     cheapest (ties to the lower id), until that ordering meets the budget,
     after ``t_max`` fixes, or when no vertex is left.  ``search_ordering``
-    then re-orders the reduced graph under ``ordering_budget``; of its
-    result and the restricted base ordering, the plan takes one that
-    meets the budget if either does, then the lower total, ties to the
-    search result.  Last, the cheapest fixed variable (lower id on ties)
-    is given back while the rank fits and 2^t times the total falls.
+    then re-orders the reduced graph under ``ordering_budget``.  Both its
+    result and the restricted base ordering give back their cheapest
+    fixed variable (lower id on ties) while the rank fits and 2^t times
+    the total falls.  The plan is the one of the two that meets the
+    budget if either does, then the one with less 2^t times the total,
+    ties to the search result.
 
     Raises :class:`BudgetUnreachableError` when the returned estimate is
     over budget, unless ``allow_over_budget`` is set.
@@ -235,27 +275,17 @@ def select_fix_set(
         remove_vertex(adj, best_v)
         remaining.remove(best_v)
         current = simulate_cost(adj, remaining)
-    plan = FixPlan(tuple(fix_vars), base.restrict(adj), current)
+    plans = [FixPlan(tuple(fix_vars), base.restrict(adj), current)]
     if fix_vars:
         reduced = GraphModel()  # the search reads only the graph
         reduced.adj = adj
-        searched = FixPlan(plan.fix_vars, *search_ordering(reduced, ordering_budget))
-        plan = min((searched, plan), key=lambda p: (
-            not budget.satisfied_by(p.est_subtask_cost.max_rank), p.est_subtask_cost.total))
+        # first, since min() breaks ties toward it
+        plans.insert(0, FixPlan(tuple(fix_vars), *search_ordering(reduced, ordering_budget)))
+    plan = min((_give_back(g, adj, p, budget) for p in plans), key=lambda p: (
+        not budget.satisfied_by(p.est_subtask_cost.max_rank),
+        p.num_subtasks * p.est_subtask_cost.total))
     if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost.max_rank)):
-        raise BudgetUnreachableError(len(fix_vars), plan.est_subtask_cost, budget)
-    while plan.fix_vars:
-        costs = _give_back_costs(adj, plan.post_fix_ordering, {v: g.adj[v] for v in plan.fix_vars})
-        fits = [(total, v) for v, (total, rank) in costs.items()
-                if budget.satisfied_by(rank) and total < 2 * plan.est_subtask_cost.total]
-        if not fits:
-            break
-        v = min(fits)[1]
-        adj[v] = g.adj[v] & adj.keys()
-        for u in adj[v]:
-            adj[u].add(v)
-        order = Ordering(plan.post_fix_ordering.vars + (v,), plan.post_fix_ordering.provenance)
-        plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order, simulate_cost(adj, order))
+        raise BudgetUnreachableError(len(plan.fix_vars), plan.est_subtask_cost, budget)
     return plan
 
 
@@ -268,6 +298,18 @@ def _tree_sum(values: list[complex]) -> complex:
     return level[0]
 
 
+def _shared_steps(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> dict[int, None]:
+    """The steps of ``order`` at which no vertex of ``fixed`` is a
+    neighbor, found by eliminating ``order`` on a copy of ``adj`` that
+    keeps the fixed vertices (see the module docstring)."""
+    adj = copy_adj(adj)
+    shared = {}
+    for k, v in enumerate(order):
+        if fixed.isdisjoint(eliminate_vertex(adj, v)):
+            shared[k] = None
+    return shared
+
+
 def run_partitioned(
     g: GraphModel,
     plan: FixPlan,
@@ -277,20 +319,34 @@ def run_partitioned(
     """Contract all 2^t slices of the model and sum them.
 
     Subtask i assigns the bits of i to ``plan.fix_vars`` with the first
-    selected variable as the most significant bit.  Each worker owns a
-    clone of the model; the final sum is the fixed reduction tree, so the
-    amplitude does not depend on ``workers``.
+    selected variable as the most significant bit.  With t > 0, subtask 0
+    runs alone first and records the shared steps (module docstring);
+    the others start from a model without those steps' leaves and replay
+    the records.  Each subtask owns a clone of its model; the final sum
+    is the fixed reduction tree, so the amplitude does not depend on
+    ``workers``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t = len(plan.fix_vars)
+    order = plan.post_fix_ordering
     start = time.perf_counter()
+    shared, rest = {}, g  # rest: the model of subtasks 1 .. 2^t - 1
+    if t:
+        fixed = set(plan.fix_vars)
+        _check_covers(g.adj.keys() - fixed, order)
+        shared = _shared_steps(g.adj, order.vars, fixed)
+        pos = {v: k for k, v in enumerate(order.vars)}
+        rest = g.clone()
+        rest.factors = [f for f in g.factors if not fixed.isdisjoint(f.axes)
+                        or min(map(pos.__getitem__, f.axes)) not in shared]
 
     def subtask(i: int) -> complex:
-        m = g.clone()
+        m = (rest if i else g).clone()
         m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
         try:
-            return contract(m, plan.post_fix_ordering, max_rank=max_rank)
+            # subtask 0 records the shared steps, the others replay them
+            return contract(m, order, max_rank=max_rank, shared=shared, replay=i > 0)
         except RankOverflowError as e:
             bits = format(i, f"0{t}b") if t else ""
             where = f"subtask {i} (assignment {bits!r})"
@@ -298,12 +354,13 @@ def run_partitioned(
                 e.variables, context=f"{e.context}, {where}" if e.context else where
             ) from None
 
-    indices = range(plan.num_subtasks)
+    parts = [subtask(0)]  # alone, before any subtask that replays it
+    indices = range(1, plan.num_subtasks)
     if workers == 1:
-        parts = [subtask(i) for i in indices]
+        parts += map(subtask, indices)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(subtask, indices))
+            parts += pool.map(subtask, indices)
     amplitude = _tree_sum(parts)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
@@ -312,5 +369,6 @@ def run_partitioned(
         max_rank=plan.est_subtask_cost.max_rank,
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
-        ordering_provenance=plan.post_fix_ordering.provenance,
+        ordering_provenance=order.provenance,
+        shared_steps=len(shared),
     )

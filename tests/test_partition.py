@@ -349,7 +349,7 @@ class TestGiveBack:
         assert plan.est_subtask_cost.total == 12_535
 
     @pytest.mark.parametrize("seed, rank, t_before, work_before, t_after, work_after", [
-        (0, 3, 4, 2_608, 3, 1_752),
+        (0, 3, 4, 2_608, 3, 1_736),
         (5, 5, 1, 686, 0, 483),  # every fix is returned
     ])
     def test_fewer_subtasks_less_work_same_amplitude(
@@ -364,9 +364,11 @@ class TestGiveBack:
         c, model, plan = fanout_plan(4, 5, 16, seed, rank)
         assert (len(kept.fix_vars), work(kept)) == (t_before, work_before)
         assert (len(plan.fix_vars), work(plan)) == (t_after, work_after)
-        assert plan.post_fix_ordering.vars[: len(kept.post_fix_ordering)] == (
-            kept.post_fix_ordering.vars
-        )
+        # the returned fixes are eliminated last; the ordering before them
+        # may be the other of the two post-fix orderings
+        n = len(kept.post_fix_ordering)
+        assert set(plan.post_fix_ordering.vars[:n]) == set(kept.post_fix_ordering.vars)
+        assert set(plan.post_fix_ordering.vars[n:]) == set(kept.fix_vars) - set(plan.fix_vars)
         one, two = (run_partitioned(model, plan, workers=w).amplitude for w in (1, 2))
         assert one == two
         assert abs(one - amplitude_of(c, "0" * 20)) < 1e-10

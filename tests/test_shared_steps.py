@@ -1,0 +1,249 @@
+"""Steps no fixed variable reaches run once per amplitude.
+
+``run_partitioned`` finds them by one elimination of the full graph that
+keeps the fixed vertices; subtask 0 records them and the other subtasks
+replay the records.  The references here work on buckets instead:
+sliced leaves are marked, a result carries the mark of any input, and a
+step is shared when its bucket holds no marked tensor.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from gridamp import (
+    CostBudget,
+    FixPlan,
+    GraphModel,
+    Ordering,
+    OrderingBudget,
+    RankOverflowError,
+    contract,
+    elimination,
+    estimate_cost,
+    fix_variable,
+    min_fill_ordering,
+    run_partitioned,
+    search_ordering,
+    select_fix_set,
+)
+from gridamp import partition
+from gridamp.graph_model import VarInfo
+from gridamp.tensor import Tensor
+
+from test_partition import fanout_plan
+from test_pricing_reference import CASE_IDS, CASES, grid_model
+
+SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
+
+
+def reference_shared(model, fix_vars, order):
+    """The shared steps of ``order`` and where each step's result goes
+    (its bucket, or None when it folds into the scalar), from the
+    buckets alone."""
+    fixed = set(fix_vars)
+    pos = {v: k for k, v in enumerate(order)}
+    buckets = [[] for _ in order]
+
+    def file(axes, marked):
+        if not axes:
+            return None
+        k = min(map(pos.__getitem__, axes))
+        buckets[k].append((axes, marked))
+        return k
+
+    for f in model.factors:
+        file(set(f.axes) - fixed, not fixed.isdisjoint(f.axes))
+    shared, dest = set(), {}
+    for k, v in enumerate(order):
+        marked = any(m for _, m in buckets[k])
+        if not marked:
+            shared.add(k)
+        dest[k] = file(set().union(*(a for a, _ in buckets[k])) - {v}, marked)
+    return shared, dest
+
+
+def plan_for(model, fix_vars, order):
+    reduced = model
+    for v in fix_vars:
+        reduced = fix_variable(reduced, v, 0)
+    return FixPlan(tuple(fix_vars), order, estimate_cost(reduced, order))
+
+
+def sliced_amplitude(model, plan):
+    """The plan's amplitude from independently contracted slices."""
+    t = len(plan.fix_vars)
+    parts = []
+    for i in range(plan.num_subtasks):
+        m = model.clone()
+        m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
+        parts.append(contract(m, plan.post_fix_ordering))
+    return partition._tree_sum(parts)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def small_model():
+    """v7 is the one to fix.  In the order 0, 5, 6, 1, 2, 3, 4: v0's
+    result goes to v1's shared step, v5 has an empty bucket, v6 folds
+    into the scalar, and v1's result goes to v2's unshared step."""
+    rng = np.random.default_rng(3)
+    g = GraphModel()
+    for v in range(8):
+        g._add_vertex(v, VarInfo(0, v))
+    for axes in [(0, 1), (1, 2), (2, 7), (7, 3), (3, 4), (6,)]:
+        data = rng.normal(size=(2,) * len(axes)) + 1j * rng.normal(size=(2,) * len(axes))
+        g._add_factor(Tensor(axes, data))
+    return g, (7,), Ordering((0, 5, 6, 1, 2, 3, 4))
+
+
+@pytest.fixture(scope="module", params=CASES, ids=CASE_IDS)
+def model(request):
+    return grid_model(*request.param)
+
+
+def check_sweep(model, fix_vars, order):
+    """The sweep's shared set is the bucket reference's; returns it."""
+    want, _ = reference_shared(model, fix_vars, order)
+    got = partition._shared_steps(model.adj, order, set(fix_vars))
+    assert set(got) == want
+    return want
+
+
+class TestSweepMatchesBuckets:
+    def test_random_fix_sets_and_orderings(self, model):
+        rng = np.random.default_rng(len(model.adj))
+        free = sorted(model.adj)
+        for _ in range(6):
+            t = int(rng.integers(1, 5))
+            fixed = [int(v) for v in rng.choice(free, size=t, replace=False)]
+            order = [int(v) for v in rng.permutation([v for v in free if v not in fixed])]
+            check_sweep(model, fixed, order)
+
+    def test_planned_orderings_with_give_backs(self, monkeypatch):
+        gave_back = []
+        give_back = partition._give_back
+
+        def counted(g, adj, plan, budget):
+            out = give_back(g, adj, plan, budget)
+            gave_back.append(out.fix_vars != plan.fix_vars)
+            return out
+
+        monkeypatch.setattr(partition, "_give_back", counted)
+        for case in CASES:
+            model = grid_model(*case)
+            base, est = search_ordering(model, SEARCH_BUDGET)
+            for rank in range(max(est.max_rank - 6, 1), est.max_rank):
+                plan = select_fix_set(model, base, t_max=8, budget=CostBudget(max_rank=rank),
+                                      ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
+                check_sweep(model, plan.fix_vars, plan.post_fix_ordering.vars)
+        assert sum(gave_back) >= 4
+
+    def test_small_model(self):
+        g, fixed, order = small_model()
+        assert check_sweep(g, fixed, order.vars) == {0, 1, 2, 3}
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_small_model(self, workers):
+        g, fixed, order = small_model()
+        plan = plan_for(g, fixed, order)
+        result = run_partitioned(g, plan, workers=workers)
+        assert result.shared_steps == 4
+        assert bits(result.amplitude) == bits(sliced_amplitude(g, plan))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_planned_circuits(self, model, workers):
+        base = min_fill_ordering(model, seed=0)
+        rank = estimate_cost(model, base).max_rank
+        plan = select_fix_set(model, base, t_max=4, budget=CostBudget(max_rank=rank - 3),
+                              ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
+        assert plan.fix_vars
+        result = run_partitioned(model, plan, workers=workers)
+        assert bits(result.amplitude) == bits(sliced_amplitude(model, plan))
+
+
+def test_records_read_by_many_threads():
+    # eight workers on two cores, switching threads as often as they can:
+    # every subtask after the first reads the same records
+    _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+    want = bits(run_partitioned(model, plan).amplitude)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [bits(run_partitioned(model, plan, workers=8).amplitude) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 5
+
+
+def test_each_shared_step_multiplies_once(monkeypatch):
+    _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+    n = len(plan.post_fix_ordering)
+    s = len(partition._shared_steps(model.adj, plan.post_fix_ordering.vars, set(plan.fix_vars)))
+    assert 0 < s < n and plan.num_subtasks == 8
+    calls = []
+    multiply_all = elimination.multiply_all
+
+    def counted(tensors, **kwargs):
+        calls.append(1)
+        return multiply_all(tensors, **kwargs)
+
+    monkeypatch.setattr(elimination, "multiply_all", counted)
+    result = run_partitioned(model, plan, workers=2)
+    assert result.shared_steps == s
+    assert len(calls) == n + (plan.num_subtasks - 1) * (n - s)
+
+
+@pytest.mark.parametrize("case", ["small", "circuit"])
+def test_records_keep_only_what_unshared_steps_use(case):
+    if case == "small":
+        model, fixed, order = small_model()
+    else:
+        _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+        fixed, order = plan.fix_vars, plan.post_fix_ordering
+    shared, dest = reference_shared(model, fixed, order.vars)
+    records = dict.fromkeys(shared)
+    m = model.clone()
+    m._fix(dict.fromkeys(fixed, 0))
+    contract(m, order, shared=records)
+    assert set(records) == shared
+    for k, record in records.items():
+        if dest[k] is None:  # folds into the scalar
+            assert isinstance(record, (complex, float))
+        elif dest[k] in shared:
+            assert record is None
+        else:
+            assert isinstance(record, Tensor)
+            assert min(map(order.vars.index, record.axes)) == dest[k]
+    kept = [k for k, r in records.items() if isinstance(r, Tensor)]
+    assert kept == [k for k in sorted(shared) if dest[k] is not None and dest[k] not in shared]
+    if case == "small":
+        assert records[1] == 2.0 and records[0] is None and kept == [3]
+
+
+def test_rank_overflow_in_a_shared_step_names_subtask_0():
+    g, fixed, order = small_model()
+    assert 0 in partition._shared_steps(g.adj, order.vars, set(fixed))
+    with pytest.raises(RankOverflowError, match=r"eliminating v0 at step 0, subtask 0 "
+                                                r"\(assignment '0'\)"):
+        run_partitioned(g, plan_for(g, fixed, order), workers=2, max_rank=1)
+
+
+def test_fanout_plan_shares_69_of_143_steps():
+    # fanout-6x6x24: 143 + 15 * (143 - 69) = 1,253 steps per amplitude
+    _, model, plan = fanout_plan()
+    assert len(plan.post_fix_ordering) == 143 and plan.num_subtasks == 16
+    assert run_partitioned(model, plan).shared_steps == 69
+
+
+def test_one_subtask_shares_nothing():
+    g, _, _ = small_model()
+    order = Ordering((0, 5, 6, 1, 2, 7, 3, 4))
+    result = run_partitioned(g, plan_for(g, (), order))
+    assert result.shared_steps == 0
+    assert result.amplitude == contract(g, order)
