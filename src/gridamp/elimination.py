@@ -11,6 +11,14 @@ variable, in the order a scan of the live factor list meets them
 ``multiply_all`` thus pairs the same tensors as a rescan would, and the
 amplitude is bit-identical to applying ``eliminate_variable`` in order.
 
+A step of degree d has a product of rank d + 1.  Above ``CHUNK_RANK``
+axes it is never built whole: the rank-d output is allocated once and
+filled block by block from ``multiply_all``'s slices of the product at
+each assignment of d + 1 - ``CHUNK_RANK`` axes other than v, each
+summed over v by ``sum_out``.  Entries keep their bits, and a step holds
+its output plus one chunk and its sum: at degree 24, 256 + 24 MiB, not
+the whole product's 512 + 256 MiB.
+
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
 the cost model and fix-set selection.  A step costs 2^degree(v) at
@@ -20,7 +28,10 @@ elimination time, the size of the post-summation tensor, so
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph_model import GraphModel, copy_adj, remove_vertex
 from .tensor import (
@@ -28,9 +39,12 @@ from .tensor import (
     RankOverflowError,
     Tensor,
     VarId,
+    _schedule,
     multiply_all,
     sum_out,
 )
+
+CHUNK_RANK = 20  # larger products are built in chunks of 2^20 entries (16 MiB)
 
 
 @dataclass(frozen=True)
@@ -127,13 +141,40 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step=None):
     or 2.0 for an empty bucket, which doubles the term."""
     if not bucket:
         return 2.0
+    cap = CHUNK_RANK if max_rank > CHUNK_RANK else max_rank  # min() costs more per step
     try:
-        product = multiply_all(bucket, max_rank=max_rank)
+        try:  # a product above cap is refused before any einsum
+            out = sum_out(multiply_all(bucket, max_rank=cap), v)
+        except RankOverflowError:
+            out = _chunked(bucket, v, max_rank)
     except RankOverflowError as e:
         where = f"eliminating v{v}" + ("" if step is None else f" at step {step}")
         raise RankOverflowError(e.variables, context=where) from None
-    out = sum_out(product, v)
     return complex(out.data) if out.rank == 0 else out
+
+
+def _chunked(bucket: list[Tensor], v: VarId, max_rank: int) -> Tensor:
+    """``_eliminate_bucket``'s result in chunks (module docstring), sliced
+    at the largest input's outermost axes so its slices are contiguous.
+    Each chunk's result goes, in its own memory order, to its contiguous
+    block of the output.  The full rank is checked before any allocation."""
+    axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
+    big = max(bucket, key=lambda t: t.rank)
+    outer = [big.axes[i] for i in _memory_order(big)] + list(axes)
+    chunk = tuple(u for u in dict.fromkeys(outer) if u != v)[: len(axes) - CHUNK_RANK]
+    data = np.empty((1 << len(chunk), 1 << (len(axes) - 1 - len(chunk))), np.complex128)
+    for k, bits in enumerate(itertools.product((0, 1), repeat=len(chunk))):
+        part = multiply_all(bucket, max_rank=max_rank, at=dict(zip(chunk, bits)))
+        part = sum_out(part, v)
+        order = _memory_order(part)
+        data[k] = np.transpose(part.data, order).reshape(-1)
+    rest = tuple(part.axes[i] for i in order)
+    return Tensor(chunk + rest, data.reshape((2,) * (len(axes) - 1)))
+
+
+def _memory_order(t: Tensor) -> list[int]:
+    """Positions of ``t``'s axes from outermost to innermost in memory."""
+    return sorted(range(t.rank), key=t.data.strides.__getitem__, reverse=True)
 
 
 def eliminate_variable(
@@ -164,10 +205,10 @@ def contract(
 ) -> complex:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  Each step's product tensor comes from
-    ``multiply_all`` and has rank degree + 1, which is what peak memory
-    follows.  Buckets keep a fixed order, so the result is
-    bit-reproducible.
+    ``g`` is only read.  Each step's product comes from ``multiply_all``,
+    whole or in chunks of at most ``CHUNK_RANK`` axes (see the module
+    docstring), so a step holds its output plus one chunk.  Buckets keep
+    a fixed order, so the result is bit-reproducible.
 
     ``shared`` maps the steps that all subtasks of a fix plan compute
     alike to their records (see ``partition.py``).  Without ``replay``

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .tensor import Tensor, VarId
+from .tensor import Tensor, VarId, _sliced
 
 
 class TooManyVariablesError(ValueError):
@@ -121,14 +121,6 @@ class GraphModel:
         for v, bit in assignment.items():
             remove_vertex(self.adj, v)
             self.fixed[v] = bit
-
-
-def _sliced(axes: tuple, data: np.ndarray, bits: dict) -> Tensor:
-    """The tensor left when the axes named in ``bits`` are fixed: numpy
-    basic indexing with an int at each of them and a full slice
-    elsewhere."""
-    index = tuple(bits.get(v, slice(None)) for v in axes)
-    return Tensor(tuple(v for v in axes if v not in bits), data[index])
 
 
 def copy_adj(adj: dict[VarId, set[VarId]]) -> dict[VarId, set[VarId]]:

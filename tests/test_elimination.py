@@ -1,13 +1,18 @@
 """Elimination semantics, contraction correctness, and the cost model."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridamp import (
+    CostBudget,
     GenParams,
     Ordering,
+    OrderingBudget,
     RankOverflowError,
     Tensor,
     amplitude_of,
@@ -16,7 +21,10 @@ from gridamp import (
     eliminate_variable,
     estimate_cost,
     generate,
+    min_fill_ordering,
     model_value_bruteforce,
+    run_partitioned,
+    select_fix_set,
 )
 from gridamp import elimination
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
@@ -171,6 +179,102 @@ class TestEstimateCost:
         for step, v in zip(est.steps, order):
             assert step.degree == len(g.adj[v])
             g = eliminate_variable(g, v)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@functools.lru_cache(maxsize=None)
+def grid_case(seed):
+    """A 4x5x16 model (min-fill rank 6 or 7), its min-fill ordering, its
+    amplitude unchunked and the oracle's."""
+    c = generate(GenParams(4, 5, 16, seed=seed))
+    model = build_model(c, "0" * 20)
+    order = min_fill_ordering(model, seed=0)
+    return model, order, contract(model, order), amplitude_of(c, "0" * 20)
+
+
+class TestChunkedSteps:
+    """Steps whose product has more than ``CHUNK_RANK`` axes build their
+    result from slices of the product; patching the constant down makes
+    small models chunk."""
+
+    @pytest.mark.parametrize("chunk_rank", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_and_bounded_products(self, seed, chunk_rank, monkeypatch):
+        model, order, want, oracle = grid_case(seed)
+        ranks, sliced = [], []
+
+        def recording(tensors, **kwargs):
+            product = multiply_all(tensors, **kwargs)
+            ranks.append(product.rank)
+            sliced.append("at" in kwargs)
+            return product
+
+        monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
+        monkeypatch.setattr(elimination, "multiply_all", recording)
+        got = contract(model, order)
+        assert bits(got) == bits(want)
+        assert abs(got - oracle) < 1e-10
+        assert max(ranks) <= chunk_rank
+        assert any(sliced)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plan_with_fixes(self, workers, monkeypatch):
+        model, order, _, oracle = grid_case(2)
+        plan = select_fix_set(model, order, t_max=4, budget=CostBudget(max_rank=4),
+                              ordering_budget=OrderingBudget(time_s=None, max_restarts=2))
+        assert plan.num_subtasks > 1
+        want = run_partitioned(model, plan).amplitude
+        monkeypatch.setattr(elimination, "CHUNK_RANK", 3)
+        got = run_partitioned(model, plan, workers=workers).amplitude
+        assert bits(got) == bits(want)
+        assert abs(got - oracle) < 1e-10
+
+    @pytest.mark.parametrize("chunk_rank", [2, 3])
+    def test_chunks_slice_inputs_to_rank_zero(self, chunk_rank, monkeypatch):
+        # v3 is summed out; the chunk axes 0 (and 1), the largest factor's
+        # outermost, slice the first (two) factors down to rank 0; signed
+        # zeros reach every multiply
+        rng = np.random.default_rng(chunk_rank)
+        layouts = [(0,), (1, 0), (3, 0), (0, 1, 3, 2)]
+        bucket = []
+        for axes in layouts:
+            shape = (2,) * len(axes)
+            data = np.empty(shape, complex)
+            data.real = rng.choice([0.0, -0.0, 1.5], shape)
+            data.imag = rng.choice([0.0, -0.0, -2.0], shape)
+            bucket.append(Tensor(axes, data))
+        want = elimination._eliminate_bucket(bucket, 3, max_rank=30)
+        chunks = []
+
+        def recording(tensors, **kwargs):
+            product = multiply_all(tensors, **kwargs)
+            chunks.append(kwargs["at"])
+            return product
+
+        monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
+        monkeypatch.setattr(elimination, "multiply_all", recording)
+        got = elimination._eliminate_bucket(bucket, 3, max_rank=30)
+        assert len(chunks) == 2 ** (4 - chunk_rank)
+        assert got.axes[: 4 - chunk_rank] == tuple(chunks[0]) == (0, 1)[: 4 - chunk_rank]
+        assert sorted(got.axes) == sorted(want.axes)
+        aligned = np.transpose(got.data, [got.axes.index(u) for u in want.axes])
+        assert aligned.tobytes() == want.data.tobytes()
+
+    def test_overflow_before_the_output_is_allocated(self, ref4q_model, monkeypatch):
+        e = letter_ids(ref4q_model)["e"]
+        order = ordering_starting_with(ref4q_model, [e])  # step 0 has rank 5
+        monkeypatch.setattr(elimination, "CHUNK_RANK", 2)
+        forbid = AssertionError("output allocated")
+        monkeypatch.setattr(np, "empty", mock.Mock(side_effect=forbid))
+        with pytest.raises(RankOverflowError) as err:
+            contract(ref4q_model, order, max_rank=4)
+        assert "eliminating v" in str(err.value) and "step 0" in str(err.value)
+        # within the rank budget the same step does allocate its output
+        with pytest.raises(AssertionError, match="output allocated"):
+            contract(ref4q_model, order, max_rank=5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -124,6 +124,21 @@ def test_same_product_and_sums_on_repeated_layouts(layout, seeds):
         check_multiply_and_sum(fill(layout, seed))
 
 
+@settings(max_examples=150, deadline=None)
+@given(layout=layouts(), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_sliced_product_is_the_product_sliced(layout, seed, data):
+    """``multiply_all(ts, at=bits)`` slices its inputs and pairs them as
+    in the full product; it must equal the reference product sliced."""
+    ts = fill(layout, seed)
+    combined = list(dict.fromkeys(v for t in ts for v in t.axes))
+    chunk = data.draw(st.lists(st.sampled_from(combined), unique=True)) if combined else []
+    at = {v: data.draw(st.integers(0, 1)) for v in chunk}
+    want = reference_multiply_all(ts)
+    index = tuple(at.get(v, slice(None)) for v in want.axes)
+    want = Tensor([v for v in want.axes if v not in at], want.data[index])
+    assert_same(multiply_all(ts, at=at), want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(layout=layouts(max_vars=7, max_tensors=6), seed=st.integers(0, 2**31 - 1))
 def test_same_scalar_after_full_elimination(layout, seed):
@@ -184,7 +199,10 @@ def test_rank_overflow_before_any_einsum(layout, data):
     with pytest.raises(RankOverflowError) as want:
         reference_multiply_all(ts, max_rank=max_rank)
     forbid = AssertionError("einsum called on an overflowing product")
-    with mock.patch.object(np, "einsum", side_effect=forbid):
-        with pytest.raises(RankOverflowError) as got:
-            multiply_all(ts, max_rank=max_rank)
-    assert got.value.variables == want.value.variables
+    # a sliced product is checked at the full product's rank
+    at = {data.draw(st.sampled_from(sorted({v for t in ts for v in t.axes}))): 1}
+    for kwargs in ({}, {"at": at}):
+        with mock.patch.object(np, "einsum", side_effect=forbid):
+            with pytest.raises(RankOverflowError) as got:
+                multiply_all(ts, max_rank=max_rank, **kwargs)
+        assert got.value.variables == want.value.variables
