@@ -183,8 +183,8 @@ def cmd_amplitude(args) -> int:
         return _emit_error("non_finite", ValueError("amplitude is not finite"), cfg)
     print(json.dumps({
         "amplitude": {"re": result.amplitude.real, "im": result.amplitude.imag},
-        "num_subtasks": result.num_subtasks,
-        "max_rank": result.max_rank,
+        "num_subtasks": plan.num_subtasks,
+        "max_rank": plan.est_subtask_cost.max_rank,
         "est_total_cost": result.est_total_cost,
         "fix_vars": list(plan.fix_vars),
         "shared_steps": result.shared_steps,
@@ -282,7 +282,7 @@ def cmd_bench(args) -> int:
                         failures.append((seed, type(e).__name__))
                         continue
                     times.append((time.perf_counter() - start) * 1000.0)
-                    ranks.append(result.max_rank)
+                    ranks.append(plan.est_subtask_cost.max_rank)
                     ts.append(len(plan.fix_vars))
                     costs.append(result.est_total_cost)
                 if times:

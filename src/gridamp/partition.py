@@ -119,12 +119,11 @@ class FixPlan:
 
 @dataclass(frozen=True)
 class AmplitudeResult:
+    """One amplitude; the plan that made it carries its other facts."""
+
     amplitude: complex
-    num_subtasks: int
-    max_rank: int
     est_total_cost: int
     wall_ms: float
-    ordering_provenance: str = "user"
     shared_steps: int = 0  # steps run once, not once per subtask
 
 
@@ -365,10 +364,7 @@ def run_partitioned(
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
         amplitude=amplitude,
-        num_subtasks=plan.num_subtasks,
-        max_rank=plan.est_subtask_cost.max_rank,
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
-        ordering_provenance=order.provenance,
         shared_steps=len(shared),
     )

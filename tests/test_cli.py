@@ -2,10 +2,20 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from gridamp import GateKind, amplitude_of, count_gates, cz_layer, parse_circuit
+from gridamp import (
+    CircuitError,
+    CycleConflictError,
+    GateKind,
+    QubitBoundsError,
+    amplitude_of,
+    count_gates,
+    cz_layer,
+    parse_circuit,
+)
 from gridamp.cli import _percentile_ms, main
 
 from conftest import REF4Q_TEXT
@@ -172,6 +182,49 @@ class TestAmplitude:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"]["type"] == "rank_overflow"
+
+    @pytest.mark.parametrize(
+        "text, error, named",
+        [
+            ("1 2\n0 h 0\n0 h 1\n1 t 5\n", QubitBoundsError, (5, 1)),
+            ("1 2\n0 h 0\n0 h 1\n2 t 1\n2 h 1\n", CycleConflictError, (1, 2)),
+            ("0 2\n0 h 0\n0 h 1\n", CircuitError, None),
+        ],
+        ids=["off-grid", "qubit-twice-in-cycle", "empty-grid"],
+    )
+    def test_bad_circuit_file_is_one_line_error(self, capsys, tmp_path, text, error, named):
+        with pytest.raises(error) as err:
+            parse_circuit(text)
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["amplitude", "--circuit", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [f"error: {err.value}"]
+        if named:  # the cycle is the first field of the gate's line
+            qubit, cycle = named
+            assert re.search(rf"\bqubit {qubit}\b.*\bcycle {cycle}\b", lines[0])
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--circuit", "{ref4q}"],
+         ["--rows", "4", "--cols", "5", "--depth", "16", "--max-rank", "4"]],
+        ids=["ref4q", "4x5x16-rank4"],
+    )
+    def test_json_carries_the_plans_facts(self, capsys, ref4q_file, source):
+        argv = [a.format(ref4q=ref4q_file) for a in source]
+        code, out = run_cli(capsys, "amplitude", *argv)
+        assert code == 0
+        amp = json.loads(out)
+        code, out = run_cli(capsys, "plan", *argv)
+        assert code == 0
+        plan = json.loads(out)
+        assert amp["num_subtasks"] == plan["num_subtasks"]
+        assert amp["max_rank"] == plan["est_subtask_cost"]["max_rank"]
+        assert amp["est_total_cost"] == plan["est_total_cost"]
+        assert amp["fix_vars"] == plan["fix_vars"]
 
     def test_generated_source(self, capsys):
         code, out = run_cli(capsys, "amplitude", "--rows", "2", "--cols", "2",

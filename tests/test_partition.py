@@ -413,7 +413,7 @@ class TestRunPartitioned:
             ordering_budget=FOUR_RESTARTS,
         )
         result = run_partitioned(ref4q_model, plan)
-        assert result.num_subtasks == 1
+        assert plan.num_subtasks == 1
         assert result.amplitude == contract(ref4q_model, plan.post_fix_ordering)
 
     def test_matches_oracle_and_worker_invariant(self):
@@ -426,14 +426,14 @@ class TestRunPartitioned:
         assert results[4].amplitude == amp
         assert results[16].amplitude == amp
         assert abs(amp - amplitude_of(c, "0" * 16)) < 1e-10
-        assert results[1].num_subtasks == 16
+        assert plan.num_subtasks == 16
 
     def test_metadata(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = forced_plan(ref4q_model, base, 2)
         result = run_partitioned(ref4q_model, plan)
-        assert result.num_subtasks == 4
-        assert result.ordering_provenance == "search"
+        assert plan.num_subtasks == 4
+        assert plan.post_fix_ordering.provenance == "search"
         assert result.est_total_cost == plan.est_subtask_cost.total * 4
         assert result.wall_ms >= 0
 
@@ -482,7 +482,7 @@ def test_any_fix_set_and_ordering_match_references(rows, seed, custom_every, dat
     plan = FixPlan(fix_vars, order, estimate_cost(reduced, order))
 
     one, two = (run_partitioned(model, plan, workers=w) for w in (1, 2))
-    assert one.num_subtasks == 1 << len(fix_vars)
+    assert plan.num_subtasks == 1 << len(fix_vars)
     assert two.amplitude == one.amplitude
     assert abs(one.amplitude - model_value_bruteforce(model)) < 1e-10
     assert abs(one.amplitude - amplitude_of(c, x)) < 1e-10
