@@ -188,6 +188,8 @@ def cmd_amplitude(args) -> int:
         "est_total_cost": result.est_total_cost,
         "fix_vars": list(plan.fix_vars),
         "shared_steps": result.shared_steps,
+        "batch_vars": list(result.batch_vars),
+        "contractions": 1 << (len(plan.fix_vars) - len(result.batch_vars)),
         "wall_ms": result.wall_ms,
         "config": asdict(cfg),
     }))

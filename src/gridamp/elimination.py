@@ -202,13 +202,17 @@ def contract(
     *,
     shared: dict[int, object] | None = None,
     replay: bool = False,
-) -> complex:
+    keep: tuple[VarId, ...] = (),
+) -> complex | list[complex]:
     """Eliminate every free variable in order; returns the amplitude.
 
     ``g`` is only read.  Each step's product comes from ``multiply_all``,
     whole or in chunks of at most ``CHUNK_RANK`` axes (see the module
     docstring), so a step holds its output plus one chunk.  Buckets keep
     a fixed order, so the result is bit-reproducible.
+
+    ``keep`` names variables left open: the result lists the values at
+    each assignment of them, the first one's bit the most significant.
 
     ``shared`` maps the steps that all subtasks of a fix plan compute
     alike to their records (see ``partition.py``).  Without ``replay``
@@ -218,10 +222,10 @@ def contract(
     its bucket and the scalar multiplies the running one, so buckets and
     scalar see the same values in the same order as in the recording run.
     """
-    _check_covers(g.adj, order)
+    _check_covers(g.adj, Ordering(order.vars + keep))
     shared = {} if shared is None else shared
-    pos = {v: k for k, v in enumerate(order.vars)}
-    buckets: list[list[Tensor] | None] = [[] for _ in order.vars]
+    pos = dict.fromkeys(keep, len(order)) | {v: k for k, v in enumerate(order.vars)}
+    buckets: list[list[Tensor] | None] = [[] for _ in range(len(order) + 1)]
     for f in g.factors:
         buckets[min(map(pos.__getitem__, f.axes))].append(f)
     scalar = g.scalar
@@ -239,4 +243,7 @@ def contract(
             scalar = scalar * r
         if k in shared and not replayed:
             shared[k] = r
-    return complex(scalar)
+    if not keep:
+        return complex(scalar)
+    ones = Tensor(keep, np.ones((2,) * len(keep)))  # first: the axes come in keep's order
+    return (multiply_all([ones] + buckets[-1], max_rank=max_rank).data * scalar).ravel().tolist()

@@ -48,19 +48,18 @@ class VarInfo:
 
 
 class GraphModel:
-    """Vertices, edges, tensor factors and the fixed-variable record.
+    """Vertices, edges and tensor factors.
 
     Mutating helpers are private, and public operations apply them only
     to clones or to models they build; ``contract`` and the planners only
     read, so a model handed to concurrent workers is never written to.
     """
 
-    __slots__ = ("adj", "factors", "fixed", "scalar", "var_info")
+    __slots__ = ("adj", "factors", "scalar", "var_info")
 
     def __init__(self):
         self.adj: dict[VarId, set[VarId]] = {}
         self.factors: list[Tensor] = []
-        self.fixed: dict[VarId, int] = {}
         self.scalar: complex = 1.0 + 0.0j
         self.var_info: dict[VarId, VarInfo] = {}
 
@@ -75,7 +74,6 @@ class GraphModel:
         m = GraphModel()
         m.adj = copy_adj(self.adj)
         m.factors = list(self.factors)
-        m.fixed = dict(self.fixed)
         m.scalar = self.scalar
         m.var_info = self.var_info  # immutable records, shared
         return m
@@ -118,9 +116,8 @@ class GraphModel:
                     continue
             factors.append(f)
         self.factors = factors
-        for v, bit in assignment.items():
+        for v in assignment:
             remove_vertex(self.adj, v)
-            self.fixed[v] = bit
 
 
 def copy_adj(adj: dict[VarId, set[VarId]]) -> dict[VarId, set[VarId]]:

@@ -132,11 +132,3 @@ def search_ordering(
             best = (est.total, cand, est)
     return Ordering(best[1], "search"), best[2]
 
-
-__all__ = [
-    "OrderingBudget",
-    "vertical_ordering",
-    "min_fill_ordering",
-    "search_ordering",
-    "fill_count",
-]

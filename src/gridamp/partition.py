@@ -57,6 +57,17 @@ amplitude keeps its bits.  A record is one shared step's result, at most
 2^degree entries, so what is kept is at most 16 bytes times the shared
 steps' estimated cost.
 
+Batched subtasks: the same sweep gives B_k, step k's neighbors with
+the fixed vertices F kept.  Never-eliminated vertices leave the fill-in
+among the others as it is, so with F open as batch axes step k has
+degree |B_k|, against |B_k - F| sliced: it costs at most what the 2^t
+subtasks pay for it together, and batching never adds work.  When every
+such product, the last one over F included, fits min(CHUNK_RANK,
+max_rank) axes, one ``contract`` call returns all 2^t subtask values.
+That cap, not the plan's rank budget, then bounds each product (16 MiB
+at 20; none is chunked).  Amplitudes move at rounding level only, since
+products pair inputs otherwise than a slice does.
+
 Subtask summation uses a fixed-shape binary reduction tree over the
 subtask index, so the amplitude is bit-identical for any worker count.
 """
@@ -67,6 +78,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import elimination
 from .elimination import (
     CostEstimate,
     Ordering,
@@ -125,11 +137,12 @@ class AmplitudeResult:
     est_total_cost: int
     wall_ms: float
     shared_steps: int = 0  # steps run once, not once per subtask
+    batch_vars: tuple[VarId, ...] = ()  # fixed variables left open as batch axes
 
 
 def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     """New model with ``v`` fixed to ``bit``; factors sliced, vertex and
-    its edges removed, assignment recorded."""
+    its edges removed."""
     out = g.clone()
     out._fix({v: bit})
     return out
@@ -297,16 +310,17 @@ def _tree_sum(values: list[complex]) -> complex:
     return level[0]
 
 
-def _shared_steps(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> dict[int, None]:
-    """The steps of ``order`` at which no vertex of ``fixed`` is a
-    neighbor, found by eliminating ``order`` on a copy of ``adj`` that
-    keeps the fixed vertices (see the module docstring)."""
+def _sweep(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> tuple[int, dict[int, None]]:
+    """Eliminate ``order`` on a copy of ``adj`` that keeps ``fixed``: the
+    largest degree, and the steps with no fixed neighbor (module docstring)."""
     adj = copy_adj(adj)
-    shared = {}
+    width, shared = 0, {}
     for k, v in enumerate(order):
-        if fixed.isdisjoint(eliminate_vertex(adj, v)):
+        nbs = eliminate_vertex(adj, v)
+        width = max(width, len(nbs))
+        if fixed.isdisjoint(nbs):
             shared[k] = None
-    return shared
+    return width, shared
 
 
 def run_partitioned(
@@ -318,48 +332,54 @@ def run_partitioned(
     """Contract all 2^t slices of the model and sum them.
 
     Subtask i assigns the bits of i to ``plan.fix_vars`` with the first
-    selected variable as the most significant bit.  With t > 0, subtask 0
-    runs alone first and records the shared steps (module docstring);
-    the others start from a model without those steps' leaves and replay
-    the records.  Each subtask owns a clone of its model; the final sum
-    is the fixed reduction tree, so the amplitude does not depend on
-    ``workers``.
+    selected variable as the most significant bit.  One batched call
+    returns every subtask's value when its products fit (module
+    docstring); otherwise subtask 0 runs alone first and records the
+    shared steps, which the others replay on a model without those
+    steps' leaves.  Each call owns a clone of its model; the final sum is
+    the fixed reduction tree, so the amplitude does not depend on workers.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     t = len(plan.fix_vars)
     order = plan.post_fix_ordering
     start = time.perf_counter()
-    shared, rest = {}, g  # rest: the model of subtasks 1 .. 2^t - 1
+    batch, shared, rest = (), {}, g  # rest: the model of subtasks 1 .. 2^t - 1
     if t:
         fixed = set(plan.fix_vars)
         _check_covers(g.adj.keys() - fixed, order)
-        shared = _shared_steps(g.adj, order.vars, fixed)
-        pos = {v: k for k, v in enumerate(order.vars)}
-        rest = g.clone()
-        rest.factors = [f for f in g.factors if not fixed.isdisjoint(f.axes)
-                        or min(map(pos.__getitem__, f.axes)) not in shared]
+        width, shared = _sweep(g.adj, order.vars, fixed)
+        cap = min(elimination.CHUNK_RANK, max_rank)
+        if width < cap and t <= cap:
+            batch, shared = plan.fix_vars, {}
+        else:
+            pos = {v: k for k, v in enumerate(order.vars)}
+            rest = g.clone()
+            rest.factors = [f for f in g.factors if not fixed.isdisjoint(f.axes)
+                            or min(map(pos.__getitem__, f.axes)) not in shared]
+    sliced = () if batch else plan.fix_vars
 
-    def subtask(i: int) -> complex:
+    def subtask(i: int) -> list[complex]:
         m = (rest if i else g).clone()
-        m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
+        m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(sliced)})
         try:
             # subtask 0 records the shared steps, the others replay them
-            return contract(m, order, max_rank=max_rank, shared=shared, replay=i > 0)
+            part = contract(m, order, max_rank=max_rank, shared=shared, replay=i > 0, keep=batch)
         except RankOverflowError as e:
             bits = format(i, f"0{t}b") if t else ""
             where = f"subtask {i} (assignment {bits!r})"
             raise RankOverflowError(
                 e.variables, context=f"{e.context}, {where}" if e.context else where
             ) from None
+        return part if batch else [part]
 
-    parts = [subtask(0)]  # alone, before any subtask that replays it
-    indices = range(1, plan.num_subtasks)
-    if workers == 1:
-        parts += map(subtask, indices)
+    parts = subtask(0)  # alone, before any subtask that replays it
+    indices = range(1, 1 << len(sliced))
+    if workers == 1 or len(indices) < 2:
+        parts += [z for i in indices for z in subtask(i)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts += pool.map(subtask, indices)
+            parts += [z for part in pool.map(subtask, indices) for z in part]
     amplitude = _tree_sum(parts)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
@@ -367,4 +387,5 @@ def run_partitioned(
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
         shared_steps=len(shared),
+        batch_vars=batch,
     )

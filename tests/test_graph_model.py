@@ -34,9 +34,13 @@ class TestReferenceModel:
 
     def test_output_variables_removed_and_recorded(self, ref4q_circuit):
         model = build_model(ref4q_circuit, "0110")
-        assert len(model.fixed) == 4
-        assert sorted(model.fixed.values()) == [0, 0, 1, 1]
-        assert not set(model.fixed) & model.vertices
+        last = {}  # ids count up, so each wire's last variable is its largest
+        for v, info in model.var_info.items():
+            last[info.qubit] = max(last.get(info.qubit, v), v)
+        outputs = set(last.values())
+        assert len(outputs) == 4
+        assert model.vertices == set(model.var_info) - outputs
+        assert all(outputs.isdisjoint(f.axes) for f in model.factors)
 
     def test_edges_are_exactly_factor_pairs(self, ref4q_model):
         from_factors = set()

@@ -1,5 +1,6 @@
 """Variable fixing, greedy fix-set selection, partitioned execution."""
 
+import json
 import re
 
 import numpy as np
@@ -28,7 +29,8 @@ from gridamp import (
     search_ordering,
     select_fix_set,
 )
-from gridamp import partition
+from gridamp import elimination, partition
+from gridamp.cli import main
 from gridamp.elimination import simulate_cost
 from gridamp.graph_model import VarInfo
 from gridamp.tensor import Tensor
@@ -58,7 +60,7 @@ class TestFixVariable:
         out = fix_variable(ref4q_model, ids["e"], 0)
         assert edge_names(ref4q_model) - edge_names(out) == {"ae", "be", "ce", "ef"}
         assert len(out.vertices) == 9
-        assert out.fixed[ids["e"]] == 0
+        assert all(ids["e"] not in f.axes for f in out.factors)
 
     def test_fixing_leaf_removes_one_edge(self, ref4q_model):
         ids = letter_ids(ref4q_model)
@@ -115,7 +117,7 @@ class TestFixVariable:
             m._fix(assignment)
         assert m.factors == ref4q_model.factors
         assert m.adj == ref4q_model.adj
-        assert m.fixed == ref4q_model.fixed
+        assert m.vertices == ref4q_model.vertices
         assert m.scalar == ref4q_model.scalar
 
 
@@ -124,7 +126,7 @@ class TestFixVariable:
        custom_every=st.sampled_from([0, 2]), data=st.data())
 def test_one_pass_fix_equals_chained_fixes(rows, seed, custom_every, data):
     """Fixing several variables in one ``_fix`` gives the factors,
-    adjacency and record of fixing them one at a time; only the scalar
+    adjacency and vertices of fixing them one at a time; only the scalar
     may differ, at rounding level, since rank-0 results fold in another
     order."""
     c = generate(GenParams(rows, 3, 8, seed=seed))
@@ -142,7 +144,7 @@ def test_one_pass_fix_equals_chained_fixes(rows, seed, custom_every, data):
     for a, b in zip(one.factors, chained.factors):
         assert a.data.tobytes() == b.data.tobytes()
     assert one.adj == chained.adj
-    assert list(one.fixed.items()) == list(chained.fixed.items())
+    assert one.vertices == chained.vertices == model.vertices - set(assignment)
     order = min_fill_ordering(one, seed=0)
     assert abs(contract(one, order) - contract(chained, order)) < 1e-12
 
@@ -486,3 +488,92 @@ def test_any_fix_set_and_ordering_match_references(rows, seed, custom_every, dat
     assert two.amplitude == one.amplitude
     assert abs(one.amplitude - model_value_bruteforce(model)) < 1e-10
     assert abs(one.amplitude - amplitude_of(c, x)) < 1e-10
+
+
+BATCH_CASES = [(0, 3), (2, 3), (3, 4)]  # (seed, rank): 4x5x16 plans, 3 or 4 fixes
+
+
+@pytest.fixture(scope="module", params=BATCH_CASES,
+                ids=[f"seed{s}-rank{r}" for s, r in BATCH_CASES])
+def batch_case(request):
+    """A plan, its oracle amplitude, its one-slice-per-subtask amplitude,
+    and every engine rank cap from one past the plan's rank, which
+    slices the fixes, to two past batching them all."""
+    c, model, plan = fanout_plan(4, 5, 16, *request.param)
+    rank = plan.est_subtask_cost.max_rank
+    sliced = run_partitioned(model, plan, max_rank=rank + 1)
+    assert sliced.batch_vars == ()
+    caps = range(rank + 1, rank + len(plan.fix_vars) + 3)
+    return model, plan, amplitude_of(c, "0" * 20), sliced.amplitude, caps
+
+
+class TestBatchedSubtasks:
+    def test_batched_and_sliced_match_the_references(self, batch_case):
+        model, plan, oracle, sliced, caps = batch_case
+        batches = set()
+        for cap in caps:
+            result = run_partitioned(model, plan, max_rank=cap)
+            batches.add(result.batch_vars)
+            assert abs(result.amplitude - oracle) < 1e-10
+            assert abs(result.amplitude - sliced) < 1e-12
+        assert batches == {(), plan.fix_vars}  # all or none
+
+    def test_kept_values_come_in_subtask_order(self, batch_case):
+        model, plan, _, _, _ = batch_case
+        t = len(plan.fix_vars)
+        values = contract(model, plan.post_fix_ordering, keep=plan.fix_vars)
+        assert len(values) == plan.num_subtasks
+        for i, value in enumerate(values):
+            m = model.clone()
+            m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
+            want = contract(m, plan.post_fix_ordering)
+            assert abs(value - want) <= 1e-12 * abs(want)
+
+    def test_same_bits_on_any_worker_count(self, batch_case):
+        model, plan, _, _, caps = batch_case
+        for cap in caps:
+            amps = [run_partitioned(model, plan, workers=w, max_rank=cap).amplitude
+                    for w in (1, 2, 4)]
+            assert len({(z.real.hex(), z.imag.hex()) for z in amps}) == 1
+
+    @pytest.mark.parametrize("chunk_rank", [None, 5])
+    def test_products_fit_the_cap(self, batch_case, chunk_rank, monkeypatch):
+        model, plan, oracle, _, caps = batch_case
+        if chunk_rank is not None:
+            monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
+            caps = [30]
+        ranks = []
+        multiply_all = elimination.multiply_all
+
+        def recording(tensors, **kwargs):
+            product = multiply_all(tensors, **kwargs)
+            ranks.append(product.rank)
+            return product
+
+        monkeypatch.setattr(elimination, "multiply_all", recording)
+        for cap in caps:
+            ranks.clear()
+            result = run_partitioned(model, plan, workers=2, max_rank=cap)
+            assert max(ranks) <= min(elimination.CHUNK_RANK, cap)
+            assert abs(result.amplitude - oracle) < 1e-10
+
+    def test_sweep_width_is_the_unsliced_graphs(self, batch_case):
+        model, plan, _, _, _ = batch_case
+        order = plan.post_fix_ordering.vars
+        width, _ = partition._sweep(model.adj, order, set(plan.fix_vars))
+        assert width == simulate_cost(model.adj, order).max_rank
+
+
+def test_engine_rank_one_past_the_plan_slices_the_fixes(capsys):
+    args = ["amplitude", "--rows", "4", "--cols", "5", "--depth", "16", "--max-rank", "3",
+            "--order-restarts", "2"]
+    runs = []
+    for extra in ([], ["--engine-max-rank", "4"]):
+        assert main(args + extra) == 0
+        runs.append(json.loads(capsys.readouterr().out))
+    wide, narrow = runs
+    assert wide["max_rank"] == 3 and len(wide["fix_vars"]) == 3
+    assert wide["batch_vars"] == wide["fix_vars"] and wide["contractions"] == 1
+    assert narrow["batch_vars"] == [] and narrow["contractions"] == 8
+    amps = [complex(r["amplitude"]["re"], r["amplitude"]["im"]) for r in runs]
+    assert abs(amps[0] - amps[1]) < 1e-12

@@ -5,6 +5,9 @@ keeps the fixed vertices; subtask 0 records them and the other subtasks
 replay the records.  The references here work on buckets instead:
 sliced leaves are marked, a result carries the mark of any input, and a
 step is shared when its bucket holds no marked tensor.
+
+Tests of the one-slice-per-subtask path run the engine at one past the
+plan's rank, which no product with every fixed variable open fits.
 """
 
 import sys
@@ -105,11 +108,22 @@ def model(request):
     return grid_model(*request.param)
 
 
+def sweep_shared(model, fix_vars, order):
+    """The steps at which the sweep finds no fixed neighbor."""
+    return set(partition._sweep(model.adj, order, set(fix_vars))[1])
+
+
+def run_sliced(model, plan, **kwargs):
+    """``run_partitioned`` one slice per subtask."""
+    result = run_partitioned(model, plan, max_rank=plan.est_subtask_cost.max_rank + 1, **kwargs)
+    assert result.batch_vars == ()
+    return result
+
+
 def check_sweep(model, fix_vars, order):
     """The sweep's shared set is the bucket reference's; returns it."""
     want, _ = reference_shared(model, fix_vars, order)
-    got = partition._shared_steps(model.adj, order, set(fix_vars))
-    assert set(got) == want
+    assert sweep_shared(model, fix_vars, order) == want
     return want
 
 
@@ -152,7 +166,7 @@ class TestSameBits:
     def test_small_model(self, workers):
         g, fixed, order = small_model()
         plan = plan_for(g, fixed, order)
-        result = run_partitioned(g, plan, workers=workers)
+        result = run_sliced(g, plan, workers=workers)
         assert result.shared_steps == 4
         assert bits(result.amplitude) == bits(sliced_amplitude(g, plan))
 
@@ -163,7 +177,7 @@ class TestSameBits:
         plan = select_fix_set(model, base, t_max=4, budget=CostBudget(max_rank=rank - 3),
                               ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
         assert plan.fix_vars
-        result = run_partitioned(model, plan, workers=workers)
+        result = run_sliced(model, plan, workers=workers)
         assert bits(result.amplitude) == bits(sliced_amplitude(model, plan))
 
 
@@ -171,11 +185,11 @@ def test_records_read_by_many_threads():
     # eight workers on two cores, switching threads as often as they can:
     # every subtask after the first reads the same records
     _, model, plan = fanout_plan(4, 5, 16, 0, 3)
-    want = bits(run_partitioned(model, plan).amplitude)
+    want = bits(run_sliced(model, plan).amplitude)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [bits(run_partitioned(model, plan, workers=8).amplitude) for _ in range(5)]
+        got = [bits(run_sliced(model, plan, workers=8).amplitude) for _ in range(5)]
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 5
@@ -184,7 +198,7 @@ def test_records_read_by_many_threads():
 def test_each_shared_step_multiplies_once(monkeypatch):
     _, model, plan = fanout_plan(4, 5, 16, 0, 3)
     n = len(plan.post_fix_ordering)
-    s = len(partition._shared_steps(model.adj, plan.post_fix_ordering.vars, set(plan.fix_vars)))
+    s = len(sweep_shared(model, plan.fix_vars, plan.post_fix_ordering.vars))
     assert 0 < s < n and plan.num_subtasks == 8
     calls = []
     multiply_all = elimination.multiply_all
@@ -194,7 +208,7 @@ def test_each_shared_step_multiplies_once(monkeypatch):
         return multiply_all(tensors, **kwargs)
 
     monkeypatch.setattr(elimination, "multiply_all", counted)
-    result = run_partitioned(model, plan, workers=2)
+    result = run_sliced(model, plan, workers=2)
     assert result.shared_steps == s
     assert len(calls) == n + (plan.num_subtasks - 1) * (n - s)
 
@@ -228,7 +242,7 @@ def test_records_keep_only_what_unshared_steps_use(case):
 
 def test_rank_overflow_in_a_shared_step_names_subtask_0():
     g, fixed, order = small_model()
-    assert 0 in partition._shared_steps(g.adj, order.vars, set(fixed))
+    assert 0 in sweep_shared(g, fixed, order.vars)
     with pytest.raises(RankOverflowError, match=r"eliminating v0 at step 0, subtask 0 "
                                                 r"\(assignment '0'\)"):
         run_partitioned(g, plan_for(g, fixed, order), workers=2, max_rank=1)
@@ -238,7 +252,7 @@ def test_fanout_plan_shares_69_of_143_steps():
     # fanout-6x6x24: 143 + 15 * (143 - 69) = 1,253 steps per amplitude
     _, model, plan = fanout_plan()
     assert len(plan.post_fix_ordering) == 143 and plan.num_subtasks == 16
-    assert run_partitioned(model, plan).shared_steps == 69
+    assert run_sliced(model, plan).shared_steps == 69
 
 
 def test_one_subtask_shares_nothing():
