@@ -45,6 +45,11 @@ class CycleConflictError(CircuitError):
 
 _SQRT2 = math.sqrt(2.0)
 
+# Deepest circuit accepted, far above any this code can contract (the
+# paper's deepest is 40); a file's cycle index is checked against it
+# before it sizes the circuit.
+MAX_DEPTH = 10_000
+
 
 def _mat(rows) -> np.ndarray:
     m = np.array(rows, dtype=np.complex128)
@@ -161,6 +166,8 @@ class Circuit:
             raise CircuitError("grid must be at least 1x1")
         if not self.cycles:
             raise CircuitError("circuit needs at least cycle 0")
+        if self.depth > MAX_DEPTH:
+            raise CircuitError(f"depth {self.depth} exceeds the limit {MAX_DEPTH}")
         n = self.n_qubits
         canon = []
         for k, gates in enumerate(self.cycles):
@@ -232,8 +239,8 @@ def parse_circuit(text: str) -> Circuit:
             cycle = int(tokens[0])
         except ValueError:
             raise CircuitParseError(f"bad cycle index {tokens[0]!r}", line_no) from None
-        if cycle < 0:
-            raise CircuitParseError("cycle index must be >= 0", line_no)
+        if not 0 <= cycle <= MAX_DEPTH:
+            raise CircuitParseError(f"cycle index must be in 0..{MAX_DEPTH}", line_no)
         kind = _TOKEN_TO_KIND.get(tokens[1])
         if kind is None:
             raise CircuitParseError(f"unknown gate {tokens[1]!r}", line_no)

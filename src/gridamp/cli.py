@@ -19,7 +19,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
-from .circuit import Circuit, CircuitError, parse_circuit, serialize_circuit
+from .circuit import MAX_DEPTH, Circuit, CircuitError, parse_circuit, serialize_circuit
 from .elimination import Ordering, estimate_cost
 from .fidelity import ErrorRates, fidelity_report
 from .generator import GenParams, generate
@@ -316,10 +316,10 @@ def _bounded(low, high=None, kind=int):
     return parse
 
 
-def _bounded_list(low):
-    """Argparse type: a non-empty comma list of ints, each no smaller
-    than ``low``."""
-    each = _bounded(low)
+def _bounded_list(low, high=None):
+    """Argparse type: a non-empty comma list of ints, each in
+    ``low..high`` (no upper bound when ``high`` is None)."""
+    each = _bounded(low, high)
 
     def parse(text: str):
         values = [each(t) for t in text.split(",") if t]
@@ -333,7 +333,7 @@ def _bounded_list(low):
 def _add_grid_size(p: argparse.ArgumentParser, required: bool):
     p.add_argument("--rows", type=_bounded(1), required=required, help="grid rows")
     p.add_argument("--cols", type=_bounded(1), required=required, help="grid cols")
-    p.add_argument("--depth", type=_bounded(0), required=required,
+    p.add_argument("--depth", type=_bounded(0, MAX_DEPTH), required=required,
                    help="cycles after the Hadamard layer")
 
 
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="percentile-runtime sweep, CSV output")
     p.add_argument("--grids", type=_bounded_list(1), required=True,
                    help="comma list of n (n x n grids)")
-    p.add_argument("--depths", type=_bounded_list(0), required=True,
+    p.add_argument("--depths", type=_bounded_list(0, MAX_DEPTH), required=True,
                    help="comma list of depths")
     p.add_argument("--samples", type=_bounded(1), default=10)
     p.add_argument("--percentile", type=_bounded(0.0, 100.0, float), default=80.0)

@@ -12,12 +12,24 @@ variable, in the order a scan of the live factor list meets them
 amplitude is bit-identical to applying ``eliminate_variable`` in order.
 
 A step of degree d has a product of rank d + 1.  Above ``CHUNK_RANK``
-axes it is never built whole: the rank-d output is allocated once and
-filled block by block from ``multiply_all``'s slices of the product at
-each assignment of d + 1 - ``CHUNK_RANK`` axes other than v, each
-summed over v by ``sum_out``.  Entries keep their bits, and a step holds
-its output plus one chunk and its sum: at degree 24, 256 + 24 MiB, not
-the whole product's 512 + 256 MiB.
+axes the product is never built.  The rank-d output is allocated once
+and filled one block per assignment of d + 1 - ``CHUNK_RANK`` chunk
+axes: ``multiply_all(..., at=bits)`` multiplies the bucket's factors
+other than its largest, and one ``np.matmul`` sums v out of that product
+and the largest factor's slice, straight into the block.  The largest
+factor's memory order lays the matmul out, so its slices are views: v
+is the inner dimension, of size 2; the other factors' own axes are the
+rows; the columns are the innermost run, in that memory, of axes only
+the largest factor has; every other axis is a batch axis, over which the
+product broadcasts where it lacks the axis.  Chunk axes are batch axes
+first, outermost in that memory, so every matrix keeps its shape, and
+its bits, whatever the chunk count.  Besides its inputs and output, a
+step holds per chunk the product and at most one copy of each operand's
+slice, each of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24,
+the output's 256 MiB plus a few chunks, not the whole product's 512 +
+256 MiB.  BLAS rounds unlike einsum and numpy's reduce, so such a
+step agrees with the whole product summed to rounding, not bit for bit.
+A one-factor bucket has no product to build; ``sum_out`` sums it whole.
 
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
@@ -40,11 +52,14 @@ from .tensor import (
     Tensor,
     VarId,
     _schedule,
+    _sliced,
     multiply_all,
     sum_out,
 )
 
-CHUNK_RANK = 20  # larger products are built in chunks of 2^20 entries (16 MiB)
+# a step whose product has more axes never builds it, and no array it
+# builds per chunk has more than 2^20 entries (16 MiB)
+CHUNK_RANK = 20
 
 
 @dataclass(frozen=True)
@@ -154,22 +169,42 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step=None):
 
 
 def _chunked(bucket: list[Tensor], v: VarId, max_rank: int) -> Tensor:
-    """``_eliminate_bucket``'s result in chunks (module docstring), sliced
-    at the largest input's outermost axes so its slices are contiguous.
-    Each chunk's result goes, in its own memory order, to its contiguous
-    block of the output.  The full rank is checked before any allocation."""
+    """``_eliminate_bucket``'s result without its product (module
+    docstring): per chunk, one matmul of the other factors' product and
+    the largest factor's slice fills the chunk's contiguous block of the
+    output.  The full rank is checked before the output is allocated."""
     axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
     big = max(bucket, key=lambda t: t.rank)
-    outer = [big.axes[i] for i in _memory_order(big)] + list(axes)
-    chunk = tuple(u for u in dict.fromkeys(outer) if u != v)[: len(axes) - CHUNK_RANK]
-    data = np.empty((1 << len(chunk), 1 << (len(axes) - 1 - len(chunk))), np.complex128)
+    others = [t for t in bucket if t is not big]
+    if not others:  # no product to build
+        return sum_out(big, v)
+    theirs = {u for t in others for u in t.axes}
+    mem = [big.axes[i] for i in _memory_order(big)]
+    runs = [list(g) for own, g in itertools.groupby(mem, lambda u: u not in theirs) if own]
+    cols = runs[-1] if runs else []
+    batch = [u for u in mem if u != v and u not in cols]
+    rows = [u for u in axes if u not in big.axes]
+    chunk = (batch + cols + rows)[: len(axes) - CHUNK_RANK]
+    batch, rows, cols = ([u for u in x if u not in chunk] for x in (batch, rows, cols))
+    shape = (2,) * len(batch) + (1 << len(rows), 1 << len(cols))
+    data = np.empty((1 << len(chunk),) + shape, complex)
     for k, bits in enumerate(itertools.product((0, 1), repeat=len(chunk))):
-        part = multiply_all(bucket, max_rank=max_rank, at=dict(zip(chunk, bits)))
-        part = sum_out(part, v)
-        order = _memory_order(part)
-        data[k] = np.transpose(part.data, order).reshape(-1)
-    rest = tuple(part.axes[i] for i in order)
-    return Tensor(chunk + rest, data.reshape((2,) * (len(axes) - 1)))
+        at = dict(zip(chunk, bits))
+        np.matmul(
+            _stack(multiply_all(others, max_rank=max_rank, at=at), batch, rows, [v]),
+            _stack(_sliced(big.axes, big.data, at), batch, [v], cols),
+            out=data[k],
+        )
+    return Tensor(tuple(chunk + batch + rows + cols), data.reshape((2,) * (len(axes) - 1)))
+
+
+def _stack(t: Tensor, batch: list, rows: list, cols: list) -> np.ndarray:
+    """``t``'s data as matrices, ``rows`` down and ``cols`` across, one per
+    assignment of ``batch``; a batch axis ``t`` lacks has length 1, so
+    matmul broadcasts over it.  A view where the memory allows."""
+    data = np.transpose(t.data, [t.axes.index(u) for u in batch + rows + cols if u in t.axes])
+    shape = tuple(2 if u in t.axes else 1 for u in batch) + (1 << len(rows), 1 << len(cols))
+    return data.reshape(shape)
 
 
 def _memory_order(t: Tensor) -> list[int]:
@@ -206,10 +241,11 @@ def contract(
 ) -> complex | list[complex]:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  Each step's product comes from ``multiply_all``,
-    whole or in chunks of at most ``CHUNK_RANK`` axes (see the module
-    docstring), so a step holds its output plus one chunk.  Buckets keep
-    a fixed order, so the result is bit-reproducible.
+    ``g`` is only read.  A step whose product fits ``CHUNK_RANK`` axes
+    builds it by ``multiply_all`` and sums v out by ``sum_out``; a larger
+    one never builds it (see the module docstring), so no array a step
+    adds besides its output exceeds 2^``CHUNK_RANK`` entries.  Buckets
+    keep a fixed order, so the result is bit-reproducible.
 
     ``keep`` names variables left open: the result lists the values at
     each assignment of them, the first one's bit the most significant.

@@ -1,7 +1,10 @@
 """Dense complex tensors over binary indices.
 
-Two primitives drive the whole contraction pipeline: multiplying a set of
-tensors over their shared variables and summing one variable out.  Axes
+Two primitives drive every elimination step whose product fits
+``elimination.CHUNK_RANK`` axes: multiplying a set of tensors over their
+shared variables and summing one variable out.  A larger step uses only
+the first, on all its factors but the largest, and sums the variable out
+in a matmul (see ``elimination``).  Axes
 carry variable ids; data is a complex128 array of shape (2,)*rank in axis
 order.  Tensors are treated as immutable values: every operation returns
 a new tensor and never writes through ``data``.

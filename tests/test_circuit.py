@@ -1,5 +1,7 @@
 """Gate catalog, parser, and serializer."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from gridamp import (
     parse_circuit,
     serialize_circuit,
 )
-from gridamp.circuit import Circuit, Gate
+from gridamp.circuit import MAX_DEPTH, Circuit, Gate
 
 from conftest import REF4Q_TEXT
 
@@ -104,6 +106,24 @@ class TestParse:
             parse_circuit("1 1\n0 t 0\n")
         with pytest.raises(CircuitError):
             parse_circuit("1 2\n0 h 0\n")  # qubit 1 missing
+
+    def test_cycle_past_the_depth_limit_fails_before_allocating(self):
+        # the index alone would size a billion-entry cycle tuple
+        start = time.perf_counter()
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit("1 1\n0 h 0\n1000000000 t 0\n")
+        assert time.perf_counter() - start < 1.0
+        assert err.value.line_no == 3 and str(MAX_DEPTH) in str(err.value)
+
+    def test_circuit_at_the_depth_limit_round_trips(self):
+        cycles = [()] * (MAX_DEPTH + 1)
+        cycles[0] = (Gate(GateKind.H, (0,)),)
+        cycles[MAX_DEPTH] = (Gate(GateKind.T, (0,)),)
+        c = Circuit(1, 1, tuple(cycles))
+        assert c.depth == MAX_DEPTH
+        assert parse_circuit(serialize_circuit(c)) == c
+        with pytest.raises(CircuitError, match="depth"):
+            Circuit(1, 1, tuple(cycles) + ((),))
 
     def test_reference_circuit_cz_sequence(self, ref4q_circuit):
         cz_by_cycle = [

@@ -8,6 +8,7 @@ import pytest
 
 from gridamp import (
     CircuitError,
+    CircuitParseError,
     CycleConflictError,
     GateKind,
     QubitBoundsError,
@@ -96,6 +97,8 @@ class TestGenerate:
         ["plan", "--rows", "2", "--cols", "2", "--depth", "4", "--format", "csv"],
         ["bench", "--grids", "2", "--depths", "4", "--format", "csv"],
         ["plan", "--rows", "3", "--cols", "3", "--depth", "8", "--max-rank", "-3"],
+        ["plan", "--rows", "1", "--cols", "1", "--depth", "1000000000"],
+        ["bench", "--grids", "2", "--depths", "4,1000000000"],
         ["bench", "--grids", "2", "--depths", "4", "--max-rank", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -189,8 +192,9 @@ class TestAmplitude:
             ("1 2\n0 h 0\n0 h 1\n1 t 5\n", QubitBoundsError, (5, 1)),
             ("1 2\n0 h 0\n0 h 1\n2 t 1\n2 h 1\n", CycleConflictError, (1, 2)),
             ("0 2\n0 h 0\n0 h 1\n", CircuitError, None),
+            ("1 1\n0 h 0\n1000000000 t 0\n", CircuitParseError, None),
         ],
-        ids=["off-grid", "qubit-twice-in-cycle", "empty-grid"],
+        ids=["off-grid", "qubit-twice-in-cycle", "empty-grid", "cycle-past-depth-limit"],
     )
     def test_bad_circuit_file_is_one_line_error(self, capsys, tmp_path, text, error, named):
         with pytest.raises(error) as err:

@@ -28,7 +28,7 @@ from gridamp import (
 )
 from gridamp import elimination
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
-from gridamp.tensor import multiply_all
+from gridamp.tensor import multiply_all, sum_out
 
 from conftest import edge_names, letter_ids, with_custom_gates
 
@@ -195,10 +195,40 @@ def grid_case(seed):
     return model, order, contract(model, order), amplitude_of(c, "0" * 20)
 
 
+def close(got, want):
+    """Within 1e-12 of ``want``, relative to its largest entry."""
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
+def aligned(t, axes):
+    """``t``'s data with its axes put in the order ``axes``."""
+    return np.transpose(t.data, [t.axes.index(u) for u in axes])
+
+
+def signed_zero_bucket(layouts, seed, memory=None):
+    """Tensors over ``layouts`` whose entries mix 0.0, -0.0 and nonzeros;
+    the last one's data is laid out in memory in the axis order
+    ``memory`` (outermost first), given as a view in layout order."""
+    rng = np.random.default_rng(seed)
+    bucket = []
+    for axes in layouts:
+        shape = (2,) * len(axes)
+        data = np.empty(shape, complex)
+        data.real = rng.choice([0.0, -0.0, 1.5], shape)
+        data.imag = rng.choice([0.0, -0.0, -2.0], shape)
+        bucket.append(Tensor(axes, data))
+    if memory is not None:
+        big = bucket[-1]
+        stored = np.ascontiguousarray(aligned(big, memory))
+        bucket[-1] = Tensor(big.axes, np.transpose(stored, [memory.index(u) for u in big.axes]))
+    return bucket
+
+
 class TestChunkedSteps:
-    """Steps whose product has more than ``CHUNK_RANK`` axes build their
-    result from slices of the product; patching the constant down makes
-    small models chunk."""
+    """Steps whose product has more than ``CHUNK_RANK`` axes sum v out of
+    each chunk in one batched matmul; patching the constant down makes
+    small models chunk.  BLAS rounds unlike einsum and numpy's reduce, so
+    results are compared with the whole path within 1e-12 relative."""
 
     @pytest.mark.parametrize("chunk_rank", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
@@ -215,7 +245,8 @@ class TestChunkedSteps:
         monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
         monkeypatch.setattr(elimination, "multiply_all", recording)
         got = contract(model, order)
-        assert bits(got) == bits(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert bits(contract(model, order)) == bits(got)
         assert abs(got - oracle) < 1e-10
         assert max(ranks) <= chunk_rank
         assert any(sliced)
@@ -230,8 +261,10 @@ class TestChunkedSteps:
         want = run_partitioned(model, plan, max_rank=plan.est_subtask_cost.max_rank + 1)
         monkeypatch.setattr(elimination, "CHUNK_RANK", 3)
         got = run_partitioned(model, plan, workers=workers)
+        one = run_partitioned(model, plan, workers=1)
         assert want.batch_vars == got.batch_vars == ()  # one slice per subtask
-        assert bits(got.amplitude) == bits(want.amplitude)
+        assert abs(got.amplitude - want.amplitude) <= 1e-12 * abs(want.amplitude)
+        assert bits(got.amplitude) == bits(one.amplitude)
         assert abs(got.amplitude - oracle) < 1e-10
 
     @pytest.mark.parametrize("chunk_rank", [2, 3])
@@ -239,15 +272,7 @@ class TestChunkedSteps:
         # v3 is summed out; the chunk axes 0 (and 1), the largest factor's
         # outermost, slice the first (two) factors down to rank 0; signed
         # zeros reach every multiply
-        rng = np.random.default_rng(chunk_rank)
-        layouts = [(0,), (1, 0), (3, 0), (0, 1, 3, 2)]
-        bucket = []
-        for axes in layouts:
-            shape = (2,) * len(axes)
-            data = np.empty(shape, complex)
-            data.real = rng.choice([0.0, -0.0, 1.5], shape)
-            data.imag = rng.choice([0.0, -0.0, -2.0], shape)
-            bucket.append(Tensor(axes, data))
+        bucket = signed_zero_bucket([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], chunk_rank)
         want = elimination._eliminate_bucket(bucket, 3, max_rank=30)
         chunks = []
 
@@ -262,8 +287,61 @@ class TestChunkedSteps:
         assert len(chunks) == 2 ** (4 - chunk_rank)
         assert got.axes[: 4 - chunk_rank] == tuple(chunks[0]) == (0, 1)[: 4 - chunk_rank]
         assert sorted(got.axes) == sorted(want.axes)
-        aligned = np.transpose(got.data, [got.axes.index(u) for u in want.axes])
-        assert aligned.tobytes() == want.data.tobytes()
+        assert close(aligned(got, want.axes), want.data)
+
+    # (bucket layouts, v, the largest factor's memory order outermost first)
+    SHAPES = {
+        "no row axes": ([(2,), (0, 2), (2, 4, 1), (0, 1, 2, 3, 4, 5)], 2, None),
+        "no batch axes": ([(0, 4, 5), (0, 6), (0, 1, 2, 3)], 0, None),
+        "one factor": ([(0, 1, 2, 3, 4, 5)], 3, None),
+        "v outermost": ([(3, 0, 6), (1, 3), (0, 1, 2, 3, 4, 5)], 3, (3, 5, 0, 4, 1, 2)),
+        "v innermost": ([(3, 1, 6), (2, 3), (0, 1, 2, 3, 4, 5)], 3, (0, 4, 1, 5, 2, 3)),
+        "signed zeros": ([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], 3, None),
+    }
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_each_operand_shape(self, name, monkeypatch):
+        layouts, v, memory = self.SHAPES[name]
+        bucket = signed_zero_bucket(layouts, len(name), memory)
+        if memory is not None:
+            big = bucket[-1]
+            assert tuple(big.axes[i] for i in elimination._memory_order(big)) == memory
+        want = sum_out(multiply_all(bucket), v)
+        rank = want.rank + 1
+        calls, got = [], {}
+
+        def recording(tensors, **kwargs):
+            product = multiply_all(tensors, **kwargs)
+            calls.append(("at" in kwargs, product.rank))
+            return product
+
+        stack, views = elimination._stack, []
+
+        def stacking(t, batch, rows, cols):
+            matrices = stack(t, batch, rows, cols)
+            if rows == [v]:  # the largest factor's slice
+                views.append(np.shares_memory(matrices, bucket[-1].data))
+            return matrices
+
+        monkeypatch.setattr(elimination, "multiply_all", recording)
+        monkeypatch.setattr(elimination, "_stack", stacking)
+        for chunk_rank in (rank - 2, rank - 1):
+            calls.clear()
+            views.clear()
+            monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
+            out = elimination._eliminate_bucket(bucket, v, max_rank=30)
+            assert sorted(out.axes) == sorted(want.axes)
+            assert close(aligned(out, want.axes), want.data)
+            chunks = 0 if len(bucket) == 1 else 2 ** (rank - chunk_rank)
+            assert len(calls) == chunks
+            assert all(sliced and r <= chunk_rank for sliced, r in calls)
+            # laid out from its memory order, the largest factor is never copied
+            assert all(views) and len(views) == len(calls)
+            got[chunk_rank] = aligned(out, want.axes).tobytes()
+        # chunks taken from batch axes leave every matrix's shape, and so
+        # its bits, as they were; without batch axes the columns shrink
+        if name != "no batch axes":
+            assert got[rank - 2] == got[rank - 1]
 
     def test_overflow_before_the_output_is_allocated(self, ref4q_model, monkeypatch):
         e = letter_ids(ref4q_model)["e"]
