@@ -23,10 +23,11 @@ from .circuit import MAX_DEPTH, Circuit, CircuitError, parse_circuit, serialize_
 from .elimination import Ordering, estimate_cost
 from .fidelity import ErrorRates, fidelity_report
 from .generator import GenParams, generate
-from .graph_model import build_model, export_dot
+from .graph_model import _as_bits, build_model, export_dot
 from .oracle import TooManyQubitsError, amplitude_of
 from .ordering import OrderingBudget, min_fill_ordering, search_ordering, vertical_ordering
 from .partition import (
+    MAX_WORKERS,
     AmplitudeResult,
     BudgetUnreachableError,
     CostBudget,
@@ -99,8 +100,10 @@ def _load_circuit(args) -> Circuit:
 
 def _resolve_x(args, circuit: Circuit) -> str:
     x = args.x if args.x is not None else "0" * circuit.n_qubits
-    if len(x) != circuit.n_qubits or any(ch not in "01" for ch in x):
-        raise UsageError(f"--x must be {circuit.n_qubits} bits of 0/1, got {x!r}")
+    try:
+        _as_bits(x, circuit.n_qubits)
+    except ValueError as e:
+        raise UsageError(f"--x {x!r}: {e}") from None
     return x
 
 
@@ -359,7 +362,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, one_amplitude: bool = True):
     p.add_argument("--engine-max-rank", type=_bounded(1, MAX_RANK_LIMIT),
                    default=DEFAULT_MAX_RANK,
                    help="hard cap on materialized tensor rank")
-    p.add_argument("--workers", type=_bounded(1), default=1)
+    p.add_argument("--workers", type=_bounded(1, MAX_WORKERS), default=1)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -135,10 +135,14 @@ def remove_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:
 
 
 def _as_bits(output_bits, n: int) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in output_bits)  # a string gives its characters
+    """n characters 0/1, or n items equal to 0 or 1, as ints, qubit 0
+    first; anything else raises ``ValueError``, never truncated to a bit."""
+    if isinstance(output_bits, str):
+        output_bits = ["01".find(ch) for ch in output_bits]  # -1: not a bit
+    bits = tuple(output_bits)
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"output bits must be {n} binary values")
-    return bits
+    return tuple(map(int, bits))
 
 
 def build_model(circuit: Circuit, output_bits) -> GraphModel:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, GateKind
+from .graph_model import _as_bits
 
 MAX_ORACLE_QUBITS = 26
 
@@ -61,11 +62,7 @@ def simulate(circuit: Circuit) -> np.ndarray:
 
 def amplitude_of(circuit: Circuit, x) -> complex:
     """<x|C|0...0> with x a bitstring (qubit 0 first) or bit sequence."""
-    n = circuit.n_qubits
-    bits = [int(b) for b in x]  # a string gives its characters
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"output must be {n} binary values")
     index = 0
-    for b in bits:
+    for b in _as_bits(x, circuit.n_qubits):
         index = (index << 1) | b
     return complex(simulate(circuit)[index])

@@ -34,39 +34,36 @@ that touch D(u) (the candidate's u does not reach that end).  When D is
 empty the two graphs are equal, and the rest of the candidate's cost is
 the base suffix total.
 
-Give-back sweep: returning v adds only edges at v, so the reduced
-graph's own edges evolve as without v, and only v's neighbor set R(v)
-differs.  It starts as v's neighbors outside the fix set.  Eliminating
-u in R(v) with neighbors B makes it R(v) - u + B and costs 2^(|B|+1),
-not 2^|B|; v's own last step costs 1.  One sweep prices every candidate.
+Kept vertices: ``_kept_sweep`` eliminates an ordering on a copy of the
+full graph and never eliminates a vertex the ordering leaves out, such
+as the fixed set F; B_k is step k's neighbor set.  Removing a vertex
+commutes with eliminating others, so step k's degree is |B_k - F| with
+F sliced, |B_k - F| + [v in B_k] with one fixed v given back (v's own
+last step has degree 0), and |B_k| with F open as batch axes.  One
+sweep thus prices every give-back candidate and the plan it returns,
+and one gives ``run_partitioned`` its batch width and shared steps.
 
-Shared steps: ``run_partitioned`` eliminates the post-fix ordering
-once on a copy of the full graph that keeps the fixed vertices, and
-step k is shared when no fixed vertex is a neighbor of its vertex at
-that time.  Edges are factors' variable pairs and each fill-in clique is
-a result's variables, so those neighbors are the variables of the
-step's product, fixed ones included, as if no leaf had been sliced.  A
-step is thus shared exactly when no tensor in its bucket comes from a
-sliced leaf: its bucket holds the same tensors in every subtask.
+Shared steps: step k is shared when B_k holds no fixed vertex.  Edges
+are factors' variable pairs and each fill-in clique is a result's
+variables, so B_k is the variables of the step's product, fixed ones
+included, as if no leaf had been sliced.  A shared step's bucket thus
+holds no tensor from a sliced leaf: the same tensors in every subtask.
 Subtask 0 runs every step and records, for each shared step, the scalar
 it folds, or its result when an unshared step uses it.  The other
-subtasks drop the shared steps' leaves and replay each record at its
-own step, so every bucket holds the same tensors in the same order and
-the scalar is multiplied by the same values in the same order: the
-amplitude keeps its bits.  A record is one shared step's result, at most
-2^degree entries, so what is kept is at most 16 bytes times the shared
-steps' estimated cost.
+subtasks drop the shared steps' leaves and replay each record at its own
+step, so every bucket holds the same tensors in the same order and the
+scalar is multiplied by the same values in the same order: the amplitude
+keeps its bits.  A record is one shared step's result, at most 2^degree
+entries, so what is kept is at most 16 bytes times the shared steps'
+estimated cost.
 
-Batched subtasks: the same sweep gives B_k, step k's neighbors with
-the fixed vertices F kept.  Never-eliminated vertices leave the fill-in
-among the others as it is, so with F open as batch axes step k has
-degree |B_k|, against |B_k - F| sliced: it costs at most what the 2^t
-subtasks pay for it together, and batching never adds work.  When every
-such product, the last one over F included, fits min(CHUNK_RANK,
-max_rank) axes, one ``contract`` call returns all 2^t subtask values.
-That cap, not the plan's rank budget, then bounds each product (16 MiB
-at 20; none is chunked).  Amplitudes move at rounding level only, since
-products pair inputs otherwise than a slice does.
+Batched subtasks: |B_k| is at most t above |B_k - F|, so a batched step
+costs at most what the 2^t subtasks pay for it together, and batching
+never adds work.  When every product, the last one over F included, fits
+min(CHUNK_RANK, max_rank) axes, one ``contract`` call returns all 2^t
+subtask values.  That cap, not the plan's rank budget, then bounds each
+product (16 MiB at 20; none is chunked).  Amplitudes move at rounding
+level only, since products pair inputs otherwise than a slice does.
 
 Subtask summation uses a fixed-shape binary reduction tree over the
 subtask index, so the amplitude is bit-identical for any worker count.
@@ -81,6 +78,7 @@ from dataclasses import dataclass
 from . import elimination
 from .elimination import (
     CostEstimate,
+    CostStep,
     Ordering,
     _check_covers,
     contract,
@@ -90,6 +88,9 @@ from .elimination import (
 from .graph_model import GraphModel, copy_adj, remove_vertex
 from .ordering import OrderingBudget, search_ordering
 from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
+
+# far above any useful count; a pool may start this many threads
+MAX_WORKERS = 1024
 
 
 class BudgetUnreachableError(RuntimeError):
@@ -209,41 +210,37 @@ def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId,
     return totals
 
 
-def _give_back_costs(adj: dict[VarId, set[VarId]], order, fixed_adj) -> dict:
-    """(total, rank) of ``adj`` under ``order`` with each fixed v, mapped in
-    ``fixed_adj`` to its full neighbor set, given back and eliminated last."""
+def _kept_sweep(adj: dict[VarId, set[VarId]], order) -> list[set[VarId]]:
+    """B_k of each step of ``order`` on a copy of ``adj`` that keeps every
+    vertex ``order`` leaves out (module docstring)."""
     adj = copy_adj(adj)
-    reach = {v: nbs & adj.keys() for v, nbs in fixed_adj.items()}  # R(v)
-    costs = dict.fromkeys(reach, (1, 0))  # v's own last step
-    for u in order:
-        nbs = eliminate_vertex(adj, u)
-        for v, r in reach.items():
-            deg = len(nbs) + (u in r)
-            if u in r:
-                r.remove(u)
-                r |= nbs
-            total, rank = costs[v]
-            costs[v] = (total + (1 << deg), max(rank, deg))
-    return costs
+    return [eliminate_vertex(adj, v) for v in order]
 
 
-def _give_back(g: GraphModel, adj, plan: FixPlan, budget: CostBudget) -> FixPlan:
+def _give_back_degrees(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> dict:
+    """Each step's degree under ``order`` and then v, for each v of
+    ``fixed`` given back, from one sweep of the full graph ``adj``."""
+    sweep = _kept_sweep(adj, order)
+    sliced = [len(nbs - fixed) for nbs in sweep]
+    return {v: [d + (v in nbs) for d, nbs in zip(sliced, sweep)] + [0] for v in fixed}
+
+
+def _give_back(g: GraphModel, plan: FixPlan, budget: CostBudget) -> FixPlan:
     """``plan`` after returning its cheapest fixed variable (lower id on
-    ties), eliminated last, while the rank fits and 2^t times the total
-    falls; ``adj`` is the reduced graph, and is only read."""
-    adj = copy_adj(adj)
+    ties), eliminated last, while the rank fits and 2^t * total falls."""
     while plan.fix_vars:
-        costs = _give_back_costs(adj, plan.post_fix_ordering, {v: g.adj[v] for v in plan.fix_vars})
-        fits = [(total, v) for v, (total, rank) in costs.items()
+        order = plan.post_fix_ordering
+        degrees = _give_back_degrees(g.adj, order.vars, set(plan.fix_vars))
+        prices = {v: (sum(1 << d for d in ds), max(ds)) for v, ds in degrees.items()}
+        fits = [(total, v) for v, (total, rank) in prices.items()
                 if budget.satisfied_by(rank) and total < 2 * plan.est_subtask_cost.total]
         if not fits:
             break
         v = min(fits)[1]
-        adj[v] = g.adj[v] & adj.keys()
-        for u in adj[v]:
-            adj[u].add(v)
-        order = Ordering(plan.post_fix_ordering.vars + (v,), plan.post_fix_ordering.provenance)
-        plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order, simulate_cost(adj, order))
+        order = Ordering(order.vars + (v,), order.provenance)
+        steps = tuple(CostStep(u, d, 1 << d) for u, d in zip(order.vars, degrees[v]))
+        plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order,
+                       CostEstimate(steps, *prices[v]))
     return plan
 
 
@@ -293,7 +290,7 @@ def select_fix_set(
         reduced.adj = adj
         # first, since min() breaks ties toward it
         plans.insert(0, FixPlan(tuple(fix_vars), *search_ordering(reduced, ordering_budget)))
-    plan = min((_give_back(g, adj, p, budget) for p in plans), key=lambda p: (
+    plan = min((_give_back(g, p, budget) for p in plans), key=lambda p: (
         not budget.satisfied_by(p.est_subtask_cost.max_rank),
         p.num_subtasks * p.est_subtask_cost.total))
     if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost.max_rank)):
@@ -308,19 +305,6 @@ def _tree_sum(values: list[complex]) -> complex:
         # add neighbors pairwise; an odd last value moves up unchanged
         level = [a + b for a, b in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
     return level[0]
-
-
-def _sweep(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> tuple[int, dict[int, None]]:
-    """Eliminate ``order`` on a copy of ``adj`` that keeps ``fixed``: the
-    largest degree, and the steps with no fixed neighbor (module docstring)."""
-    adj = copy_adj(adj)
-    width, shared = 0, {}
-    for k, v in enumerate(order):
-        nbs = eliminate_vertex(adj, v)
-        width = max(width, len(nbs))
-        if fixed.isdisjoint(nbs):
-            shared[k] = None
-    return width, shared
 
 
 def run_partitioned(
@@ -339,8 +323,8 @@ def run_partitioned(
     steps' leaves.  Each call owns a clone of its model; the final sum is
     the fixed reduction tree, so the amplitude does not depend on workers.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     t = len(plan.fix_vars)
     order = plan.post_fix_ordering
     start = time.perf_counter()
@@ -348,11 +332,12 @@ def run_partitioned(
     if t:
         fixed = set(plan.fix_vars)
         _check_covers(g.adj.keys() - fixed, order)
-        width, shared = _sweep(g.adj, order.vars, fixed)
+        sweep = _kept_sweep(g.adj, order.vars)
         cap = min(elimination.CHUNK_RANK, max_rank)
-        if width < cap and t <= cap:
-            batch, shared = plan.fix_vars, {}
+        if max(map(len, sweep), default=0) < cap and t <= cap:
+            batch = plan.fix_vars
         else:
+            shared = {k: None for k, nbs in enumerate(sweep) if fixed.isdisjoint(nbs)}
             pos = {v: k for k, v in enumerate(order.vars)}
             rest = g.clone()
             rest.factors = [f for f in g.factors if not fixed.isdisjoint(f.axes)

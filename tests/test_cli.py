@@ -18,6 +18,7 @@ from gridamp import (
     parse_circuit,
 )
 from gridamp.cli import _percentile_ms, main
+from gridamp.partition import MAX_WORKERS
 
 from conftest import REF4Q_TEXT
 
@@ -147,10 +148,12 @@ class TestAmplitude:
         "flag, value",
         [
             ("--workers", "0"),
+            ("--workers", str(MAX_WORKERS + 1)),
             ("--fix-max", "-1"),
             ("--order-restarts", "0"),
             ("--circuit", "/nonexistent"),
             ("--x", "01"),
+            ("--x", "01 0"),
             pytest.param(None, None, id="no-circuit-source"),
         ],
     )

@@ -282,3 +282,24 @@ def test_output_bits_validation(ref4q_circuit):
         build_model(ref4q_circuit, "010")
     with pytest.raises(ValueError):
         build_model(ref4q_circuit, "01x0")
+
+
+@pytest.mark.parametrize("x", [
+    [0.6, 1, 0, 0], [1.9, 1, 0, 0], [2, 1, 0, 0], ["2", 1, 0, 0], ["0", 1, 0, 0], " 0100",
+], ids=repr)
+def test_non_binary_output_is_refused_not_truncated(x):
+    # int() would read 0.6 as 0 and 1.9 as 1; the model and the oracle
+    # share one rule, which refuses them
+    c = generate(GenParams(2, 2, 4, 0))
+    with pytest.raises(ValueError, match="4 binary values"):
+        build_model(c, x)
+    with pytest.raises(ValueError, match="4 binary values"):
+        amplitude_of(c, x)
+
+
+def test_output_items_equal_to_bits_are_bits():
+    c = generate(GenParams(2, 2, 4, 0))
+    want, value = amplitude_of(c, "0100"), model_value_bruteforce(build_model(c, "0100"))
+    for x in ([0, 1, 0, 0], (0.0, 1.0, 0, 0), [False, True, np.int64(0), 0], np.array([0, 1, 0, 0])):
+        assert amplitude_of(c, x) == want
+        assert model_value_bruteforce(build_model(c, x)) == value

@@ -334,12 +334,11 @@ class TestGiveBack:
         fixed = set(plan.fix_vars)
         assert fixed
         order = plan.post_fix_ordering.vars
-        costs = partition._give_back_costs(
-            without(model.adj, fixed), order, {v: model.adj[v] for v in fixed}
-        )
+        degrees = partition._give_back_degrees(model.adj, order, fixed)
+        assert degrees.keys() == fixed
         for v in fixed:
             est = simulate_cost(without(model.adj, fixed - {v}), order + (v,))
-            assert costs[v] == (est.total, est.max_rank)
+            assert degrees[v] == [s.degree for s in est.steps]
 
     def test_fanout_plan_returns_a_fix(self):
         # the greedy fixes (14, 112, 94, 55, 9) leave rank 9 under a budget
@@ -361,7 +360,7 @@ class TestGiveBack:
             return plan.num_subtasks * plan.est_subtask_cost.total
 
         with monkeypatch.context() as m:
-            m.setattr(partition, "_give_back_costs", lambda *args: {})
+            m.setattr(partition, "_give_back_degrees", lambda *args: {})
             _, _, kept = fanout_plan(4, 5, 16, seed, rank)
         c, model, plan = fanout_plan(4, 5, 16, seed, rank)
         assert (len(kept.fix_vars), work(kept)) == (t_before, work_before)
@@ -384,7 +383,7 @@ class TestGiveBack:
             for rank in range(est.max_rank - 4, est.max_rank):
                 budget = CostBudget(max_rank=rank)
                 with monkeypatch.context() as m:
-                    m.setattr(partition, "_give_back_costs", lambda *args: {})
+                    m.setattr(partition, "_give_back_degrees", lambda *args: {})
                     kept = select_fix_set(model, base, t_max=8, budget=budget,
                                           ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
                 plan = select_fix_set(model, base, t_max=8, budget=budget,
@@ -398,12 +397,10 @@ class TestGiveBack:
                 assert simulate_cost(without(model.adj, fixed), plan.post_fix_ordering) == est_plan
                 assert (est_plan.total * plan.num_subtasks
                         < kept.est_subtask_cost.total * kept.num_subtasks)
-                costs = partition._give_back_costs(
-                    without(model.adj, fixed), plan.post_fix_ordering,
-                    {v: model.adj[v] for v in fixed},
-                )
-                assert not [v for v, (total, r) in costs.items()
-                            if r <= rank and total < 2 * est_plan.total]
+                degrees = partition._give_back_degrees(
+                    model.adj, plan.post_fix_ordering.vars, fixed)
+                assert not [v for v, ds in degrees.items()
+                            if max(ds) <= rank and sum(1 << d for d in ds) < 2 * est_plan.total]
         assert changed
 
 
@@ -453,6 +450,23 @@ class TestRunPartitioned:
         plan = forced_plan(ref4q_model, base, 1)
         with pytest.raises(ValueError):
             run_partitioned(ref4q_model, plan, workers=0)
+
+    @pytest.mark.parametrize("workers", [partition.MAX_WORKERS + 1, 100_000])
+    def test_workers_above_the_cap_start_no_thread(self, ref4q_model, monkeypatch, workers):
+        base = min_fill_ordering(ref4q_model, seed=0)
+        plan = forced_plan(ref4q_model, base, 3)
+        assert plan.num_subtasks == 8
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(partition, "ThreadPoolExecutor", no_pool)
+        # one slice per subtask: the 7 after subtask 0 go to the pool
+        rank = plan.est_subtask_cost.max_rank + 1
+        with pytest.raises(AssertionError, match="pool was built"):
+            run_partitioned(ref4q_model, plan, workers=partition.MAX_WORKERS, max_rank=rank)
+        with pytest.raises(ValueError, match="workers must be in"):
+            run_partitioned(ref4q_model, plan, workers=workers, max_rank=rank)
 
 
 @settings(max_examples=40, deadline=None)
@@ -560,7 +574,7 @@ class TestBatchedSubtasks:
     def test_sweep_width_is_the_unsliced_graphs(self, batch_case):
         model, plan, _, _, _ = batch_case
         order = plan.post_fix_ordering.vars
-        width, _ = partition._sweep(model.adj, order, set(plan.fix_vars))
+        width = max(map(len, partition._kept_sweep(model.adj, order)))
         assert width == simulate_cost(model.adj, order).max_rank
 
 

@@ -1,9 +1,10 @@
 """Incremental fix pricing against full-replay references.
 
 Fix-set selection prices every candidate in one sweep of the base
-elimination plus a walk over the edges its graph lacks.  The full-replay
-version it replaced is kept here as a reference; the planner must return
-exactly what the reference returns, so every plan is unchanged.
+elimination plus a walk over the edges its graph lacks, and prices every
+give-back from one sweep of the full graph that keeps the fixed
+vertices.  Full-replay versions are kept here as references; the planner
+must return exactly what they return, so every plan is unchanged.
 """
 
 import numpy as np
@@ -14,11 +15,14 @@ from hypothesis import strategies as st
 from gridamp import (
     CostBudget,
     CostEstimate,
+    FixPlan,
     GenParams,
+    Ordering,
     OrderingBudget,
     build_model,
     generate,
     min_fill_ordering,
+    search_ordering,
     select_fix_set,
     vertical_ordering,
 )
@@ -48,6 +52,28 @@ def reference_best_fix(adj, order):
         if best_total is None or total < best_total:
             best_v, best_total = v, total
     return best_v
+
+
+def reference_give_back(g, plan, budget):
+    """The give-back loop priced by full replay: each round replays the
+    graph with each fixed v returned and eliminated last, and returns the
+    cheapest (total, id) while the rank fits and 2^t times the total falls."""
+    while plan.fix_vars:
+        order = plan.post_fix_ordering
+        prices = {}
+        for v in plan.fix_vars:
+            drop = set(plan.fix_vars) - {v}
+            adj = {u: ns - drop for u, ns in g.adj.items() if u not in drop}
+            prices[v] = simulate_cost(adj, order.vars + (v,))
+        half = plan.num_subtasks // 2
+        fits = [(est.total, v) for v, est in prices.items() if budget.satisfied_by(est.max_rank)
+                and half * est.total < plan.num_subtasks * plan.est_subtask_cost.total]
+        if not fits:
+            break
+        v = min(fits)[1]
+        plan = FixPlan(tuple(u for u in plan.fix_vars if u != v),
+                       Ordering(order.vars + (v,), order.provenance), prices[v])
+    return plan
 
 
 def grid_model(rows, depth, seed, custom_every=0):
@@ -130,6 +156,32 @@ class TestFixSelection:
         m = grid_model(rows, 8, seed, custom)
         order = [int(v) for v in np.random.default_rng(order_seed).permutation(sorted(m.adj))]
         check_fix_pricing(m.adj, order)
+
+
+def test_give_back_matches_the_replayed_loop(monkeypatch):
+    # every give-back of every plan, for both post-fix orderings, equals
+    # the replayed loop's plan, estimate steps included
+    give_back = partition._give_back
+    returned = []
+
+    def checked(g, plan, budget):
+        out = give_back(g, plan, budget)
+        assert out == reference_give_back(g, plan, budget)
+        if out.fix_vars != plan.fix_vars:
+            returned.append(out)
+        return out
+
+    monkeypatch.setattr(partition, "_give_back", checked)
+    search = OrderingBudget(time_s=None, max_restarts=2)
+    chosen = 0
+    for case in CASES:
+        m = grid_model(*case)
+        base, est = search_ordering(m, search)
+        for rank in range(max(est.max_rank - 6, 1), est.max_rank):
+            plan = select_fix_set(m, base, t_max=8, budget=CostBudget(max_rank=rank),
+                                  ordering_budget=search, allow_over_budget=True)
+            chosen += plan in returned
+    assert chosen >= 4
 
 
 def test_t_max_above_vertex_count_fixes_every_vertex():

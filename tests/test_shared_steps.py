@@ -109,8 +109,9 @@ def model(request):
 
 
 def sweep_shared(model, fix_vars, order):
-    """The steps at which the sweep finds no fixed neighbor."""
-    return set(partition._sweep(model.adj, order, set(fix_vars))[1])
+    """The steps at which the kept-vertex sweep finds no fixed neighbor."""
+    sweep = partition._kept_sweep(model.adj, order)
+    return {k for k, nbs in enumerate(sweep) if set(fix_vars).isdisjoint(nbs)}
 
 
 def run_sliced(model, plan, **kwargs):
@@ -141,8 +142,8 @@ class TestSweepMatchesBuckets:
         gave_back = []
         give_back = partition._give_back
 
-        def counted(g, adj, plan, budget):
-            out = give_back(g, adj, plan, budget)
+        def counted(g, plan, budget):
+            out = give_back(g, plan, budget)
             gave_back.append(out.fix_vars != plan.fix_vars)
             return out
 
