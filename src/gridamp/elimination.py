@@ -125,23 +125,27 @@ def eliminate_vertex(adj: dict[VarId, set[VarId]], v: VarId) -> set[VarId]:
     return nbs
 
 
+def _kept_sweep(adj: dict[VarId, set[VarId]], order) -> list[set[VarId]]:
+    """Each step's neighbor set B_k, whose size is its degree, eliminating
+    ``order`` on a copy of ``adj`` that keeps the vertices it leaves out."""
+    adj = copy_adj(adj)
+    return [eliminate_vertex(adj, v) for v in order]
+
+
+def _estimate(order, degrees) -> CostEstimate:
+    """The estimate of eliminating ``order`` at the given degrees."""
+    steps = tuple(CostStep(v, d, 1 << d) for v, d in zip(order, degrees))
+    rank = max((s.degree for s in steps), default=0)
+    return CostEstimate(steps, sum(s.cost for s in steps), rank)
+
+
 def simulate_cost(adj: dict[VarId, set[VarId]], order) -> CostEstimate:
     """Cost of eliminating in the given order, from graph dynamics alone.
 
     ``adj`` is only read; the elimination runs on a copy.  ``order`` may
     cover any subset; only listed vertices are eliminated.
     """
-    adj = copy_adj(adj)
-    steps = []
-    total = 0
-    max_rank = 0
-    for v in order:
-        deg = len(eliminate_vertex(adj, v))
-        cost = 1 << deg
-        steps.append(CostStep(v, deg, cost))
-        total += cost
-        max_rank = max(max_rank, deg)
-    return CostEstimate(tuple(steps), total, max_rank)
+    return _estimate(order, map(len, _kept_sweep(adj, order)))
 
 
 def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
@@ -212,6 +216,19 @@ def _memory_order(t: Tensor) -> list[int]:
     return sorted(range(t.rank), key=t.data.strides.__getitem__, reverse=True)
 
 
+def _eliminate(g: GraphModel, v: VarId, max_rank: int, step=None):
+    """Sum ``v`` out of ``g`` in place: its bucket's result joins the end of
+    the factors or folds into the scalar, and the graph gets the fill-in."""
+    bucket = [f for f in g.factors if v in f.axes]
+    g.factors = [f for f in g.factors if v not in f.axes]
+    r = _eliminate_bucket(bucket, v, max_rank, step)
+    if isinstance(r, Tensor):
+        g.factors.append(r)
+    else:
+        g.scalar = g.scalar * r
+    eliminate_vertex(g.adj, v)
+
+
 def eliminate_variable(
     g: GraphModel, v: VarId, max_rank: int = DEFAULT_MAX_RANK
 ) -> GraphModel:
@@ -219,14 +236,7 @@ def eliminate_variable(
     if v not in g.adj:
         raise KeyError(f"variable {v} is not free in this model")
     out = g.clone()
-    bucket = [f for f in g.factors if v in f.axes]
-    out.factors = [f for f in g.factors if v not in f.axes]
-    r = _eliminate_bucket(bucket, v, max_rank)
-    if isinstance(r, Tensor):
-        out.factors.append(r)
-    else:
-        out.scalar = g.scalar * r
-    eliminate_vertex(out.adj, v)
+    _eliminate(out, v, max_rank)
     return out
 
 
@@ -235,8 +245,6 @@ def contract(
     order: Ordering,
     max_rank: int = DEFAULT_MAX_RANK,
     *,
-    shared: dict[int, object] | None = None,
-    replay: bool = False,
     keep: tuple[VarId, ...] = (),
 ) -> complex | list[complex]:
     """Eliminate every free variable in order; returns the amplitude.
@@ -245,21 +253,13 @@ def contract(
     builds it by ``multiply_all`` and sums v out by ``sum_out``; a larger
     one never builds it (see the module docstring), so no array a step
     adds besides its output exceeds 2^``CHUNK_RANK`` entries.  Buckets
-    keep a fixed order, so the result is bit-reproducible.
+    keep a fixed order, so the result is bit-reproducible.  A rank
+    overflow names the variable and its step, counted from 0 in ``order``.
 
     ``keep`` names variables left open: the result lists the values at
     each assignment of them, the first one's bit the most significant.
-
-    ``shared`` maps the steps that all subtasks of a fix plan compute
-    alike to their records (see ``partition.py``).  Without ``replay``
-    those steps run, and each records the scalar it folds, or its result
-    if an unshared step uses it, else None.  With ``replay`` they do not
-    run: each record is put back at its own step, where the result joins
-    its bucket and the scalar multiplies the running one, so buckets and
-    scalar see the same values in the same order as in the recording run.
     """
     _check_covers(g.adj, Ordering(order.vars + keep))
-    shared = {} if shared is None else shared
     pos = dict.fromkeys(keep, len(order)) | {v: k for k, v in enumerate(order.vars)}
     buckets: list[list[Tensor] | None] = [[] for _ in range(len(order) + 1)]
     for f in g.factors:
@@ -268,17 +268,11 @@ def contract(
     for k, v in enumerate(order.vars):
         # release the bucket's list, so its factors die with the step
         bucket, buckets[k] = buckets[k], None
-        replayed = replay and k in shared
-        r = shared[k] if replayed else _eliminate_bucket(bucket, v, max_rank, step=k)
+        r = _eliminate_bucket(bucket, v, max_rank, step=k)
         if isinstance(r, Tensor):
-            j = min(map(pos.__getitem__, r.axes))
-            buckets[j].append(r)
-            if j in shared:  # only shared steps use it: nothing to record
-                r = None
-        elif r is not None:
+            buckets[min(map(pos.__getitem__, r.axes))].append(r)
+        else:
             scalar = scalar * r
-        if k in shared and not replayed:
-            shared[k] = r
     if not keep:
         return complex(scalar)
     ones = Tensor(keep, np.ones((2,) * len(keep)))  # first: the axes come in keep's order

@@ -101,12 +101,14 @@ class GraphModel:
         """Fix each variable of ``assignment`` to its bit: slice every
         factor at all its assigned axes in one pass, fold rank-0 results
         into ``scalar`` and drop the vertices.  Every pair is checked
-        before anything changes."""
+        before anything changes; a bit equal to 0 or 1 is taken as that
+        int, as ``_as_bits`` does."""
         for v, bit in assignment.items():
             if v not in self.adj:
                 raise KeyError(f"variable {v} is not free in this model")
             if bit not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {bit}")
+                raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        assignment = {v: int(bit) for v, bit in assignment.items()}
         factors = []
         for f in self.factors:
             if not assignment.keys().isdisjoint(f.axes):

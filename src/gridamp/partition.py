@@ -34,28 +34,29 @@ that touch D(u) (the candidate's u does not reach that end).  When D is
 empty the two graphs are equal, and the rest of the candidate's cost is
 the base suffix total.
 
-Kept vertices: ``_kept_sweep`` eliminates an ordering on a copy of the
-full graph and never eliminates a vertex the ordering leaves out, such
-as the fixed set F; B_k is step k's neighbor set.  Removing a vertex
-commutes with eliminating others, so step k's degree is |B_k - F| with
-F sliced, |B_k - F| + [v in B_k] with one fixed v given back (v's own
-last step has degree 0), and |B_k| with F open as batch axes.  One
+Kept vertices: ``elimination._kept_sweep`` eliminates an ordering on a
+copy of the full graph and never eliminates a vertex the ordering leaves
+out, such as the fixed set F; B_k is step k's neighbor set.  Removing a
+vertex commutes with eliminating others, so step k's degree is |B_k - F|
+with F sliced, |B_k - F| + [v in B_k] with one fixed v given back (v's
+own last step has degree 0), and |B_k| with F open as batch axes.  One
 sweep thus prices every give-back candidate and the plan it returns,
 and one gives ``run_partitioned`` its batch width and shared steps.
 
 Shared steps: step k is shared when B_k holds no fixed vertex.  Edges
 are factors' variable pairs and each fill-in clique is a result's
 variables, so B_k is the variables of the step's product, fixed ones
-included, as if no leaf had been sliced.  A shared step's bucket thus
-holds no tensor from a sliced leaf: the same tensors in every subtask.
-Subtask 0 runs every step and records, for each shared step, the scalar
-it folds, or its result when an unshared step uses it.  The other
-subtasks drop the shared steps' leaves and replay each record at its own
-step, so every bucket holds the same tensors in the same order and the
-scalar is multiplied by the same values in the same order: the amplitude
-keeps its bits.  A record is one shared step's result, at most 2^degree
-entries, so what is kept is at most 16 bytes times the shared steps'
-estimated cost.
+included, as if no leaf had been sliced.  The variables of a sliced
+leaf, and of every result it feeds, all neighbor its fixed variable, so
+a shared step's bucket holds no sliced tensor, and no factor with the
+step's variable passed an unshared step first.  The shared steps thus
+run once, in plan order, on a clone of the unsliced model
+(``elimination._eliminate``), and each subtask slices what they leave:
+the results unshared steps use, and a scalar that folds the rest.  A
+subtask files those results ahead of its own and multiplies their
+scalar in first, where independent slices interleave them by step, so
+the two agree to rounding, not bit for bit.  Independent subtasks and
+the fixed sum keep the bits the same on any number of workers.
 
 Batched subtasks: |B_k| is at most t above |B_k - F|, so a batched step
 costs at most what the 2^t subtasks pay for it together, and batching
@@ -76,15 +77,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import elimination
-from .elimination import (
-    CostEstimate,
-    CostStep,
-    Ordering,
-    _check_covers,
-    contract,
-    eliminate_vertex,
-    simulate_cost,
-)
+from .elimination import (CostEstimate, Ordering, _check_covers, _eliminate, _estimate,
+                          _kept_sweep, contract, eliminate_vertex, simulate_cost)
 from .graph_model import GraphModel, copy_adj, remove_vertex
 from .ordering import OrderingBudget, search_ordering
 from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
@@ -149,10 +143,8 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
-def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId, int]:
-    """Total cost of eliminating ``adj`` under ``order`` with each vertex
-    removed, priced in one sweep of the base elimination plus a
-    missing-edge walk per vertex (see the module docstring)."""
+def _fix_sweep(adj: dict[VarId, set[VarId]], order: list[VarId]) -> tuple[list, list]:
+    """B and the fill pairs of each step of the base elimination."""
     base = copy_adj(adj)
     neighbors = []  # B of each step
     fills = []  # each step's fill pairs, as partner sets of both ends
@@ -166,11 +158,22 @@ def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId,
                 fill[x] = joined
         fills.append(fill)
         neighbors.append(eliminate_vertex(base, u))
+    return neighbors, fills
+
+
+def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId, int]:
+    """Total cost of eliminating ``adj`` under ``order`` with each vertex
+    removed: one base sweep, then a missing-edge walk per vertex."""
+    return _priced_fixes(order, *_fix_sweep(adj, order))
+
+
+def _priced_fixes(order: list[VarId], neighbors: list, fills: list) -> dict[VarId, int]:
+    """``_fix_totals`` from the base sweep's ``neighbors`` and ``fills``."""
     costs = [1 << len(nbs) for nbs in neighbors]
     after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
     for k in range(len(order) - 1, -1, -1):
         after[k] = after[k + 1] + costs[k]
-    halves = dict.fromkeys(adj, 0)  # what the steps taken cost less without v
+    halves = dict.fromkeys(order, 0)  # what the steps taken cost less without v
     totals = {}
     for k, v in enumerate(order):
         total = after[0] - after[k] - halves[v]
@@ -210,13 +213,6 @@ def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId,
     return totals
 
 
-def _kept_sweep(adj: dict[VarId, set[VarId]], order) -> list[set[VarId]]:
-    """B_k of each step of ``order`` on a copy of ``adj`` that keeps every
-    vertex ``order`` leaves out (module docstring)."""
-    adj = copy_adj(adj)
-    return [eliminate_vertex(adj, v) for v in order]
-
-
 def _give_back_degrees(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> dict:
     """Each step's degree under ``order`` and then v, for each v of
     ``fixed`` given back, from one sweep of the full graph ``adj``."""
@@ -238,9 +234,8 @@ def _give_back(g: GraphModel, plan: FixPlan, budget: CostBudget) -> FixPlan:
             break
         v = min(fits)[1]
         order = Ordering(order.vars + (v,), order.provenance)
-        steps = tuple(CostStep(u, d, 1 << d) for u, d in zip(order.vars, degrees[v]))
         plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order,
-                       CostEstimate(steps, *prices[v]))
+                       _estimate(order.vars, degrees[v]))
     return plan
 
 
@@ -275,15 +270,16 @@ def select_fix_set(
     remaining = list(base.restrict(adj).vars)
     if set(remaining) != set(adj):
         raise ValueError("base ordering does not cover the model's variables")
-    current = simulate_cost(adj, remaining)
     fix_vars: list[VarId] = []
+    current, sweep = simulate_cost(adj, remaining), None
     while adj and len(fix_vars) < t_max and not budget.satisfied_by(current.max_rank):
-        totals = _fix_totals(adj, remaining)
+        totals = _priced_fixes(remaining, *(sweep or _fix_sweep(adj, remaining)))
         best_v = min(totals, key=lambda v: (totals[v], v))
         fix_vars.append(best_v)
         remove_vertex(adj, best_v)
         remaining.remove(best_v)
-        current = simulate_cost(adj, remaining)
+        sweep = _fix_sweep(adj, remaining)  # the next round prices its fixes from it too
+        current = _estimate(remaining, map(len, sweep[0]))
     plans = [FixPlan(tuple(fix_vars), base.restrict(adj), current)]
     if fix_vars:
         reduced = GraphModel()  # the search reads only the graph
@@ -317,39 +313,45 @@ def run_partitioned(
 
     Subtask i assigns the bits of i to ``plan.fix_vars`` with the first
     selected variable as the most significant bit.  One batched call
-    returns every subtask's value when its products fit (module
-    docstring); otherwise subtask 0 runs alone first and records the
-    shared steps, which the others replay on a model without those
-    steps' leaves.  Each call owns a clone of its model; the final sum is
+    returns every subtask's value when its products fit; otherwise the
+    shared steps run once on a clone of the model, and each subtask
+    slices a clone of what they leave (module docstring).  The sum is
     the fixed reduction tree, so the amplitude does not depend on workers.
+
+    A rank overflow names its variable and step.  A shared step counts in
+    ``plan.post_fix_ordering``, and every subtask shares it; a subtask's
+    step counts only the steps it runs, and its bits are named.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     t = len(plan.fix_vars)
     order = plan.post_fix_ordering
     start = time.perf_counter()
-    batch, shared, rest = (), {}, g  # rest: the model of subtasks 1 .. 2^t - 1
+    batch, sliced, shared = (), plan.fix_vars, 0
     if t:
         fixed = set(plan.fix_vars)
         _check_covers(g.adj.keys() - fixed, order)
         sweep = _kept_sweep(g.adj, order.vars)
         cap = min(elimination.CHUNK_RANK, max_rank)
         if max(map(len, sweep), default=0) < cap and t <= cap:
-            batch = plan.fix_vars
+            batch, sliced = plan.fix_vars, ()
         else:
-            shared = {k: None for k, nbs in enumerate(sweep) if fixed.isdisjoint(nbs)}
-            pos = {v: k for k, v in enumerate(order.vars)}
-            rest = g.clone()
-            rest.factors = [f for f in g.factors if not fixed.isdisjoint(f.axes)
-                            or min(map(pos.__getitem__, f.axes)) not in shared]
-    sliced = () if batch else plan.fix_vars
+            g = g.clone()
+            for k, (v, nbs) in enumerate(zip(order.vars, sweep)):
+                if fixed.isdisjoint(nbs):
+                    shared += 1
+                    try:
+                        _eliminate(g, v, max_rank, step=k)
+                    except RankOverflowError as e:
+                        where = f"{e.context} of the plan, shared by all {1 << t} subtasks"
+                        raise RankOverflowError(e.variables, context=where) from None
+            order = order.restrict(g.adj)
 
     def subtask(i: int) -> list[complex]:
-        m = (rest if i else g).clone()
+        m = g.clone()
         m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(sliced)})
         try:
-            # subtask 0 records the shared steps, the others replay them
-            part = contract(m, order, max_rank=max_rank, shared=shared, replay=i > 0, keep=batch)
+            part = contract(m, order, max_rank=max_rank, keep=batch)
         except RankOverflowError as e:
             bits = format(i, f"0{t}b") if t else ""
             where = f"subtask {i} (assignment {bits!r})"
@@ -358,19 +360,18 @@ def run_partitioned(
             ) from None
         return part if batch else [part]
 
-    parts = subtask(0)  # alone, before any subtask that replays it
-    indices = range(1, 1 << len(sliced))
+    indices = range(1 << len(sliced))
     if workers == 1 or len(indices) < 2:
-        parts += [z for i in indices for z in subtask(i)]
+        parts = [z for i in indices for z in subtask(i)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts += [z for part in pool.map(subtask, indices) for z in part]
+            parts = [z for part in pool.map(subtask, indices) for z in part]
     amplitude = _tree_sum(parts)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
         amplitude=amplitude,
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
-        shared_steps=len(shared),
+        shared_steps=shared,
         batch_vars=batch,
     )

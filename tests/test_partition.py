@@ -32,10 +32,11 @@ from gridamp import (
 from gridamp import elimination, partition
 from gridamp.cli import main
 from gridamp.elimination import simulate_cost
-from gridamp.graph_model import VarInfo
+from gridamp.graph_model import VarInfo, remove_vertex
 from gridamp.tensor import Tensor
 
 from conftest import edge_names, letter_ids, with_custom_gates
+from test_pricing_reference import grid_model, reference_best_fix
 
 
 SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
@@ -94,8 +95,18 @@ class TestFixVariable:
             assert abs(total - whole) < 1e-10
 
     def test_bad_bit(self, ref4q_model):
-        with pytest.raises(ValueError):
-            fix_variable(ref4q_model, letter_ids(ref4q_model)["e"], 2)
+        for bit in (2, -1, 0.5, "1", None):
+            with pytest.raises(ValueError, match="bit must be 0 or 1"):
+                fix_variable(ref4q_model, letter_ids(ref4q_model)["e"], bit)
+
+    @pytest.mark.parametrize("bit", [1.0, True, np.int64(1), np.float64(1.0), False],
+                             ids=["float", "bool", "int64", "float64", "false"])
+    def test_a_bit_equal_to_0_or_1_is_that_int(self, ref4q_model, bit):
+        v = letter_ids(ref4q_model)["e"]
+        got, want = fix_variable(ref4q_model, v, bit), fix_variable(ref4q_model, v, int(bit))
+        assert [f.axes for f in got.factors] == [f.axes for f in want.factors]
+        assert all(np.array_equal(f.data, g.data) for f, g in zip(got.factors, want.factors))
+        assert got.adj == want.adj and got.scalar == want.scalar
 
     def test_slices_the_factor_at_the_bit(self):
         g = GraphModel()
@@ -195,6 +206,30 @@ class TestSelectFixSet:
                 reduced = fix_variable(reduced, v, 0)
             costs.append(estimate_cost(reduced, base.restrict(reduced.vertices)).total)
         assert all(costs[i] >= costs[i + 1] for i in range(len(costs) - 1))
+
+    @pytest.mark.parametrize("case", [(4, 16, 3, 2), (5, 16, 1, 0), (5, 20, 2, 3)])
+    def test_rounds_match_a_replayed_loop(self, case, monkeypatch):
+        """Each round's fix and the final estimate are those of a loop
+        that replays the reduced graph for every candidate and after
+        every fix."""
+        model = grid_model(*case)
+        base = min_fill_ordering(model, seed=1)
+        rank = simulate_cost(model.adj, base.vars).max_rank
+        budget = CostBudget(max_rank=rank - 3)
+        adj, order, fixes = {u: set(ns) for u, ns in model.adj.items()}, list(base.vars), []
+        current = simulate_cost(adj, order)
+        while len(fixes) < 4 and not budget.satisfied_by(current.max_rank):
+            v = reference_best_fix(adj, order)
+            fixes.append(v)
+            remove_vertex(adj, v)
+            order.remove(v)
+            current = simulate_cost(adj, order)
+        plans = []
+        monkeypatch.setattr(partition, "_give_back", lambda g, p, b: plans.append(p) or p)
+        select_fix_set(model, base, t_max=4, budget=budget, ordering_budget=SEARCH_BUDGET,
+                       allow_over_budget=True)
+        assert len(fixes) >= 2
+        assert plans[-1] == FixPlan(tuple(fixes), base.restrict(order), current)
 
     def test_budget_unreachable_raises(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
@@ -437,13 +472,15 @@ class TestRunPartitioned:
         assert result.wall_ms >= 0
 
     def test_rank_overflow_tagged_with_subtask(self, ref4q_model):
+        # the shared steps' products have 2 axes, a subtask's up to 3 (a
+        # shared step's overflow: test_shared_steps.py)
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = forced_plan(ref4q_model, base, 1)
         with pytest.raises(RankOverflowError) as err:
-            run_partitioned(ref4q_model, plan, max_rank=1)
-        # the step that overflowed and the subtask it ran in
+            run_partitioned(ref4q_model, plan, max_rank=2)
+        # the step that overflowed, counted in the subtask, and the subtask
         msg = str(err.value)
-        assert re.search(r"eliminating v\d+ at step \d+, subtask 0 \(assignment '0'\)", msg)
+        assert re.search(r"eliminating v\d+ at step \d+, subtask 0 \(assignment '0'\)\)$", msg)
 
     def test_workers_validation(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
@@ -461,7 +498,7 @@ class TestRunPartitioned:
             raise AssertionError("a thread pool was built")
 
         monkeypatch.setattr(partition, "ThreadPoolExecutor", no_pool)
-        # one slice per subtask: the 7 after subtask 0 go to the pool
+        # one slice per subtask: all 8 go to the pool
         rank = plan.est_subtask_cost.max_rank + 1
         with pytest.raises(AssertionError, match="pool was built"):
             run_partitioned(ref4q_model, plan, workers=partition.MAX_WORKERS, max_rank=rank)

@@ -1,8 +1,9 @@
 """Steps no fixed variable reaches run once per amplitude.
 
 ``run_partitioned`` finds them by one elimination of the full graph that
-keeps the fixed vertices; subtask 0 records them and the other subtasks
-replay the records.  The references here work on buckets instead:
+keeps the fixed vertices, runs them on the unsliced model before any
+subtask, and every subtask slices what they leave.  The references here
+work on buckets instead:
 sliced leaves are marked, a result carries the mark of any input, and a
 step is shared when its bucket holds no marked tensor.
 
@@ -11,6 +12,7 @@ plan's rank, which no product with every fixed variable open fits.
 """
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,12 +181,31 @@ class TestSameBits:
                               ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
         assert plan.fix_vars
         result = run_sliced(model, plan, workers=workers)
-        assert bits(result.amplitude) == bits(sliced_amplitude(model, plan))
+        # a subtask files the shared results ahead of its own, so a product
+        # may pair its inputs otherwise than an independent slice does
+        want = sliced_amplitude(model, plan)
+        assert abs(result.amplitude - want) <= 1e-12 * abs(want)
+        assert bits(result.amplitude) == bits(run_sliced(model, plan).amplitude)
+
+
+def test_the_pool_runs_every_subtask(monkeypatch):
+    _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+    sent = []
+
+    class Recording(ThreadPoolExecutor):
+        def map(self, fn, indices):
+            sent.extend(indices)
+            return super().map(fn, indices)
+
+    monkeypatch.setattr(partition, "ThreadPoolExecutor", Recording)
+    two = run_sliced(model, plan, workers=2)
+    assert sent == list(range(plan.num_subtasks)) and plan.num_subtasks == 8
+    assert bits(two.amplitude) == bits(run_sliced(model, plan).amplitude)
 
 
 def test_records_read_by_many_threads():
     # eight workers on two cores, switching threads as often as they can:
-    # every subtask after the first reads the same records
+    # every subtask reads the same shared results
     _, model, plan = fanout_plan(4, 5, 16, 0, 3)
     want = bits(run_sliced(model, plan).amplitude)
     interval = sys.getswitchinterval()
@@ -215,37 +236,56 @@ def test_each_shared_step_multiplies_once(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["small", "circuit"])
-def test_records_keep_only_what_unshared_steps_use(case):
+def test_prologue_keeps_only_what_unshared_steps_use(case, monkeypatch):
     if case == "small":
         model, fixed, order = small_model()
     else:
         _, model, plan = fanout_plan(4, 5, 16, 0, 3)
         fixed, order = plan.fix_vars, plan.post_fix_ordering
     shared, dest = reference_shared(model, fixed, order.vars)
-    records = dict.fromkeys(shared)
-    m = model.clone()
-    m._fix(dict.fromkeys(fixed, 0))
-    contract(m, order, shared=records)
-    assert set(records) == shared
-    for k, record in records.items():
-        if dest[k] is None:  # folds into the scalar
-            assert isinstance(record, (complex, float))
-        elif dest[k] in shared:
-            assert record is None
-        else:
-            assert isinstance(record, Tensor)
-            assert min(map(order.vars.index, record.axes)) == dest[k]
-    kept = [k for k, r in records.items() if isinstance(r, Tensor)]
-    assert kept == [k for k in sorted(shared) if dest[k] is not None and dest[k] not in shared]
-    if case == "small":
-        assert records[1] == 2.0 and records[0] is None and kept == [3]
+    plan = plan_for(model, fixed, order)
+    prologue = []  # the model each subtask slices, before its slice
+    fix = GraphModel._fix
+
+    def recording(m, assignment):
+        if not prologue:
+            prologue.append(m.clone())
+        fix(m, assignment)
+
+    monkeypatch.setattr(GraphModel, "_fix", recording)
+    run_sliced(model, plan)
+    (left,) = prologue
+    # the leaves no shared step multiplies, in their order, then the shared
+    # results that unshared steps use, in step order
+    pos = {v: k for k, v in enumerate(order.vars)}
+    leaves = [f for f in model.factors
+              if set(f.axes) <= set(fixed) or min(pos[v] for v in f.axes if v in pos) not in shared]
+    kept = [k for k in sorted(shared) if dest[k] is not None and dest[k] not in shared]
+    assert left.factors[:len(leaves)] == leaves
+    results = left.factors[len(leaves):]
+    assert [min(map(pos.__getitem__, r.axes)) for r in results] == [dest[k] for k in kept]
+    assert set(left.adj) == set(model.adj) - {order.vars[k] for k in shared}
+    # the scalar folds the rest: each slice of what is left is worth the
+    # same slice of the whole model
+    t = len(fixed)
+    for i in (0, plan.num_subtasks - 1):
+        assignment = {v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(fixed)}
+        a, b = left.clone(), model.clone()
+        fix(a, assignment)
+        fix(b, assignment)
+        got, want = contract(a, order.restrict(a.adj)), contract(b, order)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    if case == "small":  # v5's empty bucket doubles, v6 folds its factor
+        (v6,) = [f for f in model.factors if f.axes == (6,)]
+        assert abs(left.scalar - 2.0 * v6.data.sum()) < 1e-15
+        assert [r.axes for r in results] == [(2,)]
 
 
-def test_rank_overflow_in_a_shared_step_names_subtask_0():
+def test_rank_overflow_in_a_shared_step_names_the_plan_step():
     g, fixed, order = small_model()
     assert 0 in sweep_shared(g, fixed, order.vars)
-    with pytest.raises(RankOverflowError, match=r"eliminating v0 at step 0, subtask 0 "
-                                                r"\(assignment '0'\)"):
+    with pytest.raises(RankOverflowError, match=r"\(eliminating v0 at step 0 of the plan, "
+                                                r"shared by all 2 subtasks\)$"):
         run_partitioned(g, plan_for(g, fixed, order), workers=2, max_rank=1)
 
 
