@@ -77,8 +77,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import elimination
-from .elimination import (CostEstimate, Ordering, _check_covers, _eliminate, _estimate,
-                          _kept_sweep, contract, eliminate_vertex, simulate_cost)
+from .elimination import (
+    CostEstimate,
+    Ordering,
+    _check_covers,
+    _eliminate,
+    _estimate,
+    _kept_sweep,
+    contract,
+    eliminate_vertex,
+    simulate_cost,
+)
 from .graph_model import GraphModel, copy_adj, remove_vertex
 from .ordering import OrderingBudget, search_ordering
 from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
@@ -161,14 +170,9 @@ def _fix_sweep(adj: dict[VarId, set[VarId]], order: list[VarId]) -> tuple[list, 
     return neighbors, fills
 
 
-def _fix_totals(adj: dict[VarId, set[VarId]], order: list[VarId]) -> dict[VarId, int]:
-    """Total cost of eliminating ``adj`` under ``order`` with each vertex
-    removed: one base sweep, then a missing-edge walk per vertex."""
-    return _priced_fixes(order, *_fix_sweep(adj, order))
-
-
 def _priced_fixes(order: list[VarId], neighbors: list, fills: list) -> dict[VarId, int]:
-    """``_fix_totals`` from the base sweep's ``neighbors`` and ``fills``."""
+    """Each vertex's total with it removed from the graph ``_fix_sweep``
+    swept into ``neighbors`` and ``fills``: a missing-edge walk each."""
     costs = [1 << len(nbs) for nbs in neighbors]
     after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
     for k in range(len(order) - 1, -1, -1):
@@ -355,9 +359,7 @@ def run_partitioned(
         except RankOverflowError as e:
             bits = format(i, f"0{t}b") if t else ""
             where = f"subtask {i} (assignment {bits!r})"
-            raise RankOverflowError(
-                e.variables, context=f"{e.context}, {where}" if e.context else where
-            ) from None
+            raise RankOverflowError(e.variables, context=f"{e.context}, {where}") from None
         return part if batch else [part]
 
     indices = range(1 << len(sliced))

@@ -113,7 +113,8 @@ def check_fix_pricing(adj, order):
     """Every vertex's total equals a full replay's; the caller's graph is
     left alone."""
     before = _copy(adj)
-    assert partition._fix_totals(adj, order) == reference_fix_totals(adj, order)
+    got = partition._priced_fixes(order, *partition._fix_sweep(adj, order))
+    assert got == reference_fix_totals(adj, order)
     assert adj == before
 
 
@@ -145,8 +146,23 @@ class TestFixSelection:
 
         got = plan()
         assert len(got.fix_vars) >= 1
-        monkeypatch.setattr(partition, "_fix_totals", reference_fix_totals)
+        # every round priced by full replay of the graph it swept
+        fix_sweep, swept, rounds = partition._fix_sweep, [], []
+
+        def sweep(adj, order):
+            swept.append((_copy(adj), list(order)))
+            return fix_sweep(adj, order)
+
+        def priced(order, neighbors, fills):
+            adj, swept_order = swept[-1]
+            assert order == swept_order
+            rounds.append(order)
+            return reference_fix_totals(adj, order)
+
+        monkeypatch.setattr(partition, "_fix_sweep", sweep)
+        monkeypatch.setattr(partition, "_priced_fixes", priced)
         assert plan() == got
+        assert len(rounds) >= len(got.fix_vars)
 
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(4, 5), seed=st.integers(0, 10_000),
