@@ -49,6 +49,8 @@ _SQRT2 = math.sqrt(2.0)
 # paper's deepest is 40); a file's cycle index is checked against it
 # before it sizes the circuit.
 MAX_DEPTH = 10_000
+# Most qubits accepted, a 20x20 grid (the paper's largest is 12x12)
+MAX_QUBITS = 400
 
 
 def _mat(rows) -> np.ndarray:
@@ -164,6 +166,8 @@ class Circuit:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise CircuitError("grid must be at least 1x1")
+        if self.rows * self.cols > MAX_QUBITS:
+            raise CircuitError(f"grid {self.rows}x{self.cols} has more than {MAX_QUBITS} qubits")
         if not self.cycles:
             raise CircuitError("circuit needs at least cycle 0")
         if self.depth > MAX_DEPTH:

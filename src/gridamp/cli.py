@@ -57,6 +57,11 @@ class RunConfig:
     workers: int
 
 
+# RunConfig's fields that _add_pipeline_flags sets, under the same names
+PIPELINE_FLAGS = ("order", "order_restarts", "order_seed", "fix_max", "max_rank",
+                  "engine_max_rank", "workers")
+
+
 class UsageError(Exception):
     """Bad command-line input found after parsing; exit code 2."""
 
@@ -157,13 +162,7 @@ def _config_from_args(args, circuit: Circuit, gen_seed: int) -> RunConfig:
         depth=circuit.depth,
         gen_seed=gen_seed,
         x=_resolve_x(args, circuit),
-        order=args.order,
-        order_restarts=args.order_restarts,
-        order_seed=args.order_seed,
-        fix_max=args.fix_max,
-        max_rank=args.max_rank,
-        engine_max_rank=args.engine_max_rank,
-        workers=args.workers,
+        **{name: getattr(args, name) for name in PIPELINE_FLAGS},
     )
 
 
@@ -266,12 +265,10 @@ def _percentile_ms(times: list[float], pct: float) -> float:
 
 def cmd_bench(args) -> int:
     # every row repeats the run's pipeline flags, so it can be replayed
-    names = ("order", "order_restarts", "order_seed", "fix_max", "max_rank",
-             "engine_max_rank", "workers")
-    flags = ",".join(str(getattr(args, f)) for f in names)
+    flags = ",".join(str(getattr(args, f)) for f in PIPELINE_FLAGS)
     with _open_output(args.output) if args.output else nullcontext(sys.stdout) as writer:
         writer.write("n,d,seed,samples,ok,status,percentile_ms,mean_max_rank,mean_t,"
-                     f"mean_est_cost,{','.join(names)}\n")
+                     f"mean_est_cost,{','.join(PIPELINE_FLAGS)}\n")
         for n in args.grids:
             for d in args.depths:
                 times, ranks, ts, costs = [], [], [], []

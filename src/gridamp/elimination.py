@@ -1,13 +1,15 @@
 """Contraction by bucket elimination, and the cost model used for planning.
 
 Eliminating a variable multiplies the factors that contain it, sums it
-out and keeps the result in their place.  ``contract`` does this on
-factor lists alone: each factor waits in the bucket of its
-earliest-eliminated variable, and each step's result goes to the bucket
-of its earliest remaining one.  No live factor holds an eliminated
-variable, so bucket k is exactly the live factors that contain step k's
-variable, in the order a scan of the live factor list meets them
-(original factors in list order, then results in creation order).
+out and keeps the result in their place.  ``_eliminate_all`` does this
+on factor lists alone, for ``contract``, ``eliminate_variable`` and the
+shared steps of ``partition.run_partitioned``: each factor waits in the
+bucket of its earliest-eliminated variable, and each step's result goes
+to the bucket of its earliest remaining one.  No live factor holds an
+eliminated variable, so bucket k is exactly the live factors that
+contain step k's variable, in the order a scan of the live factor list
+meets them (original factors in list order, then results in creation
+order), which is also the order of the factors no step consumes.
 ``multiply_all`` thus pairs the same tensors as a rescan would, and the
 amplitude is bit-identical to applying ``eliminate_variable`` in order.
 
@@ -154,7 +156,7 @@ def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
     return simulate_cost(g.adj, order.vars)
 
 
-def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step=None):
+def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
     """Multiply the factors that contain ``v`` and sum ``v`` out.  Returns
     the result, or the scalar it folds into: the value of a rank-0 result,
     or 2.0 for an empty bucket, which doubles the term."""
@@ -167,8 +169,7 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step=None):
         except RankOverflowError:
             out = _chunked(bucket, v, max_rank)
     except RankOverflowError as e:
-        where = f"eliminating v{v}" + ("" if step is None else f" at step {step}")
-        raise RankOverflowError(e.variables, context=where) from None
+        raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
     return complex(out.data) if out.rank == 0 else out
 
 
@@ -216,27 +217,32 @@ def _memory_order(t: Tensor) -> list[int]:
     return sorted(range(t.rank), key=t.data.strides.__getitem__, reverse=True)
 
 
-def _eliminate(g: GraphModel, v: VarId, max_rank: int, step=None):
-    """Sum ``v`` out of ``g`` in place: its bucket's result joins the end of
-    the factors or folds into the scalar, and the graph gets the fill-in."""
-    bucket = [f for f in g.factors if v in f.axes]
-    g.factors = [f for f in g.factors if v not in f.axes]
-    r = _eliminate_bucket(bucket, v, max_rank, step)
-    if isinstance(r, Tensor):
-        g.factors.append(r)
-    else:
-        g.scalar = g.scalar * r
-    eliminate_vertex(g.adj, v)
+def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], complex]:
+    """Eliminate ``order`` from ``g``, which is only read; returns the factors
+    left (module docstring) and the scalar.  Unlisted variables count last."""
+    pos = dict.fromkeys(g.adj, len(order)) | {v: k for k, v in enumerate(order)}
+    buckets: list[list[Tensor] | None] = [[] for _ in range(len(order) + 1)]
+    for f in g.factors:
+        buckets[min(map(pos.__getitem__, f.axes))].append(f)
+    scalar = g.scalar
+    for k, v in enumerate(order):
+        # release the bucket's list, so its factors die with the step
+        bucket, buckets[k] = buckets[k], None
+        r = _eliminate_bucket(bucket, v, max_rank, k)
+        if isinstance(r, Tensor):
+            buckets[min(map(pos.__getitem__, r.axes))].append(r)
+        else:
+            scalar = scalar * r
+    return buckets[-1], scalar
 
 
-def eliminate_variable(
-    g: GraphModel, v: VarId, max_rank: int = DEFAULT_MAX_RANK
-) -> GraphModel:
+def eliminate_variable(g: GraphModel, v: VarId, max_rank: int = DEFAULT_MAX_RANK) -> GraphModel:
     """New model with ``v`` summed out and its fill-in clique added."""
     if v not in g.adj:
         raise KeyError(f"variable {v} is not free in this model")
     out = g.clone()
-    _eliminate(out, v, max_rank)
+    out.factors, out.scalar = _eliminate_all(g, (v,), max_rank)
+    eliminate_vertex(out.adj, v)
     return out
 
 
@@ -260,20 +266,8 @@ def contract(
     each assignment of them, the first one's bit the most significant.
     """
     _check_covers(g.adj, Ordering(order.vars + keep))
-    pos = dict.fromkeys(keep, len(order)) | {v: k for k, v in enumerate(order.vars)}
-    buckets: list[list[Tensor] | None] = [[] for _ in range(len(order) + 1)]
-    for f in g.factors:
-        buckets[min(map(pos.__getitem__, f.axes))].append(f)
-    scalar = g.scalar
-    for k, v in enumerate(order.vars):
-        # release the bucket's list, so its factors die with the step
-        bucket, buckets[k] = buckets[k], None
-        r = _eliminate_bucket(bucket, v, max_rank, step=k)
-        if isinstance(r, Tensor):
-            buckets[min(map(pos.__getitem__, r.axes))].append(r)
-        else:
-            scalar = scalar * r
+    left, scalar = _eliminate_all(g, order.vars, max_rank)
     if not keep:
         return complex(scalar)
     ones = Tensor(keep, np.ones((2,) * len(keep)))  # first: the axes come in keep's order
-    return (multiply_all([ones] + buckets[-1], max_rank=max_rank).data * scalar).ravel().tolist()
+    return (multiply_all([ones] + left, max_rank=max_rank).data * scalar).ravel().tolist()

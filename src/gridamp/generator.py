@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import MAX_QUBITS, Circuit, CircuitError, Gate, GateKind
 
 # Horizontal layouts couple (r, c)-(r, c+1) where (c + 2*(r mod 2)) mod 4
 # hits the layout's offset; vertical layouts couple (r, c)-(r+1, c) on
@@ -47,6 +47,8 @@ class GenParams:
             raise ValueError("grid must be at least 1x1")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
+        if self.rows * self.cols > MAX_QUBITS:
+            raise CircuitError(f"grid {self.rows}x{self.cols} has more than {MAX_QUBITS} qubits")
 
 
 def cz_layer(config: int, rows: int, cols: int) -> set[tuple[int, int]]:

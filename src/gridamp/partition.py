@@ -50,13 +50,13 @@ included, as if no leaf had been sliced.  The variables of a sliced
 leaf, and of every result it feeds, all neighbor its fixed variable, so
 a shared step's bucket holds no sliced tensor, and no factor with the
 step's variable passed an unshared step first.  The shared steps thus
-run once, in plan order, on a clone of the unsliced model
-(``elimination._eliminate``), and each subtask slices what they leave:
-the results unshared steps use, and a scalar that folds the rest.  A
-subtask files those results ahead of its own and multiplies their
-scalar in first, where independent slices interleave them by step, so
-the two agree to rounding, not bit for bit.  Independent subtasks and
-the fixed sum keep the bits the same on any number of workers.
+run once, in plan order, in one ``elimination._eliminate_all`` call on
+the unsliced model, and each subtask slices what they leave: the
+results unshared steps use, and a scalar that folds the rest.  A subtask
+files those results ahead of its own and multiplies their scalar in
+first, where independent slices interleave them by step, so the two
+agree to rounding, not bit for bit.  Independent subtasks and the fixed
+sum keep the bits the same on any number of workers.
 
 Batched subtasks: |B_k| is at most t above |B_k - F|, so a batched step
 costs at most what the 2^t subtasks pay for it together, and batching
@@ -81,7 +81,7 @@ from .elimination import (
     CostEstimate,
     Ordering,
     _check_covers,
-    _eliminate,
+    _eliminate_all,
     _estimate,
     _kept_sweep,
     contract,
@@ -322,9 +322,9 @@ def run_partitioned(
     slices a clone of what they leave (module docstring).  The sum is
     the fixed reduction tree, so the amplitude does not depend on workers.
 
-    A rank overflow names its variable and step.  A shared step counts in
-    ``plan.post_fix_ordering``, and every subtask shares it; a subtask's
-    step counts only the steps it runs, and its bits are named.
+    A rank overflow names its variable and step.  A shared step's number
+    counts only the shared steps, which run once for all subtasks; a
+    subtask's counts only the steps it runs, and its bits are named.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
@@ -340,16 +340,18 @@ def run_partitioned(
         if max(map(len, sweep), default=0) < cap and t <= cap:
             batch, sliced = plan.fix_vars, ()
         else:
-            g = g.clone()
-            for k, (v, nbs) in enumerate(zip(order.vars, sweep)):
-                if fixed.isdisjoint(nbs):
-                    shared += 1
-                    try:
-                        _eliminate(g, v, max_rank, step=k)
-                    except RankOverflowError as e:
-                        where = f"{e.context} of the plan, shared by all {1 << t} subtasks"
-                        raise RankOverflowError(e.variables, context=where) from None
-            order = order.restrict(g.adj)
+            steps, rest = [], []
+            for v, nbs in zip(order.vars, sweep):
+                (steps if fixed.isdisjoint(nbs) else rest).append(v)
+            g, shared = g.clone(), len(steps)
+            try:
+                g.factors, g.scalar = _eliminate_all(g, steps, max_rank)
+            except RankOverflowError as e:
+                where = f"{e.context} of the shared steps, run once for all {1 << t} subtasks"
+                raise RankOverflowError(e.variables, context=where) from None
+            for v in steps:
+                eliminate_vertex(g.adj, v)
+            order = Ordering(rest, order.provenance)
 
     def subtask(i: int) -> list[complex]:
         m = g.clone()

@@ -91,6 +91,9 @@ class TestGenerate:
         ["bench", "--grids", "", "--depths", "4"],
         ["bench", "--grids", "2", "--depths", ","],
         ["fidelity"],
+        ["generate", "--rows", "3000", "--cols", "3000", "--depth", "0"],
+        ["fidelity", "--rows", "3000", "--cols", "3000", "--depth", "0", "--exact"],
+        ["amplitude", "--rows", "20", "--cols", "21", "--depth", "4"],
         ["amplitude", "--rows", "2", "--cols", "2", "--depth", "4", "--order-time", "2"],
         ["plan", "--rows", "2", "--cols", "2", "--depth", "4", "--order-time", "2"],
         ["bench", "--grids", "2", "--depths", "4", "--order-time", "2"],
@@ -196,8 +199,10 @@ class TestAmplitude:
             ("1 2\n0 h 0\n0 h 1\n2 t 1\n2 h 1\n", CycleConflictError, (1, 2)),
             ("0 2\n0 h 0\n0 h 1\n", CircuitError, None),
             ("1 1\n0 h 0\n1000000000 t 0\n", CircuitParseError, None),
+            ("1 401\n0 h 0\n", CircuitError, None),
         ],
-        ids=["off-grid", "qubit-twice-in-cycle", "empty-grid", "cycle-past-depth-limit"],
+        ids=["off-grid", "qubit-twice-in-cycle", "empty-grid", "cycle-past-depth-limit",
+             "grid-past-qubit-limit"],
     )
     def test_bad_circuit_file_is_one_line_error(self, capsys, tmp_path, text, error, named):
         with pytest.raises(error) as err:
@@ -307,6 +312,13 @@ class TestFidelityCmd:
         payload = json.loads(out)
         assert payload["eps"] == 0.005
         assert abs(payload["alpha_square"] - math.exp(-2.938375)) < 1e-9
+
+    def test_formulas_take_any_grid(self, capsys):
+        # without --exact no circuit is made, so the qubit limit does not apply
+        code, out = run_cli(capsys, "fidelity", "--rows", "3000", "--cols", "3000",
+                            "--depth", "0")
+        payload = json.loads(out)
+        assert code == 0 and (payload["rows"], payload["cols"]) == (3000, 3000)
 
     def test_exact_counts(self, capsys):
         code, out = run_cli(capsys, "fidelity", "--rows", "4", "--cols", "4",

@@ -273,7 +273,7 @@ class TestChunkedSteps:
         # outermost, slice the first (two) factors down to rank 0; signed
         # zeros reach every multiply
         bucket = signed_zero_bucket([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], chunk_rank)
-        want = elimination._eliminate_bucket(bucket, 3, max_rank=30)
+        want = elimination._eliminate_bucket(bucket, 3, max_rank=30, step=0)
         chunks = []
 
         def recording(tensors, **kwargs):
@@ -283,7 +283,7 @@ class TestChunkedSteps:
 
         monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
         monkeypatch.setattr(elimination, "multiply_all", recording)
-        got = elimination._eliminate_bucket(bucket, 3, max_rank=30)
+        got = elimination._eliminate_bucket(bucket, 3, max_rank=30, step=0)
         assert len(chunks) == 2 ** (4 - chunk_rank)
         assert got.axes[: 4 - chunk_rank] == tuple(chunks[0]) == (0, 1)[: 4 - chunk_rank]
         assert sorted(got.axes) == sorted(want.axes)
@@ -329,7 +329,7 @@ class TestChunkedSteps:
             calls.clear()
             views.clear()
             monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
-            out = elimination._eliminate_bucket(bucket, v, max_rank=30)
+            out = elimination._eliminate_bucket(bucket, v, max_rank=30, step=0)
             assert sorted(out.axes) == sorted(want.axes)
             assert close(aligned(out, want.axes), want.data)
             chunks = 0 if len(bucket) == 1 else 2 ** (rank - chunk_rank)

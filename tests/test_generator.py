@@ -1,10 +1,22 @@
 """Circuit generator: coupling layouts, placement rules, gate counts."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridamp import GateKind, GenParams, count_gates, cz_layer, generate, serialize_circuit
+from gridamp import (
+    Circuit,
+    CircuitError,
+    GateKind,
+    GenParams,
+    count_gates,
+    cz_layer,
+    generate,
+    serialize_circuit,
+)
+from gridamp.circuit import MAX_QUBITS
 from gridamp.generator import config_for_cycle
 
 from conftest import LAYOUT_PAIRS_8X7
@@ -109,6 +121,23 @@ def test_different_seeds_differ():
     a = serialize_circuit(generate(GenParams(4, 4, 16, seed=0)))
     b = serialize_circuit(generate(GenParams(4, 4, 16, seed=1)))
     assert a != b
+
+
+@pytest.mark.parametrize("rows, cols", [(3000, 3000), (20, 21), (1, 401)])
+@pytest.mark.parametrize("make", [lambda r, c: GenParams(r, c, 0),
+                                  lambda r, c: Circuit(r, c, ((),))], ids=["GenParams", "Circuit"])
+def test_grid_past_the_qubit_limit_fails_before_allocating(make, rows, cols):
+    # 3000x3000 once ran out of memory sizing nine million qubits
+    start = time.perf_counter()
+    with pytest.raises(CircuitError, match=rf"grid {rows}x{cols} has more than {MAX_QUBITS} "):
+        make(rows, cols)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_grid_at_the_qubit_limit_generates():
+    c = generate(GenParams(20, 20, 8, seed=0))
+    assert c.n_qubits == MAX_QUBITS == 400
+    assert count_gates(c)[0] >= MAX_QUBITS
 
 
 def test_gate_counts_hadamard_layer_only():

@@ -25,6 +25,7 @@ from gridamp import (
     OrderingBudget,
     RankOverflowError,
     contract,
+    eliminate_variable,
     elimination,
     estimate_cost,
     fix_variable,
@@ -235,26 +236,49 @@ def test_each_shared_step_multiplies_once(monkeypatch):
     assert len(calls) == n + (plan.num_subtasks - 1) * (n - s)
 
 
-@pytest.mark.parametrize("case", ["small", "circuit"])
-def test_prologue_keeps_only_what_unshared_steps_use(case, monkeypatch):
+def sliced_case(case):
+    """``small_model()``, or a 4x5x16 circuit's plan with 8 subtasks."""
     if case == "small":
-        model, fixed, order = small_model()
-    else:
-        _, model, plan = fanout_plan(4, 5, 16, 0, 3)
-        fixed, order = plan.fix_vars, plan.post_fix_ordering
-    shared, dest = reference_shared(model, fixed, order.vars)
-    plan = plan_for(model, fixed, order)
-    prologue = []  # the model each subtask slices, before its slice
+        return small_model()
+    _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+    return model, plan.fix_vars, plan.post_fix_ordering
+
+
+def prologue(model, plan, monkeypatch):
+    """The model each subtask of ``run_sliced`` slices, before its slice."""
+    seen = []
     fix = GraphModel._fix
 
     def recording(m, assignment):
-        if not prologue:
-            prologue.append(m.clone())
+        if not seen:
+            seen.append(m.clone())
         fix(m, assignment)
 
-    monkeypatch.setattr(GraphModel, "_fix", recording)
-    run_sliced(model, plan)
-    (left,) = prologue
+    with monkeypatch.context() as patch:
+        patch.setattr(GraphModel, "_fix", recording)
+        run_sliced(model, plan)
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["small", "circuit"])
+def test_prologue_is_eliminate_variable_in_plan_order(case, monkeypatch):
+    model, fixed, order = sliced_case(case)
+    left = prologue(model, plan_for(model, fixed, order), monkeypatch)
+    want = model
+    for k in sorted(sweep_shared(model, fixed, order.vars)):
+        want = eliminate_variable(want, order.vars[k])
+    assert [(f.axes, f.data.tobytes()) for f in left.factors] == [
+        (f.axes, f.data.tobytes()) for f in want.factors]
+    assert left.scalar == want.scalar
+    assert left.adj == want.adj
+
+
+@pytest.mark.parametrize("case", ["small", "circuit"])
+def test_prologue_keeps_only_what_unshared_steps_use(case, monkeypatch):
+    model, fixed, order = sliced_case(case)
+    shared, dest = reference_shared(model, fixed, order.vars)
+    plan = plan_for(model, fixed, order)
+    left = prologue(model, plan, monkeypatch)
     # the leaves no shared step multiplies, in their order, then the shared
     # results that unshared steps use, in step order
     pos = {v: k for k, v in enumerate(order.vars)}
@@ -271,8 +295,8 @@ def test_prologue_keeps_only_what_unshared_steps_use(case, monkeypatch):
     for i in (0, plan.num_subtasks - 1):
         assignment = {v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(fixed)}
         a, b = left.clone(), model.clone()
-        fix(a, assignment)
-        fix(b, assignment)
+        a._fix(assignment)
+        b._fix(assignment)
         got, want = contract(a, order.restrict(a.adj)), contract(b, order)
         assert abs(got - want) <= 1e-12 * abs(want)
     if case == "small":  # v5's empty bucket doubles, v6 folds its factor
@@ -284,8 +308,8 @@ def test_prologue_keeps_only_what_unshared_steps_use(case, monkeypatch):
 def test_rank_overflow_in_a_shared_step_names_the_plan_step():
     g, fixed, order = small_model()
     assert 0 in sweep_shared(g, fixed, order.vars)
-    with pytest.raises(RankOverflowError, match=r"\(eliminating v0 at step 0 of the plan, "
-                                                r"shared by all 2 subtasks\)$"):
+    with pytest.raises(RankOverflowError, match=r"\(eliminating v0 at step 0 of the shared "
+                                                r"steps, run once for all 2 subtasks\)$"):
         run_partitioned(g, plan_for(g, fixed, order), workers=2, max_rank=1)
 
 
