@@ -72,6 +72,10 @@ def _read_circuit(path: str) -> Circuit:
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read circuit file {path!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(
+            f"circuit file {path!r} is not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
     return parse_circuit(text)
 
 

@@ -2,25 +2,27 @@
 
 Eliminating a variable multiplies the factors that contain it, sums it
 out and keeps the result in their place.  ``_eliminate_all`` does this
-on factor lists alone, for ``contract``, ``eliminate_variable`` and the
-shared steps of ``partition.run_partitioned``: each factor waits in the
-bucket of its earliest-eliminated variable, and each step's result goes
-to the bucket of its earliest remaining one.  No live factor holds an
-eliminated variable, so bucket k is exactly the live factors that
-contain step k's variable, in the order a scan of the live factor list
-meets them (original factors in list order, then results in creation
-order), which is also the order of the factors no step consumes.
-``multiply_all`` thus pairs the same tensors as a rescan would, and the
-amplitude is bit-identical to applying ``eliminate_variable`` in order.
+on factor lists alone, for ``contract`` and ``eliminate_variable``: each
+factor waits in the bucket of its earliest-eliminated variable, and each
+step's result goes to the bucket of its earliest remaining one.  No live
+factor holds an eliminated variable, so bucket k is exactly the live
+factors that contain step k's variable, in the order a scan of the live
+factor list meets them (original factors in list order, then results in
+creation order), which is also the order of the factors no step
+consumes.  ``multiply_all`` thus pairs the same tensors as a rescan
+would, and the amplitude is bit-identical to eliminating one variable at
+a time.
 
-A step of degree d has a product of rank d + 1.  Above ``CHUNK_RANK``
-axes the product is never built.  The rank-d output is allocated once
-and filled one block per assignment of d + 1 - ``CHUNK_RANK`` chunk
-axes: ``multiply_all(..., at=bits)`` multiplies the bucket's factors
-other than its largest, and one ``np.matmul`` sums v out of that product
-and the largest factor's slice, straight into the block.  The largest
-factor's memory order lays the matmul out, so its slices are views: v
-is the inner dimension, of size 2; the other factors' own axes are the
+A step of degree d has a product of rank d + 1.  One ``_schedule``
+lookup gives its axes and refuses more than ``max_rank`` of them before
+anything is allocated.  Above ``CHUNK_RANK`` axes the product is never
+built.  The rank-d output is allocated once and filled one block per
+assignment of d + 1 - ``CHUNK_RANK`` chunk axes:
+``multiply_all(..., at=bits)`` multiplies the bucket's factors other
+than its largest, and one ``np.matmul`` sums v out of that product and
+the largest factor's slice, straight into the block.  The largest
+factor's memory order lays the matmul out, so its slices are views: v is
+the inner dimension, of size 2; the other factors' own axes are the
 rows; the columns are the innermost run, in that memory, of axes only
 the largest factor has; every other axis is a batch axis, over which the
 product broadcasts where it lacks the axis.  Chunk axes are batch axes
@@ -29,9 +31,9 @@ its bits, whatever the chunk count.  Besides its inputs and output, a
 step holds per chunk the product and at most one copy of each operand's
 slice, each of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24,
 the output's 256 MiB plus a few chunks, not the whole product's 512 +
-256 MiB.  BLAS rounds unlike einsum and numpy's reduce, so such a
-step agrees with the whole product summed to rounding, not bit for bit.
-A one-factor bucket has no product to build; ``sum_out`` sums it whole.
+256 MiB.  BLAS rounds unlike einsum and numpy's reduce, so such a step
+agrees with the whole product summed to rounding, not bit for bit.  A
+one-factor bucket has no product to build; ``sum_out`` sums it whole.
 
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
@@ -162,23 +164,21 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
     or 2.0 for an empty bucket, which doubles the term."""
     if not bucket:
         return 2.0
-    cap = CHUNK_RANK if max_rank > CHUNK_RANK else max_rank  # min() costs more per step
-    try:
-        try:  # a product above cap is refused before any einsum
-            out = sum_out(multiply_all(bucket, max_rank=cap), v)
-        except RankOverflowError:
-            out = _chunked(bucket, v, max_rank)
+    try:  # a product above max_rank is refused before anything is allocated
+        axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
     except RankOverflowError as e:
         raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
+    if len(axes) > CHUNK_RANK:  # its result keeps at least CHUNK_RANK axes
+        return _chunked(bucket, v, axes, max_rank)
+    out = sum_out(multiply_all(bucket, max_rank=max_rank), v)
     return complex(out.data) if out.rank == 0 else out
 
 
-def _chunked(bucket: list[Tensor], v: VarId, max_rank: int) -> Tensor:
-    """``_eliminate_bucket``'s result without its product (module
-    docstring): per chunk, one matmul of the other factors' product and
-    the largest factor's slice fills the chunk's contiguous block of the
-    output.  The full rank is checked before the output is allocated."""
-    axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
+def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tensor:
+    """``_eliminate_bucket``'s result without its product, whose ``axes``
+    it takes (module docstring): per chunk, one matmul of the other
+    factors' product and the largest factor's slice fills the chunk's
+    contiguous block of the output."""
     big = max(bucket, key=lambda t: t.rank)
     others = [t for t in bucket if t is not big]
     if not others:  # no product to build
@@ -236,13 +236,17 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
     return buckets[-1], scalar
 
 
-def eliminate_variable(g: GraphModel, v: VarId, max_rank: int = DEFAULT_MAX_RANK) -> GraphModel:
-    """New model with ``v`` summed out and its fill-in clique added."""
-    if v not in g.adj:
-        raise KeyError(f"variable {v} is not free in this model")
+def eliminate_variable(g: GraphModel, *vs: VarId, max_rank: int = DEFAULT_MAX_RANK) -> GraphModel:
+    """New model with ``vs`` summed out in order by one ``_eliminate_all``
+    call, each adding its fill-in clique.  A rank overflow names its step,
+    counted from 0 in ``vs``; nothing runs if ``vs`` repeats a variable
+    (``ValueError``) or names one that is not free (``KeyError``)."""
+    if missing := [v for v in Ordering(vs) if v not in g.adj]:  # no repeats
+        raise KeyError(f"variables {missing} are not free in this model")
     out = g.clone()
-    out.factors, out.scalar = _eliminate_all(g, (v,), max_rank)
-    eliminate_vertex(out.adj, v)
+    out.factors, out.scalar = _eliminate_all(g, vs, max_rank)
+    for v in vs:
+        eliminate_vertex(out.adj, v)
     return out
 
 

@@ -50,9 +50,9 @@ included, as if no leaf had been sliced.  The variables of a sliced
 leaf, and of every result it feeds, all neighbor its fixed variable, so
 a shared step's bucket holds no sliced tensor, and no factor with the
 step's variable passed an unshared step first.  The shared steps thus
-run once, in plan order, in one ``elimination._eliminate_all`` call on
-the unsliced model, and each subtask slices what they leave: the
-results unshared steps use, and a scalar that folds the rest.  A subtask
+run once, in plan order, in one ``eliminate_variable`` call on the
+unsliced model, and each subtask slices what they leave: the results
+unshared steps use, and a scalar that folds the rest.  A subtask
 files those results ahead of its own and multiplies their scalar in
 first, where independent slices interleave them by step, so the two
 agree to rounding, not bit for bit.  Independent subtasks and the fixed
@@ -65,9 +65,6 @@ min(CHUNK_RANK, max_rank) axes, one ``contract`` call returns all 2^t
 subtask values.  That cap, not the plan's rank budget, then bounds each
 product (16 MiB at 20; none is chunked).  Amplitudes move at rounding
 level only, since products pair inputs otherwise than a slice does.
-
-Subtask summation uses a fixed-shape binary reduction tree over the
-subtask index, so the amplitude is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -81,10 +78,10 @@ from .elimination import (
     CostEstimate,
     Ordering,
     _check_covers,
-    _eliminate_all,
     _estimate,
     _kept_sweep,
     contract,
+    eliminate_variable,
     eliminate_vertex,
     simulate_cost,
 )
@@ -322,7 +319,9 @@ def run_partitioned(
     slices a clone of what they leave (module docstring).  The sum is
     the fixed reduction tree, so the amplitude does not depend on workers.
 
-    A rank overflow names its variable and step.  A shared step's number
+    ``ValueError`` comes before any sweep, clone or thread unless the
+    plan's fixed variables and ordering list each free variable once.  A
+    rank overflow names its variable and step.  A shared step's number
     counts only the shared steps, which run once for all subtasks; a
     subtask's counts only the steps it runs, and its bits are named.
     """
@@ -330,11 +329,11 @@ def run_partitioned(
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     t = len(plan.fix_vars)
     order = plan.post_fix_ordering
+    _check_covers(g.adj, Ordering(plan.fix_vars + order.vars))
     start = time.perf_counter()
     batch, sliced, shared = (), plan.fix_vars, 0
     if t:
         fixed = set(plan.fix_vars)
-        _check_covers(g.adj.keys() - fixed, order)
         sweep = _kept_sweep(g.adj, order.vars)
         cap = min(elimination.CHUNK_RANK, max_rank)
         if max(map(len, sweep), default=0) < cap and t <= cap:
@@ -343,15 +342,12 @@ def run_partitioned(
             steps, rest = [], []
             for v, nbs in zip(order.vars, sweep):
                 (steps if fixed.isdisjoint(nbs) else rest).append(v)
-            g, shared = g.clone(), len(steps)
             try:
-                g.factors, g.scalar = _eliminate_all(g, steps, max_rank)
+                g = eliminate_variable(g, *steps, max_rank=max_rank)
             except RankOverflowError as e:
                 where = f"{e.context} of the shared steps, run once for all {1 << t} subtasks"
                 raise RankOverflowError(e.variables, context=where) from None
-            for v in steps:
-                eliminate_vertex(g.adj, v)
-            order = Ordering(rest, order.provenance)
+            shared, order = len(steps), Ordering(rest, order.provenance)
 
     def subtask(i: int) -> list[complex]:
         m = g.clone()

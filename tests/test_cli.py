@@ -219,6 +219,17 @@ class TestAmplitude:
             qubit, cycle = named
             assert re.search(rf"\bqubit {qubit}\b.*\bcycle {cycle}\b", lines[0])
 
+    @pytest.mark.parametrize("command", ["amplitude", "plan", "oracle", "fidelity", "export-dot"])
+    def test_circuit_file_not_utf8_is_one_line_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code = main([command, "--circuit", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
     @pytest.mark.parametrize(
         "source",
         [["--circuit", "{ref4q}"],

@@ -505,6 +505,31 @@ class TestRunPartitioned:
         with pytest.raises(ValueError, match="workers must be in"):
             run_partitioned(ref4q_model, plan, workers=workers, max_rank=rank)
 
+    @pytest.mark.parametrize("fault", ["repeats a fix", "orders a fix", "fixes a stranger",
+                                       "leaves a free variable out"])
+    def test_malformed_plan_fails_before_anything_runs(self, fault, monkeypatch):
+        # a repeated fix once passed the check and doubled the amplitude
+        _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+        fix, order = plan.fix_vars, plan.post_fix_ordering.vars
+        fix, order = {
+            "repeats a fix": (fix + fix[:1], order),
+            "orders a fix": (fix, order + fix[:1]),
+            "fixes a stranger": (fix + (max(model.adj) + 1,), order),
+            "leaves a free variable out": (fix, order[1:]),
+        }[fault]
+        bad = FixPlan(fix, Ordering(order), plan.est_subtask_cost)
+
+        def ran(*args, **kwargs):
+            raise AssertionError("ran before the plan was checked")
+
+        monkeypatch.setattr(GraphModel, "clone", ran)
+        monkeypatch.setattr(partition, "_kept_sweep", ran)
+        monkeypatch.setattr(partition, "ThreadPoolExecutor", ran)
+        # batched, then one slice per subtask
+        for max_rank in (30, plan.est_subtask_cost.max_rank + 1):
+            with pytest.raises(ValueError):
+                run_partitioned(model, bad, workers=2, max_rank=max_rank)
+
 
 @settings(max_examples=40, deadline=None)
 @given(rows=st.sampled_from([2, 3]), seed=st.integers(0, 10_000),
