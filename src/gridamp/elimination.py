@@ -17,21 +17,22 @@ A step of degree d has a product of rank d + 1.  One ``_schedule``
 lookup gives its axes and refuses more than ``max_rank`` of them before
 anything is allocated.  Above ``CHUNK_RANK`` axes the product is never
 built.  The rank-d output is allocated once and filled one block per
-assignment of d + 1 - ``CHUNK_RANK`` chunk axes:
-``multiply_all(..., at=bits)`` multiplies the bucket's factors other
-than its largest, and one ``np.matmul`` sums v out of that product and
-the largest factor's slice, straight into the block.  The largest
-factor's memory order lays the matmul out, so its slices are views: v is
-the inner dimension, of size 2; the other factors' own axes are the
-rows; the columns are the innermost run, in that memory, of axes only
-the largest factor has; every other axis is a batch axis, over which the
+assignment of d + 1 - ``CHUNK_RANK`` chunk axes: ``multiply_all``
+multiplies the ``_sliced`` slices of the bucket's factors other than its
+largest, and one ``np.matmul`` sums v out of that product and the
+largest factor's slice, straight into the block.  The largest factor's
+memory order lays the matmul out, so its slices are views: v is the
+inner dimension, of size 2; the other factors' own axes are the rows;
+the columns are the innermost run, in that memory, of axes only the
+largest factor has; every other axis is a batch axis, over which the
 product broadcasts where it lacks the axis.  Chunk axes are batch axes
-first, outermost in that memory, so every matrix keeps its shape, and
-its bits, whatever the chunk count.  Besides its inputs and output, a
-step holds per chunk the product and at most one copy of each operand's
-slice, each of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24,
-the output's 256 MiB plus a few chunks, not the whole product's 512 +
-256 MiB.  BLAS rounds unlike einsum and numpy's reduce, so such a step
+first, outermost in that memory, so every matrix keeps its shape
+whatever the chunk count.  Besides its inputs and output, a step holds
+per chunk the product and at most one copy of each operand's slice, each
+of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24, the output's
+256 MiB plus a few chunks, not the whole product's 512 + 256 MiB.  BLAS
+rounds unlike einsum and numpy's reduce, and the slices pair
+smallest-first by their own sizes, not the full factors', so such a step
 agrees with the whole product summed to rounding, not bit for bit.  A
 one-factor bucket has no product to build; ``sum_out`` sums it whole.
 
@@ -77,7 +78,8 @@ class Ordering:
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
         if len(set(self.vars)) != len(self.vars):
-            raise ValueError("ordering repeats a variable")
+            repeated = sorted({v for v in self.vars if self.vars.count(v) > 1})
+            raise ValueError(f"ordering repeats variables {repeated}")
 
     def __len__(self) -> int:
         return len(self.vars)
@@ -176,9 +178,9 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
 
 def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tensor:
     """``_eliminate_bucket``'s result without its product, whose ``axes``
-    it takes (module docstring): per chunk, one matmul of the other
-    factors' product and the largest factor's slice fills the chunk's
-    contiguous block of the output."""
+    it takes (module docstring): per chunk, one matmul of the product of
+    the other factors' slices and the largest factor's slice fills the
+    chunk's contiguous block of the output."""
     big = max(bucket, key=lambda t: t.rank)
     others = [t for t in bucket if t is not big]
     if not others:  # no product to build
@@ -195,8 +197,9 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tens
     data = np.empty((1 << len(chunk),) + shape, complex)
     for k, bits in enumerate(itertools.product((0, 1), repeat=len(chunk))):
         at = dict(zip(chunk, bits))
+        product = multiply_all([_sliced(t.axes, t.data, at) for t in others], max_rank=max_rank)
         np.matmul(
-            _stack(multiply_all(others, max_rank=max_rank, at=at), batch, rows, [v]),
+            _stack(product, batch, rows, [v]),
             _stack(_sliced(big.axes, big.data, at), batch, [v], cols),
             out=data[k],
         )

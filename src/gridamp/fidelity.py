@@ -3,9 +3,10 @@
 Gate-count formulas for the generated circuit family and the resulting
 circuit fidelity alpha = exp(-eps1*g1 - eps2*g2 - eps_init*N - eps_mes*N).
 The g2 formula is exact whenever the depth is a multiple of 8; g1 is an
-asymptotic approximation (it goes negative at very small depth and does
-not include the initial Hadamard layer).  Exact counts from a concrete
-circuit are reported alongside whenever one is available.
+asymptotic approximation (it goes negative at very small depth, where
+the report and alpha count 0, and does not include the initial Hadamard
+layer).  Exact counts from a concrete circuit are reported alongside
+whenever one is available.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def alpha_from_formulas(m: int, n: int, d: int, rates: ErrorRates) -> float:
     (m*n extra single-qubit gates) included so it matches
     :func:`alpha_square` on square grids."""
     return alpha_general(
-        g1_formula(m, n, d) + m * n, g2_formula(m, n, d), m * n, rates
+        max(g1_formula(m, n, d), 0.0) + m * n, g2_formula(m, n, d), m * n, rates
     )
 
 
@@ -115,7 +116,7 @@ def fidelity_report(
     already contains the Hadamard layer), otherwise the formulas plus the
     Hadamard layer.  ``alpha_square`` is only reported for square grids.
     """
-    g1f, g2f = g1_formula(m, n, d), g2_formula(m, n, d)
+    g1f, g2f = max(g1_formula(m, n, d), 0.0), g2_formula(m, n, d)
     g1_exact = g2_exact = None
     if circuit is not None:
         g1_exact, g2_exact = count_gates(circuit)

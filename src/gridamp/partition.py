@@ -269,8 +269,7 @@ def select_fix_set(
         raise ValueError("t_max must be >= 0")
     adj = copy_adj(g.adj)
     remaining = list(base.restrict(adj).vars)
-    if set(remaining) != set(adj):
-        raise ValueError("base ordering does not cover the model's variables")
+    _check_covers(adj, Ordering(remaining))
     fix_vars: list[VarId] = []
     current, sweep = simulate_cost(adj, remaining), None
     while adj and len(fix_vars) < t_max and not budget.satisfied_by(current.max_rank):

@@ -16,11 +16,6 @@ einsum subscripts and the final permutation.  ``_schedule`` works all
 of that out once per tuple of input axes, so the 2^t subtasks of a fix
 plan, which share every bucket layout, only run the einsums.
 
-``multiply_all(tensors, at=bits)`` is the product's slice at ``bits``
-without the whole product.  It slices each input by ``_sliced``, the one
-slicing rule, and pairs them by the full layouts' schedule with the
-``at`` axes dropped from every subscript: the same multiplies per entry.
-
 Results are bit-identical to pairing afresh on every call.  The pairing
 is the same function of the axes, and each pair product is elementwise
 (no index is summed), so every entry is one complex multiply whatever
@@ -109,7 +104,7 @@ def _tensor(axes: tuple[VarId, ...], data: np.ndarray) -> Tensor:
 
 
 @functools.lru_cache(maxsize=_SCHEDULE_MEMO)
-def _schedule(layouts: tuple[tuple[VarId, ...], ...], max_rank: int, drop=()):
+def _schedule(layouts: tuple[tuple[VarId, ...], ...], max_rank: int):
     """How ``multiply_all`` combines tensors with these axes.
 
     Returns the output axes, the steps and the final permutation (None
@@ -135,14 +130,12 @@ def _schedule(layouts: tuple[tuple[VarId, ...], ...], max_rank: int, drop=()):
         out = a + tuple(v for v in b if v not in a)
         sub = {v: _LETTERS[k] for k, v in enumerate(out)}
         expr = "{},{}->{}".format(
-            *("".join(sub[v] for v in axes if v not in drop) for axes in (a, b, out))
+            *("".join(map(sub.__getitem__, axes)) for axes in (a, b, out))
         )
         steps.append((i, j, expr))
         heapq.heappush(heap, (1 << len(out), len(slot_axes)))
         slot_axes.append(out)
-    combined, final = (
-        tuple(v for v in axes if v not in drop) for axes in (combined, slot_axes[-1])
-    )
+    final = slot_axes[-1]
     perm = None if final == combined else tuple(map(final.index, combined))
     return combined, tuple(steps), perm
 
@@ -155,7 +148,7 @@ def _sliced(axes: tuple, data: np.ndarray, bits: dict) -> Tensor:
     return Tensor(tuple(v for v in axes if v not in bits), data[index])
 
 
-def multiply_all(tensors, max_rank: int = DEFAULT_MAX_RANK, at=None) -> Tensor:
+def multiply_all(tensors, max_rank: int = DEFAULT_MAX_RANK) -> Tensor:
     """Product of tensors over the union of their variables.
 
     Output axes appear in first-appearance order over the input list; the
@@ -163,20 +156,13 @@ def multiply_all(tensors, max_rank: int = DEFAULT_MAX_RANK, at=None) -> Tensor:
     assignment restricted to their own axes.  Inputs are combined pairwise
     smallest-first so large intermediates appear as late as possible.
     More than ``max_rank`` variables, or more than ``MAX_RANK_LIMIT``,
-    raise ``RankOverflowError`` before anything is allocated.  ``at``
-    maps variables to bits and gives the product's slice there (see the
-    module docstring); the rank check is still on the full product.
+    raise ``RankOverflowError`` before anything is allocated.
     """
     tensors = list(tensors)
     if not tensors:
         return scalar_tensor(1.0)
-    layouts = tuple(t.axes for t in tensors)
-    if at is None:
-        axes, steps, perm = _schedule(layouts, max_rank)
-        slots = [t.data for t in tensors]
-    else:
-        axes, steps, perm = _schedule(layouts, max_rank, tuple(at))
-        slots = [_sliced(t.axes, t.data, at).data for t in tensors]
+    axes, steps, perm = _schedule(tuple(t.axes for t in tensors), max_rank)
+    slots = [t.data for t in tensors]
     for i, j, expr in steps:
         slots.append(np.einsum(expr, slots[i], slots[j]))
         slots[i] = slots[j] = None  # free consumed intermediates

@@ -255,32 +255,49 @@ def signed_zero_bucket(layouts, seed, memory=None):
     return bucket
 
 
+def record_products(monkeypatch):
+    """Patch ``elimination`` so that each ``multiply_all`` call appends
+    (whether ``_chunked`` made it, the inputs' axes, the product's rank)
+    to the list returned."""
+    calls, depth = [], []
+    chunked = elimination._chunked
+
+    def chunking(*args):
+        depth.append(None)
+        try:
+            return chunked(*args)
+        finally:
+            depth.pop()
+
+    def recording(tensors, **kwargs):
+        product = multiply_all(tensors, **kwargs)
+        calls.append((bool(depth), [t.axes for t in tensors], product.rank))
+        return product
+
+    monkeypatch.setattr(elimination, "_chunked", chunking)
+    monkeypatch.setattr(elimination, "multiply_all", recording)
+    return calls
+
+
 class TestChunkedSteps:
     """Steps whose product has more than ``CHUNK_RANK`` axes sum v out of
     each chunk in one batched matmul; patching the constant down makes
-    small models chunk.  BLAS rounds unlike einsum and numpy's reduce, so
-    results are compared with the whole path within 1e-12 relative."""
+    small models chunk.  BLAS rounds unlike einsum and numpy's reduce, and
+    the other factors' slices pair by their own sizes, so results are
+    compared with the whole path within 1e-12 relative."""
 
     @pytest.mark.parametrize("chunk_rank", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
     def test_same_bits_and_bounded_products(self, seed, chunk_rank, monkeypatch):
         model, order, want, oracle = grid_case(seed)
-        ranks, sliced = [], []
-
-        def recording(tensors, **kwargs):
-            product = multiply_all(tensors, **kwargs)
-            ranks.append(product.rank)
-            sliced.append("at" in kwargs)
-            return product
-
+        calls = record_products(monkeypatch)
         monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
-        monkeypatch.setattr(elimination, "multiply_all", recording)
         got = contract(model, order)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert bits(contract(model, order)) == bits(got)
         assert abs(got - oracle) < 1e-10
-        assert max(ranks) <= chunk_rank
-        assert any(sliced)
+        assert max(rank for _, _, rank in calls) <= chunk_rank
+        assert any(chunked for chunked, _, _ in calls)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_plan_with_fixes(self, workers, monkeypatch):
@@ -305,18 +322,13 @@ class TestChunkedSteps:
         # zeros reach every multiply
         bucket = signed_zero_bucket([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], chunk_rank)
         want = elimination._eliminate_bucket(bucket, 3, max_rank=30, step=0)
-        chunks = []
-
-        def recording(tensors, **kwargs):
-            product = multiply_all(tensors, **kwargs)
-            chunks.append(kwargs["at"])
-            return product
-
+        calls = record_products(monkeypatch)
         monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
-        monkeypatch.setattr(elimination, "multiply_all", recording)
         got = elimination._eliminate_bucket(bucket, 3, max_rank=30, step=0)
-        assert len(chunks) == 2 ** (4 - chunk_rank)
-        assert got.axes[: 4 - chunk_rank] == tuple(chunks[0]) == (0, 1)[: 4 - chunk_rank]
+        assert len(calls) == 2 ** (4 - chunk_rank)
+        assert got.axes[: 4 - chunk_rank] == (0, 1)[: 4 - chunk_rank]
+        sliced = {2: [(), (), (3,)], 3: [(), (1,), (3,)]}[chunk_rank]
+        assert all(chunked and axes == sliced for chunked, axes, _ in calls)
         assert sorted(got.axes) == sorted(want.axes)
         assert close(aligned(got, want.axes), want.data)
 
@@ -328,6 +340,9 @@ class TestChunkedSteps:
         "v outermost": ([(3, 0, 6), (1, 3), (0, 1, 2, 3, 4, 5)], 3, (3, 5, 0, 4, 1, 2)),
         "v innermost": ([(3, 1, 6), (2, 3), (0, 1, 2, 3, 4, 5)], 3, (0, 4, 1, 5, 2, 3)),
         "signed zeros": ([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], 3, None),
+        # the chunk axes take two axes from the first factor and none from
+        # the next two, so its slice pairs first, not the other two
+        "uneven slices": ([(0, 1, 3), (3, 4), (3, 5), (0, 1, 2, 3, 6)], 3, None),
     }
 
     @pytest.mark.parametrize("name", list(SHAPES))
@@ -339,13 +354,7 @@ class TestChunkedSteps:
             assert tuple(big.axes[i] for i in elimination._memory_order(big)) == memory
         want = sum_out(multiply_all(bucket), v)
         rank = want.rank + 1
-        calls, got = [], {}
-
-        def recording(tensors, **kwargs):
-            product = multiply_all(tensors, **kwargs)
-            calls.append(("at" in kwargs, product.rank))
-            return product
-
+        calls, got = record_products(monkeypatch), {}
         stack, views = elimination._stack, []
 
         def stacking(t, batch, rows, cols):
@@ -354,7 +363,6 @@ class TestChunkedSteps:
                 views.append(np.shares_memory(matrices, bucket[-1].data))
             return matrices
 
-        monkeypatch.setattr(elimination, "multiply_all", recording)
         monkeypatch.setattr(elimination, "_stack", stacking)
         for chunk_rank in (rank - 2, rank - 1):
             calls.clear()
@@ -365,7 +373,7 @@ class TestChunkedSteps:
             assert close(aligned(out, want.axes), want.data)
             chunks = 0 if len(bucket) == 1 else 2 ** (rank - chunk_rank)
             assert len(calls) == chunks
-            assert all(sliced and r <= chunk_rank for sliced, r in calls)
+            assert all(chunked and r <= chunk_rank for chunked, _, r in calls)
             # laid out from its memory order, the largest factor is never copied
             assert all(views) and len(views) == len(calls)
             got[chunk_rank] = aligned(out, want.axes).tobytes()

@@ -110,6 +110,15 @@ class TestReport:
         assert (r.g1_exact, r.g2_exact) == (g1x, g2x)
         assert r.alpha_general == alpha_general(g1x, g2x, 36, rates)
 
+    def test_negative_formula_counts_as_zero(self):
+        # the asymptotic g1 is -2.25 at 3x3x0; the report and alpha count 0,
+        # so alpha agrees with the exact count of the Hadamard layer alone
+        rates = ErrorRates.from_two_qubit_rate(0.005)
+        r = fidelity_report(3, 3, 0, rates)
+        exact = fidelity_report(3, 3, 0, rates, generate(GenParams(3, 3, 0, seed=0)))
+        assert g1_formula(3, 3, 0) == -2.25 and r.g1 == 0.0
+        assert r.alpha_general == exact.alpha_general == alpha_from_formulas(3, 3, 0, rates)
+
     def test_rectangular_report_has_no_square_alpha(self):
         r = fidelity_report(4, 5, 8, ErrorRates.from_two_qubit_rate(0.005))
         assert r.alpha_square is None

@@ -237,6 +237,13 @@ class TestSelectFixSet:
             select_fix_set(ref4q_model, base, t_max=1, budget=CostBudget(max_rank=-1),
                            ordering_budget=FOUR_RESTARTS)
 
+    def test_base_missing_a_variable_is_named(self, ref4q_model):
+        base = min_fill_ordering(ref4q_model, seed=0)
+        short = Ordering(base.vars[1:])
+        with pytest.raises(ValueError, match=rf"missing \[{base.vars[0]}\]"):
+            select_fix_set(ref4q_model, short, t_max=1, budget=CostBudget(max_rank=-1),
+                           ordering_budget=FOUR_RESTARTS)
+
     def test_t_max_caps_the_fixes(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = select_fix_set(
@@ -511,11 +518,12 @@ class TestRunPartitioned:
         # a repeated fix once passed the check and doubled the amplitude
         _, model, plan = fanout_plan(4, 5, 16, 0, 3)
         fix, order = plan.fix_vars, plan.post_fix_ordering.vars
-        fix, order = {
-            "repeats a fix": (fix + fix[:1], order),
-            "orders a fix": (fix, order + fix[:1]),
-            "fixes a stranger": (fix + (max(model.adj) + 1,), order),
-            "leaves a free variable out": (fix, order[1:]),
+        # the faulty plan, and the one variable its error names
+        fix, order, named = {
+            "repeats a fix": (fix + fix[:1], order, fix[0]),
+            "orders a fix": (fix, order + fix[:1], fix[0]),
+            "fixes a stranger": (fix + (max(model.adj) + 1,), order, max(model.adj) + 1),
+            "leaves a free variable out": (fix, order[1:], order[0]),
         }[fault]
         bad = FixPlan(fix, Ordering(order), plan.est_subtask_cost)
 
@@ -527,7 +535,7 @@ class TestRunPartitioned:
         monkeypatch.setattr(partition, "ThreadPoolExecutor", ran)
         # batched, then one slice per subtask
         for max_rank in (30, plan.est_subtask_cost.max_rank + 1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"\[{named}\]"):
                 run_partitioned(model, bad, workers=2, max_rank=max_rank)
 
 
