@@ -15,26 +15,32 @@ a time.
 
 A step of degree d has a product of rank d + 1.  One ``_schedule``
 lookup gives its axes and refuses more than ``max_rank`` of them before
-anything is allocated.  Above ``CHUNK_RANK`` axes the product is never
-built.  The rank-d output is allocated once and filled one block per
-assignment of d + 1 - ``CHUNK_RANK`` chunk axes: ``multiply_all``
-multiplies the ``_sliced`` slices of the bucket's factors other than its
-largest, and one ``np.matmul`` sums v out of that product and the
-largest factor's slice, straight into the block.  The largest factor's
-memory order lays the matmul out, so its slices are views: v is the
+anything is allocated.  Below ``MATMUL_RANK`` axes ``sum_out`` sums v
+out of the product that ``multiply_all`` builds, and of a one-factor
+bucket's factor whole.  A larger step never builds its product.  The
+rank-d output is allocated once and filled one block per assignment of
+its chunk axes, d + 1 - ``CHUNK_RANK`` of them above that cap and none
+below: ``multiply_all`` multiplies the ``_sliced`` slices of the
+bucket's factors other than its largest, and one ``np.matmul`` sums v
+out of that product and the largest factor's slice, straight into the
+block.  The largest factor's memory order lays the matmul out: v is the
 inner dimension, of size 2; the other factors' own axes are the rows;
 the columns are the innermost run, in that memory, of axes only the
 largest factor has; every other axis is a batch axis, over which the
-product broadcasts where it lacks the axis.  Chunk axes are batch axes
-first, outermost in that memory, so every matrix keeps its shape
-whatever the chunk count.  Besides its inputs and output, a step holds
-per chunk the product and at most one copy of each operand's slice, each
-of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24, the output's
-256 MiB plus a few chunks, not the whole product's 512 + 256 MiB.  BLAS
-rounds unlike einsum and numpy's reduce, and the slices pair
-smallest-first by their own sizes, not the full factors', so such a step
-agrees with the whole product summed to rounding, not bit for bit.  A
-one-factor bucket has no product to build; ``sum_out`` sums it whole.
+product broadcasts where it lacks the axis.  Two cases change the
+columns.  With rows and a run of fewer than 4 axes, they are all the
+largest factor's own axes, so each chunk copies its slice of that
+factor; otherwise the slices are views.  With no rows and a run that is
+not innermost, they are the run's innermost 4 axes.  Chunk axes are
+batch axes first, outermost in that memory, so every matrix keeps its
+shape whatever the chunk count.  Besides its inputs and output, a step
+holds per chunk the product and at most one copy of each operand's
+slice, each of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24,
+the output's 256 MiB plus a few chunks, not the whole product's
+512 + 256 MiB.  BLAS rounds unlike einsum and numpy's reduce, and the
+slices pair smallest-first by their own sizes, not the full factors', so
+such a step agrees with the whole product summed to rounding, not bit
+for bit.
 
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
@@ -65,6 +71,9 @@ from .tensor import (
 # a step whose product has more axes never builds it, and no array it
 # builds per chunk has more than 2^20 entries (16 MiB)
 CHUNK_RANK = 20
+# a step with more than one factor and a product of at least this many axes
+# sums v out by matmul, never building the product; einsum is faster below
+MATMUL_RANK = 16
 
 
 @dataclass(frozen=True)
@@ -170,9 +179,10 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
         axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
     except RankOverflowError as e:
         raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
-    if len(axes) > CHUNK_RANK:  # its result keeps at least CHUNK_RANK axes
-        return _chunked(bucket, v, axes, max_rank)
-    out = sum_out(multiply_all(bucket, max_rank=max_rank), v)
+    if len(axes) >= MATMUL_RANK or len(axes) > CHUNK_RANK:
+        out = _chunked(bucket, v, axes, max_rank)
+    else:
+        out = sum_out(multiply_all(bucket, max_rank=max_rank), v)
     return complex(out.data) if out.rank == 0 else out
 
 
@@ -189,9 +199,13 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tens
     mem = [big.axes[i] for i in _memory_order(big)]
     runs = [list(g) for own, g in itertools.groupby(mem, lambda u: u not in theirs) if own]
     cols = runs[-1] if runs else []
-    batch = [u for u in mem if u != v and u not in cols]
     rows = [u for u in axes if u not in big.axes]
-    chunk = (batch + cols + rows)[: len(axes) - CHUNK_RANK]
+    if rows and len(cols) < 4:  # too narrow to pay per matmul: copy all own axes in
+        cols = [u for u in mem if u not in theirs]
+    elif not rows and mem[-1] not in cols:  # wider strided columns thrash cache sets
+        cols = cols[-4:]
+    batch = [u for u in mem if u != v and u not in cols]
+    chunk = (batch + cols + rows)[: max(0, len(axes) - CHUNK_RANK)]
     batch, rows, cols = ([u for u in x if u not in chunk] for x in (batch, rows, cols))
     shape = (2,) * len(batch) + (1 << len(rows), 1 << len(cols))
     data = np.empty((1 << len(chunk),) + shape, complex)
@@ -262,12 +276,14 @@ def contract(
 ) -> complex | list[complex]:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  A step whose product fits ``CHUNK_RANK`` axes
-    builds it by ``multiply_all`` and sums v out by ``sum_out``; a larger
-    one never builds it (see the module docstring), so no array a step
-    adds besides its output exceeds 2^``CHUNK_RANK`` entries.  Buckets
-    keep a fixed order, so the result is bit-reproducible.  A rank
-    overflow names the variable and its step, counted from 0 in ``order``.
+    ``g`` is only read.  A step whose product has fewer than
+    ``MATMUL_RANK`` axes, or one factor, builds it by ``multiply_all``
+    and sums v out by ``sum_out``; a larger one sums v out by matmul,
+    copying a chunk's slice of its largest factor only for a short run
+    of columns (module docstring).  No array a step adds besides its
+    output exceeds 2^``CHUNK_RANK`` entries.  Buckets keep a fixed
+    order, so the result is bit-reproducible.  A rank overflow names
+    the variable and its step, counted from 0 in ``order``.
 
     ``keep`` names variables left open: the result lists the values at
     each assignment of them, the first one's bit the most significant.

@@ -1,13 +1,13 @@
 """Dense complex tensors over binary indices.
 
-Two primitives drive every elimination step whose product fits
-``elimination.CHUNK_RANK`` axes: multiplying a set of tensors over their
-shared variables and summing one variable out.  A larger step uses only
-the first, on all its factors but the largest, and sums the variable out
-in a matmul (see ``elimination``).  Axes
-carry variable ids; data is a complex128 array of shape (2,)*rank in axis
-order.  Tensors are treated as immutable values: every operation returns
-a new tensor and never writes through ``data``.
+Two primitives drive elimination: multiplying a set of tensors over
+their shared variables and summing one variable out.  A step whose
+product has fewer than ``elimination.MATMUL_RANK`` axes, or one factor,
+uses both; a larger one uses only the first, on all its factors but the
+largest, and sums the variable out in a matmul (see ``elimination``).
+Axes carry variable ids; data is a complex128 array of shape (2,)*rank
+in axis order.  Tensors are treated as immutable values: every
+operation returns a new tensor and never writes through ``data``.
 
 ``multiply_all`` replays a memoized schedule.  How it pairs its inputs
 depends on their axes alone: the output axes in first-appearance order,
@@ -111,8 +111,6 @@ def _schedule(layouts: tuple[tuple[VarId, ...], ...], max_rank: int):
     if there is none).  Slots 0..n-1 hold the inputs; step (i, j, expr)
     multiplies slots i and j by ``np.einsum(expr, ...)`` and fills the
     next slot.  The rank check comes before any subscript is built.
-    The axes in ``drop`` are left out of every subscript and of the
-    output; the pairing is that of the full layouts.
     """
     combined = tuple(dict.fromkeys(v for axes in layouts for v in axes))
     if len(combined) > min(max_rank, MAX_RANK_LIMIT):

@@ -280,10 +280,12 @@ def record_products(monkeypatch):
 
 
 class TestChunkedSteps:
-    """Steps whose product has more than ``CHUNK_RANK`` axes sum v out of
-    each chunk in one batched matmul; patching the constant down makes
-    small models chunk.  BLAS rounds unlike einsum and numpy's reduce, and
-    the other factors' slices pair by their own sizes, so results are
+    """Steps of more than one factor whose product has at least
+    ``MATMUL_RANK`` axes sum v out in one batched matmul per chunk, with
+    chunk axes only above ``CHUNK_RANK``; a larger one-factor step sums
+    its factor whole.  Patching the constants down makes small models take
+    this path.  BLAS rounds unlike einsum and numpy's reduce, and the
+    other factors' slices pair by their own sizes, so results are
     compared with the whole path within 1e-12 relative."""
 
     @pytest.mark.parametrize("chunk_rank", [2, 3, 4])
@@ -332,22 +334,30 @@ class TestChunkedSteps:
         assert sorted(got.axes) == sorted(want.axes)
         assert close(aligned(got, want.axes), want.data)
 
-    # (bucket layouts, v, the largest factor's memory order outermost first)
+    # (bucket layouts, v, the largest factor's memory order outermost first,
+    # whether each chunk copies its slice of the largest factor)
     SHAPES = {
-        "no row axes": ([(2,), (0, 2), (2, 4, 1), (0, 1, 2, 3, 4, 5)], 2, None),
-        "no batch axes": ([(0, 4, 5), (0, 6), (0, 1, 2, 3)], 0, None),
-        "one factor": ([(0, 1, 2, 3, 4, 5)], 3, None),
-        "v outermost": ([(3, 0, 6), (1, 3), (0, 1, 2, 3, 4, 5)], 3, (3, 5, 0, 4, 1, 2)),
-        "v innermost": ([(3, 1, 6), (2, 3), (0, 1, 2, 3, 4, 5)], 3, (0, 4, 1, 5, 2, 3)),
-        "signed zeros": ([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], 3, None),
+        "no row axes": ([(2,), (0, 2), (2, 4, 1), (0, 1, 2, 3, 4, 5)], 2, None, False),
+        # the short run is all the largest factor's own axes: no copy
+        "no batch axes": ([(0, 4, 5), (0, 6), (0, 1, 2, 3)], 0, None, False),
+        "one factor": ([(0, 1, 2, 3, 4, 5)], 3, None, False),
+        "v outermost": ([(3, 0, 6), (1, 3), (0, 1, 2, 3, 4, 5)], 3, (3, 5, 0, 4, 1, 2), True),
+        "v innermost": ([(3, 1, 6), (2, 3), (0, 1, 2, 3, 4, 5)], 3, (0, 4, 1, 5, 2, 3), True),
+        "signed zeros": ([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], 3, None, False),
         # the chunk axes take two axes from the first factor and none from
         # the next two, so its slice pairs first, not the other two
-        "uneven slices": ([(0, 1, 3), (3, 4), (3, 5), (0, 1, 2, 3, 6)], 3, None),
+        "uneven slices": ([(0, 1, 3), (3, 4), (3, 5), (0, 1, 2, 3, 6)], 3, None, True),
+        # a row axis (6) and a run of 3 own axes (3, 4, 5): the columns are
+        # all 4 own axes, 1 as well, whatever the chunk axes (2, 7) fix
+        "copied columns": ([(0, 2, 6, 7), (0, 1, 2, 3, 4, 5, 7)], 0, None, True),
+        # no row axes and a run of 5 own axes (1 to 5) strided by 6 and 7:
+        # the columns are its innermost 4
+        "strided columns": ([(0, 7), (0, 6), (0, 1, 2, 3, 4, 5, 6, 7)], 0, None, False),
     }
 
     @pytest.mark.parametrize("name", list(SHAPES))
     def test_each_operand_shape(self, name, monkeypatch):
-        layouts, v, memory = self.SHAPES[name]
+        layouts, v, memory, copies = self.SHAPES[name]
         bucket = signed_zero_bucket(layouts, len(name), memory)
         if memory is not None:
             big = bucket[-1]
@@ -355,18 +365,20 @@ class TestChunkedSteps:
         want = sum_out(multiply_all(bucket), v)
         rank = want.rank + 1
         calls, got = record_products(monkeypatch), {}
-        stack, views = elimination._stack, []
+        stack, slices = elimination._stack, []
 
         def stacking(t, batch, rows, cols):
             matrices = stack(t, batch, rows, cols)
             if rows == [v]:  # the largest factor's slice
-                views.append(np.shares_memory(matrices, bucket[-1].data))
+                slices.append((np.shares_memory(matrices, bucket[-1].data), matrices.size, cols))
             return matrices
 
         monkeypatch.setattr(elimination, "_stack", stacking)
-        for chunk_rank in (rank - 2, rank - 1):
+        monkeypatch.setattr(elimination, "MATMUL_RANK", rank)
+        # at chunk_rank = rank the step is below the cap: no chunk axes
+        for chunk_rank in (rank - 2, rank - 1, rank):
             calls.clear()
-            views.clear()
+            slices.clear()
             monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
             out = elimination._eliminate_bucket(bucket, v, max_rank=30, step=0)
             assert sorted(out.axes) == sorted(want.axes)
@@ -374,13 +386,40 @@ class TestChunkedSteps:
             chunks = 0 if len(bucket) == 1 else 2 ** (rank - chunk_rank)
             assert len(calls) == chunks
             assert all(chunked and r <= chunk_rank for chunked, _, r in calls)
-            # laid out from its memory order, the largest factor is never copied
-            assert all(views) and len(views) == len(calls)
+            # the slice is a view when the columns are the innermost run of
+            # own axes, else a copy of at most 2^CHUNK_RANK entries
+            assert len(slices) == len(calls)
+            assert all(view != copies and size <= 2**chunk_rank for view, size, _ in slices)
+            if name == "strided columns":
+                assert all(cols == [2, 3, 4, 5] for _, _, cols in slices)
             got[chunk_rank] = aligned(out, want.axes).tobytes()
         # chunks taken from batch axes leave every matrix's shape, and so
         # its bits, as they were; without batch axes the columns shrink
         if name != "no batch axes":
             assert got[rank - 2] == got[rank - 1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_step_by_matmul(self, seed, monkeypatch):
+        model, order, want, oracle = grid_case(seed)
+        calls = record_products(monkeypatch)
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+        got = contract(model, order)
+        assert calls and all(chunked for chunked, _, _ in calls)
+        assert abs(got - oracle) < 1e-10
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_every_step_by_matmul_on_a_sliced_plan(self, monkeypatch):
+        model, order, _, oracle = grid_case(2)
+        plan = select_fix_set(model, order, t_max=4, budget=CostBudget(max_rank=4),
+                              ordering_budget=OrderingBudget(time_s=None, max_restarts=2))
+        assert plan.num_subtasks > 1
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+        # an engine cap one past the plan's rank fits no batched product
+        rank = plan.est_subtask_cost.max_rank + 1
+        one, two = (run_partitioned(model, plan, workers=w, max_rank=rank) for w in (1, 2))
+        assert one.batch_vars == two.batch_vars == ()  # one slice per subtask
+        assert bits(one.amplitude) == bits(two.amplitude)
+        assert abs(one.amplitude - oracle) < 1e-10
 
     def test_overflow_before_the_output_is_allocated(self, ref4q_model, monkeypatch):
         e = letter_ids(ref4q_model)["e"]
