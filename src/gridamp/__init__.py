@@ -4,10 +4,17 @@ Builds an undirected graphical model of <x|C|0...0>, contracts it by
 variable elimination under an explicit 2^degree cost model, and
 parallelizes by fixing variable values into 2^t independent subtasks.
 Ships with the random grid-circuit generator and the digital-error-model
-fidelity estimator.
+fidelity estimator.  Importing it before numpy pins BLAS to one thread
+unless the environment sets a count: the engine's matmuls are many and
+small, and it runs its own worker threads.
 """
 
-from .circuit import (
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .circuit import (  # noqa: E402
     Circuit,
     CircuitError,
     CircuitParseError,

@@ -15,32 +15,28 @@ a time.
 
 A step of degree d has a product of rank d + 1.  One ``_schedule``
 lookup gives its axes and refuses more than ``max_rank`` of them before
-anything is allocated.  Below ``MATMUL_RANK`` axes ``sum_out`` sums v
-out of the product that ``multiply_all`` builds, and of a one-factor
-bucket's factor whole.  A larger step never builds its product.  The
-rank-d output is allocated once and filled one block per assignment of
-its chunk axes, d + 1 - ``CHUNK_RANK`` of them above that cap and none
-below: ``multiply_all`` multiplies the ``_sliced`` slices of the
-bucket's factors other than its largest, and one ``np.matmul`` sums v
-out of that product and the largest factor's slice, straight into the
-block.  The largest factor's memory order lays the matmul out: v is the
-inner dimension, of size 2; the other factors' own axes are the rows;
-the columns are the innermost run, in that memory, of axes only the
-largest factor has; every other axis is a batch axis, over which the
-product broadcasts where it lacks the axis.  Two cases change the
-columns.  With rows and a run of fewer than 4 axes, they are all the
-largest factor's own axes, so each chunk copies its slice of that
-factor; otherwise the slices are views.  With no rows and a run that is
-not innermost, they are the run's innermost 4 axes.  Chunk axes are
+anything is allocated.  Under ``MATMUL_RANK`` axes, or with one factor,
+``sum_out`` sums v out of the ``multiply_all`` product.  A larger step
+never builds its product: one ``np.matmul`` per assignment of its chunk
+axes (d + 1 - ``CHUNK_RANK`` of them, none within that cap) sums v out
+of the ``multiply_all`` product of the other factors' ``_sliced``
+slices and the largest factor's slice, straight into the rank-d
+output's block.  The largest factor's memory order lays the matmul out:
+v is the inner dimension, of size 2; the other factors' own axes are
+the rows; the columns are the innermost run, in that memory, of axes
+only the largest factor has, cut to its innermost 4 when it is strided
+and there are no rows, or widened to all such axes when it is shorter
+than 4 and there are rows (each chunk then copies its slice of that
+factor; other slices are views); every other axis is a batch axis, over
+which the product broadcasts where it lacks the axis.  Chunk axes are
 batch axes first, outermost in that memory, so every matrix keeps its
 shape whatever the chunk count.  Besides its inputs and output, a step
 holds per chunk the product and at most one copy of each operand's
 slice, each of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24,
 the output's 256 MiB plus a few chunks, not the whole product's
 512 + 256 MiB.  BLAS rounds unlike einsum and numpy's reduce, and the
-slices pair smallest-first by their own sizes, not the full factors', so
-such a step agrees with the whole product summed to rounding, not bit
-for bit.
+slices pair smallest-first by their own sizes, so such a step agrees
+with the whole product summed to rounding, not bit for bit.
 
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
@@ -276,14 +272,12 @@ def contract(
 ) -> complex | list[complex]:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  A step whose product has fewer than
-    ``MATMUL_RANK`` axes, or one factor, builds it by ``multiply_all``
-    and sums v out by ``sum_out``; a larger one sums v out by matmul,
-    copying a chunk's slice of its largest factor only for a short run
-    of columns (module docstring).  No array a step adds besides its
-    output exceeds 2^``CHUNK_RANK`` entries.  Buckets keep a fixed
-    order, so the result is bit-reproducible.  A rank overflow names
-    the variable and its step, counted from 0 in ``order``.
+    ``g`` is only read.  Under ``MATMUL_RANK`` axes, or with one factor,
+    a step sums v out of its product by ``sum_out``, else by matmul,
+    copying its largest factor's slices only for short columns (module
+    docstring); no array it adds but its output exceeds 2^``CHUNK_RANK``
+    entries.  Buckets keep a fixed order, so the result is bit-reproducible.
+    A rank overflow names its variable and step, counted from 0 in ``order``.
 
     ``keep`` names variables left open: the result lists the values at
     each assignment of them, the first one's bit the most significant.

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridamp
 from gridamp import (
     CircuitError,
     CircuitParseError,
@@ -398,3 +403,26 @@ class TestBench:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert all("BudgetUnreachableError" in r for r in rows)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_numpy_loads_with_one_blas_thread_unless_set(preset, expected):
+    # BLAS reads its thread count when numpy loads; importing gridamp first
+    # (as the CLI does) must set it to 1, and keep a count already set
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(Path(gridamp.__file__).resolve().parents[1])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, sys\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, *args):\n"
+        "        if name == 'numpy':\n"
+        "            print(*(os.environ.get(v) for v in %r))\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import gridamp\n" % (blas,)
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", expected, "1"]
