@@ -19,7 +19,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
-from .circuit import MAX_DEPTH, Circuit, CircuitError, parse_circuit, serialize_circuit
+from .circuit import MAX_DEPTH, MAX_QUBITS, Circuit, CircuitError, parse_circuit, serialize_circuit
 from .elimination import Ordering, estimate_cost
 from .fidelity import ErrorRates, fidelity_report
 from .generator import GenParams, generate
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("bench", help="percentile-runtime sweep, CSV output")
-    p.add_argument("--grids", type=_bounded_list(1), required=True,
+    p.add_argument("--grids", type=_bounded_list(1, math.isqrt(MAX_QUBITS)), required=True,
                    help="comma list of n (n x n grids)")
     p.add_argument("--depths", type=_bounded_list(0, MAX_DEPTH), required=True,
                    help="comma list of depths")

@@ -43,28 +43,25 @@ own last step has degree 0), and |B_k| with F open as batch axes.  One
 sweep thus prices every give-back candidate and the plan it returns,
 and one gives ``run_partitioned`` its batch width and shared steps.
 
-Shared steps: step k is shared when B_k holds no fixed vertex.  Edges
-are factors' variable pairs and each fill-in clique is a result's
-variables, so B_k is the variables of the step's product, fixed ones
-included, as if no leaf had been sliced.  The variables of a sliced
-leaf, and of every result it feeds, all neighbor its fixed variable, so
-a shared step's bucket holds no sliced tensor, and no factor with the
-step's variable passed an unshared step first.  The shared steps thus
-run once, in plan order, in one ``eliminate_variable`` call on the
-unsliced model, and each subtask slices what they leave: the results
-unshared steps use, and a scalar that folds the rest.  A subtask
-files those results ahead of its own and multiplies their scalar in
-first, where independent slices interleave them by step, so the two
-agree to rounding, not bit for bit.  Independent subtasks and the fixed
-sum keep the bits the same on any number of workers.
-
-Batched subtasks: |B_k| is at most t above |B_k - F|, so a batched step
-costs at most what the 2^t subtasks pay for it together, and batching
-never adds work.  When every product, the last one over F included, fits
-min(CHUNK_RANK, max_rank) axes, one ``contract`` call returns all 2^t
-subtask values.  That cap, not the plan's rank budget, then bounds each
-product (16 MiB at 20; none is chunked).  Amplitudes move at rounding
-level only, since products pair inputs otherwise than a slice does.
+Fan-out: ``run_partitioned`` slices a prefix S of F and leaves the rest
+open as batch axes.  |B_k| is at most t above |B_k - F|, so a batched
+step costs at most what its 2^t slices would, and batching never adds
+work.  F is all batched when every product, the last one over F
+included, fits min(CHUNK_RANK, max_rank) axes (16 MiB at 20; none is
+chunked), else all sliced.  Step k is shared when B_k holds no vertex of
+S.  Edges are factors' variable pairs and each fill-in clique is a
+result's variables, so B_k is the variables of the step's product, as if
+no leaf had been sliced.  The variables of a sliced leaf, and of every
+result it feeds, all neighbor its fixed variable, so a shared step's
+bucket holds no sliced tensor, and no factor with the step's variable
+passed an unshared step first.  The shared steps (none when S is empty)
+thus run once, in plan order, in one ``eliminate_variable`` call on the
+unsliced model, and each of the 2^|S| slices of what they leave is one
+``contract`` with the batch open.  A slice files the shared results and
+scalar first, where independent slices interleave them by step, and a
+batched product pairs its inputs otherwise than a slice does, so either
+agrees with independent slices to rounding, not bit for bit.  Independent
+slices and the fixed sum keep the bits the same on any number of workers.
 """
 
 from __future__ import annotations
@@ -312,17 +309,17 @@ def run_partitioned(
     """Contract all 2^t slices of the model and sum them.
 
     Subtask i assigns the bits of i to ``plan.fix_vars`` with the first
-    selected variable as the most significant bit.  One batched call
-    returns every subtask's value when its products fit; otherwise the
-    shared steps run once on a clone of the model, and each subtask
-    slices a clone of what they leave (module docstring).  The sum is
-    the fixed reduction tree, so the amplitude does not depend on workers.
+    selected variable as the most significant bit.  The steps no sliced
+    fix reaches run once, and each slice contracts what they leave with
+    the batched fixes open (module docstring).  The sum is the fixed
+    reduction tree, so the amplitude does not depend on workers.
 
     ``ValueError`` comes before any sweep, clone or thread unless the
     plan's fixed variables and ordering list each free variable once.  A
     rank overflow names its variable and step.  A shared step's number
     counts only the shared steps, which run once for all subtasks; a
-    subtask's counts only the steps it runs, and its bits are named.
+    slice's counts only the steps it runs, and its bits are named when
+    the fixes are sliced.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
@@ -330,32 +327,27 @@ def run_partitioned(
     order = plan.post_fix_ordering
     _check_covers(g.adj, Ordering(plan.fix_vars + order.vars))
     start = time.perf_counter()
-    batch, sliced, shared = (), plan.fix_vars, 0
-    if t:
-        fixed = set(plan.fix_vars)
-        sweep = _kept_sweep(g.adj, order.vars)
-        cap = min(elimination.CHUNK_RANK, max_rank)
-        if max(map(len, sweep), default=0) < cap and t <= cap:
-            batch, sliced = plan.fix_vars, ()
-        else:
-            steps, rest = [], []
-            for v, nbs in zip(order.vars, sweep):
-                (steps if fixed.isdisjoint(nbs) else rest).append(v)
-            try:
-                g = eliminate_variable(g, *steps, max_rank=max_rank)
-            except RankOverflowError as e:
-                where = f"{e.context} of the shared steps, run once for all {1 << t} subtasks"
-                raise RankOverflowError(e.variables, context=where) from None
-            shared, order = len(steps), Ordering(rest, order.provenance)
+    sweep = _kept_sweep(g.adj, order.vars) if t else []
+    cap = min(elimination.CHUNK_RANK, max_rank)
+    s = 0 if max(map(len, sweep), default=0) < cap and t <= cap else t
+    sliced, batch = plan.fix_vars[:s], plan.fix_vars[s:]
+    steps = [v for v, nbs in zip(order.vars, sweep) if sliced and nbs.isdisjoint(sliced)]
+    try:
+        g = eliminate_variable(g, *steps, max_rank=max_rank)
+    except RankOverflowError as e:
+        where = f"{e.context} of the shared steps, run once for all {1 << t} subtasks"
+        raise RankOverflowError(e.variables, context=where) from None
+    order = order.restrict(g.adj)
 
     def subtask(i: int) -> list[complex]:
         m = g.clone()
-        m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(sliced)})
+        m._fix({v: (i >> (s - 1 - j)) & 1 for j, v in enumerate(sliced)})
         try:
             part = contract(m, order, max_rank=max_rank, keep=batch)
         except RankOverflowError as e:
-            bits = format(i, f"0{t}b") if t else ""
-            where = f"subtask {i} (assignment {bits!r})"
+            if not sliced:
+                raise
+            where = f"subtask {i} (assignment {format(i, f'0{s}b')!r})"
             raise RankOverflowError(e.variables, context=f"{e.context}, {where}") from None
         return part if batch else [part]
 
@@ -371,6 +363,6 @@ def run_partitioned(
         amplitude=amplitude,
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
-        shared_steps=shared,
+        shared_steps=len(steps),
         batch_vars=batch,
     )

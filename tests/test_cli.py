@@ -108,6 +108,7 @@ class TestGenerate:
         ["plan", "--rows", "3", "--cols", "3", "--depth", "8", "--max-rank", "-3"],
         ["plan", "--rows", "1", "--cols", "1", "--depth", "1000000000"],
         ["bench", "--grids", "2", "--depths", "4,1000000000"],
+        ["bench", "--grids", "2,21", "--depths", "4"],
         ["bench", "--grids", "2", "--depths", "4", "--max-rank", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -196,6 +197,8 @@ class TestAmplitude:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"]["type"] == "rank_overflow"
+        # one contraction: the message ends at the step, naming no subtask
+        assert re.search(r"\(eliminating v\d+ at step \d+\)$", payload["error"]["message"])
 
     @pytest.mark.parametrize(
         "text, error, named",

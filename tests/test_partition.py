@@ -600,6 +600,10 @@ class TestBatchedSubtasks:
             batches.add(result.batch_vars)
             assert abs(result.amplitude - oracle) < 1e-10
             assert abs(result.amplitude - sliced) < 1e-12
+            if result.batch_vars == plan.fix_vars:  # one contraction, every step in it
+                values = contract(model, plan.post_fix_ordering, keep=plan.fix_vars)
+                assert result.amplitude == partition._tree_sum(values)
+                assert result.shared_steps == 0
         assert batches == {(), plan.fix_vars}  # all or none
 
     def test_kept_values_come_in_subtask_order(self, batch_case):
