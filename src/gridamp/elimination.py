@@ -38,6 +38,19 @@ the output's 256 MiB plus a few chunks, not the whole product's
 slices pair smallest-first by their own sizes, so such a step agrees
 with the whole product summed to rounding, not bit for bit.
 
+Each thread keeps a pool of large step buffers, since the 2^t subtasks
+of a plan repeat the same step shapes.  ``_chunked`` takes each output
+of at least ``POOL_FLOOR`` entries from it: the smallest kept buffer
+that fits, else a new one once the pool has freed all it kept.  After
+each step ``_eliminate_all`` gives back the buffers of the results that
+this call made and the step consumed, never a model factor or a result
+it returns, so at most one contraction's large buffers stay kept after
+a call, until a request that none fits or the thread's end.  The floor
+is glibc's 32 MiB mmap ceiling: a larger block is mapped afresh and
+unmapped on free, and on a 2-core Xeon writing 256 MiB took 90 ms into
+fresh pages against 30 ms into reused ones.  Only where outputs live
+changes, so the bits are the same.
+
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
 the cost model and fix-set selection.  A step costs 2^degree(v) at
@@ -48,6 +61,7 @@ elimination time, the size of the post-summation tensor, so
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +84,17 @@ CHUNK_RANK = 20
 # a step with more than one factor and a product of at least this many axes
 # sums v out by matmul, never building the product; einsum is faster below
 MATMUL_RANK = 16
+# a step output of at least this many entries (32 MiB, glibc's mmap
+# ceiling) comes from the thread's buffer pool (module docstring)
+POOL_FLOOR = 1 << 21
+
+
+class _Pool(threading.local):
+    def __init__(self):
+        self.kept: list[np.ndarray] = []
+
+
+_POOL = _Pool()
 
 
 @dataclass(frozen=True)
@@ -203,8 +228,9 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tens
     batch = [u for u in mem if u != v and u not in cols]
     chunk = (batch + cols + rows)[: max(0, len(axes) - CHUNK_RANK)]
     batch, rows, cols = ([u for u in x if u not in chunk] for x in (batch, rows, cols))
-    shape = (2,) * len(batch) + (1 << len(rows), 1 << len(cols))
-    data = np.empty((1 << len(chunk),) + shape, complex)
+    shape = (1 << len(chunk),) + (2,) * len(batch) + (1 << len(rows), 1 << len(cols))
+    size = 1 << (len(axes) - 1)
+    data = (_take(size) if size >= POOL_FLOOR else np.empty(size, complex)).reshape(shape)
     for k, bits in enumerate(itertools.product((0, 1), repeat=len(chunk))):
         at = dict(zip(chunk, bits))
         product = multiply_all([_sliced(t.axes, t.data, at) for t in others], max_rank=max_rank)
@@ -214,6 +240,17 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tens
             out=data[k],
         )
     return Tensor(tuple(chunk + batch + rows + cols), data.reshape((2,) * (len(axes) - 1)))
+
+
+def _take(size: int) -> np.ndarray:
+    """A flat buffer of ``size`` entries from the thread's pool: the
+    smallest kept one that fits, else a new one once the pool is empty."""
+    kept = _POOL.kept
+    fits = [i for i, buf in enumerate(kept) if buf.size >= size]
+    if not fits:
+        kept.clear()  # free them before the new buffer is mapped
+        return np.empty(size, complex)
+    return kept.pop(min(fits, key=lambda i: kept[i].size))[:size]
 
 
 def _stack(t: Tensor, batch: list, rows: list, cols: list) -> np.ndarray:
@@ -232,17 +269,28 @@ def _memory_order(t: Tensor) -> list[int]:
 
 def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], complex]:
     """Eliminate ``order`` from ``g``, which is only read; returns the factors
-    left (module docstring) and the scalar.  Unlisted variables count last."""
+    left (module docstring) and the scalar.  A step that finds the scalar 0
+    stops it, with no factors left.  Unlisted variables count last."""
+    if not order:
+        return list(g.factors), g.scalar
     pos = dict.fromkeys(g.adj, len(order)) | {v: k for k, v in enumerate(order)}
     buckets: list[list[Tensor] | None] = [[] for _ in range(len(order) + 1)]
     for f in g.factors:
         buckets[min(map(pos.__getitem__, f.axes))].append(f)
     scalar = g.scalar
+    made = set()  # ids of the results this call made; factors of g outlive it
     for k, v in enumerate(order):
+        if scalar == 0:  # every term carries it
+            return [], scalar
         # release the bucket's list, so its factors die with the step
         bucket, buckets[k] = buckets[k], None
         r = _eliminate_bucket(bucket, v, max_rank, k)
+        # a large result of _chunked is a view of its buffer; a comprehension
+        # binds no name that would keep a consumed factor alive into the next step
+        _POOL.kept.extend([t.data.base for t in bucket if id(t) in made
+                           and t.size >= POOL_FLOOR and t.data.base is not None])
         if isinstance(r, Tensor):
+            made.add(id(r))
             buckets[min(map(pos.__getitem__, r.axes))].append(r)
         else:
             scalar = scalar * r

@@ -1,6 +1,7 @@
 """Elimination semantics, contraction correctness, and the cost model."""
 
 import functools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -26,11 +27,12 @@ from gridamp import (
     run_partitioned,
     select_fix_set,
 )
-from gridamp import elimination
+from gridamp import elimination, partition
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
 from gridamp.tensor import multiply_all, sum_out
 
 from conftest import edge_names, letter_ids, with_custom_gates
+from test_partition import fanout_plan
 from test_shared_steps import small_model
 
 
@@ -433,6 +435,144 @@ class TestChunkedSteps:
         # within the rank budget the same step does allocate its output
         with pytest.raises(AssertionError, match="output allocated"):
             contract(ref4q_model, order, max_rank=5)
+
+
+class TestBufferPool:
+    """Each thread keeps the buffers of the large results a contraction
+    consumed, and the next contraction on that thread writes into them.
+    Patching ``POOL_FLOOR`` down and ``MATMUL_RANK`` to 0 makes every
+    step of a small model a matmul step with a pooled output; the
+    default floor is far above these models, which turns the pool off."""
+
+    @pytest.fixture(autouse=True)
+    def empty_pool(self, monkeypatch):
+        monkeypatch.setattr(elimination._POOL, "kept", [])
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+
+    @staticmethod
+    def record_takes(monkeypatch):
+        """Patch ``_take`` so that each call appends (the buffer it handed
+        out, whether the pool kept it)."""
+        taken, take = [], elimination._take
+
+        def taking(size):
+            kept = {id(buf) for buf in elimination._POOL.kept}
+            out = take(size)
+            taken.append((out.base, id(out.base) in kept))
+            return out
+
+        monkeypatch.setattr(elimination, "_take", taking)
+        return taken
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_second_contraction_writes_into_the_first_ones_buffers(self, seed, monkeypatch):
+        model, order, _, oracle = grid_case(seed)
+        off = contract(model, order)
+        taken = self.record_takes(monkeypatch)
+        monkeypatch.setattr(elimination, "POOL_FLOOR", 32)
+        first = contract(model, order)
+        reused = [kept for _, kept in taken]
+        taken.clear()
+        second = contract(model, order)
+        assert bits(first) == bits(second) == bits(off)
+        assert abs(second - oracle) < 1e-10
+        # the first call's buffers serve the second call from its first step
+        assert taken[0][1] and sum(kept for _, kept in taken) > sum(reused)
+        # the pool keeps nothing below the floor
+        assert all(buf.size >= 32 for buf in elimination._POOL.kept)
+
+    def test_smallest_kept_buffer_that_fits(self, monkeypatch):
+        monkeypatch.setattr(elimination, "POOL_FLOOR", 4)
+        kept = [np.empty(n, complex) for n in (16, 4, 8)]
+        elimination._POOL.kept.extend(kept)
+        assert elimination._take(5).base is kept[2]
+        assert elimination._POOL.kept == [kept[0], kept[1]]
+        # none fits: the pool frees all it keeps, then allocates
+        assert elimination._take(32).size == 32
+        assert elimination._POOL.kept == []
+
+    # 4 workers on a short switch interval: more threads than cores, each
+    # with its own pool, all reading the same shared results
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sliced_plan_with_pooled_shared_results(self, workers, monkeypatch):
+        model, order, _, oracle = grid_case(2)
+        plan = select_fix_set(model, order, t_max=4, budget=CostBudget(max_rank=4),
+                              ordering_budget=OrderingBudget(time_s=None, max_restarts=2))
+        rank = plan.est_subtask_cost.max_rank + 1  # fits no batched product
+        off = run_partitioned(model, plan, workers=1, max_rank=rank)
+        monkeypatch.setattr(elimination, "POOL_FLOOR", 1)
+        prologues = []
+        prologue = partition.eliminate_variable
+
+        def keeping(g, *vs, **kwargs):
+            out = prologue(g, *vs, **kwargs)
+            prologues.append((out, [(f.axes, f.data.copy()) for f in out.factors]))
+            return out
+
+        monkeypatch.setattr(partition, "eliminate_variable", keeping)
+        taken = self.record_takes(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = run_partitioned(model, plan, workers=workers, max_rank=rank)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.batch_vars == () and got.shared_steps > 0
+        assert bits(got.amplitude) == bits(off.amplitude)
+        assert abs(got.amplitude - oracle) < 1e-10
+        # the shared steps' results, which every subtask reads, were
+        # pooled outputs, and no subtask wrote into them
+        [(g, before)] = prologues
+        handed = {id(buf) for buf, _ in taken}
+        assert any(id(f.data.base) in handed for f in g.factors)
+        assert [(f.axes, f.data.tobytes()) for f in g.factors] == [
+            (axes, data.tobytes()) for axes, data in before
+        ]
+
+
+class TestZeroScalar:
+    def test_empty_order_returns_the_factors(self, ref4q_model):
+        left, scalar = elimination._eliminate_all(ref4q_model, (), max_rank=30)
+        assert left is not ref4q_model.factors
+        assert all(a is b for a, b in zip(left, ref4q_model.factors, strict=True))
+        assert scalar == ref4q_model.scalar
+
+    def test_zero_scalar_stops_the_elimination(self, ref4q_model, monkeypatch):
+        order = Ordering(sorted(ref4q_model.vertices))
+        ref4q_model.scalar = 0j
+        monkeypatch.setattr(elimination, "_eliminate_bucket", mock.Mock())
+        assert elimination._eliminate_all(ref4q_model, order.vars, max_rank=30) == ([], 0j)
+        assert contract(ref4q_model, order) == 0j
+        assert not elimination._eliminate_bucket.called
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_slices_stop_early(self, workers, monkeypatch):
+        # gridamp amplitude --rows 4 --cols 5 --depth 16 --seed 2 --max-rank 2
+        # --fix-max 8 --order-restarts 2 --engine-max-rank 7: 256 slices, of
+        # which 128 are exactly 0 from a slice's scalar on
+        c, model, plan = fanout_plan(4, 5, 16, 2, rank=2)
+        assert plan.num_subtasks == 256
+        one = run_partitioned(model, plan, workers=1, max_rank=7)
+        steps, parts = [], []  # appends, which no thread can lose
+        eliminate_bucket, contract_slice = elimination._eliminate_bucket, partition.contract
+
+        def counting(*args):
+            steps.append(args[1])
+            return eliminate_bucket(*args)
+
+        def recording(*args, **kwargs):
+            parts.append(contract_slice(*args, **kwargs))
+            return parts[-1]
+
+        monkeypatch.setattr(elimination, "_eliminate_bucket", counting)
+        monkeypatch.setattr(partition, "contract", recording)
+        got = run_partitioned(model, plan, workers=workers, max_rank=7)
+        assert got.batch_vars == () and len(parts) == 256
+        assert sum(z == 0 for z in parts) == 128
+        every_step = got.shared_steps + 256 * (len(plan.post_fix_ordering) - got.shared_steps)
+        assert len(steps) < every_step
+        assert bits(got.amplitude) == bits(one.amplitude)
+        assert abs(got.amplitude - amplitude_of(c, "0" * 20)) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
