@@ -193,7 +193,6 @@ def cmd_amplitude(args) -> int:
         "max_rank": plan.est_subtask_cost.max_rank,
         "est_total_cost": result.est_total_cost,
         "fix_vars": list(plan.fix_vars),
-        "shared_steps": result.shared_steps,
         "batch_vars": list(result.batch_vars),
         "contractions": 1 << (len(plan.fix_vars) - len(result.batch_vars)),
         "wall_ms": result.wall_ms,

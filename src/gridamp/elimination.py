@@ -271,8 +271,6 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
     """Eliminate ``order`` from ``g``, which is only read; returns the factors
     left (module docstring) and the scalar.  A step that finds the scalar 0
     stops it, with no factors left.  Unlisted variables count last."""
-    if not order:
-        return list(g.factors), g.scalar
     pos = dict.fromkeys(g.adj, len(order)) | {v: k for k, v in enumerate(order)}
     buckets: list[list[Tensor] | None] = [[] for _ in range(len(order) + 1)]
     for f in g.factors:

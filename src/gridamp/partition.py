@@ -41,27 +41,19 @@ vertex commutes with eliminating others, so step k's degree is |B_k - F|
 with F sliced, |B_k - F| + [v in B_k] with one fixed v given back (v's
 own last step has degree 0), and |B_k| with F open as batch axes.  One
 sweep thus prices every give-back candidate and the plan it returns,
-and one gives ``run_partitioned`` its batch width and shared steps.
+and one gives ``run_partitioned`` its batch width.
 
 Fan-out: ``run_partitioned`` slices a prefix S of F and leaves the rest
 open as batch axes.  |B_k| is at most t above |B_k - F|, so a batched
 step costs at most what its 2^t slices would, and batching never adds
 work.  F is all batched when every product, the last one over F
 included, fits min(CHUNK_RANK, max_rank) axes (16 MiB at 20; none is
-chunked), else all sliced.  Step k is shared when B_k holds no vertex of
-S.  Edges are factors' variable pairs and each fill-in clique is a
-result's variables, so B_k is the variables of the step's product, as if
-no leaf had been sliced.  The variables of a sliced leaf, and of every
-result it feeds, all neighbor its fixed variable, so a shared step's
-bucket holds no sliced tensor, and no factor with the step's variable
-passed an unshared step first.  The shared steps (none when S is empty)
-thus run once, in plan order, in one ``eliminate_variable`` call on the
-unsliced model, and each of the 2^|S| slices of what they leave is one
-``contract`` with the batch open.  A slice files the shared results and
-scalar first, where independent slices interleave them by step, and a
-batched product pairs its inputs otherwise than a slice does, so either
-agrees with independent slices to rounding, not bit for bit.  Independent
-slices and the fixed sum keep the bits the same on any number of workers.
+chunked), else all sliced.  Each of the 2^|S| subtasks clones the model,
+slices S and is one ``contract`` over the whole post-fix ordering with
+the rest of F open, so a sliced amplitude is the fixed sum of
+independently contracted slices, bit for bit, on any number of workers.
+A batched product pairs its inputs otherwise than a slice does, so a
+batched amplitude agrees with independent slices to rounding.
 """
 
 from __future__ import annotations
@@ -78,7 +70,6 @@ from .elimination import (
     _estimate,
     _kept_sweep,
     contract,
-    eliminate_variable,
     eliminate_vertex,
     simulate_cost,
 )
@@ -93,12 +84,12 @@ MAX_WORKERS = 1024
 class BudgetUnreachableError(RuntimeError):
     """The plan's subtask estimate is over budget after the last fix."""
 
-    def __init__(self, t: int, estimate: CostEstimate, budget: "CostBudget"):
-        self.t = t
-        self.estimate = estimate
+    def __init__(self, plan: "FixPlan", budget: "CostBudget"):
+        self.plan = plan
         self.budget = budget
+        estimate = plan.est_subtask_cost
         super().__init__(
-            f"after fixing {t} variables the subtask still needs rank "
+            f"after fixing {len(plan.fix_vars)} variables the subtask still needs rank "
             f"{estimate.max_rank} / cost {estimate.total} (budget {budget})"
         )
 
@@ -134,7 +125,6 @@ class AmplitudeResult:
     amplitude: complex
     est_total_cost: int
     wall_ms: float
-    shared_steps: int = 0  # steps run once, not once per subtask
     batch_vars: tuple[VarId, ...] = ()  # fixed variables left open as batch axes
 
 
@@ -244,7 +234,6 @@ def select_fix_set(
     budget: CostBudget,
     *,
     ordering_budget: OrderingBudget,
-    allow_over_budget: bool = False,
 ) -> FixPlan:
     """Greedily pick variables to fix until the subtask fits the budget.
 
@@ -259,8 +248,8 @@ def select_fix_set(
     budget if either does, then the one with less 2^t times the total,
     ties to the search result.
 
-    Raises :class:`BudgetUnreachableError` when the returned estimate is
-    over budget, unless ``allow_over_budget`` is set.
+    Raises :class:`BudgetUnreachableError`, which carries the plan, when
+    its estimate is over budget.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -286,8 +275,8 @@ def select_fix_set(
     plan = min((_give_back(g, p, budget) for p in plans), key=lambda p: (
         not budget.satisfied_by(p.est_subtask_cost.max_rank),
         p.num_subtasks * p.est_subtask_cost.total))
-    if not (allow_over_budget or budget.satisfied_by(plan.est_subtask_cost.max_rank)):
-        raise BudgetUnreachableError(len(plan.fix_vars), plan.est_subtask_cost, budget)
+    if not budget.satisfied_by(plan.est_subtask_cost.max_rank):
+        raise BudgetUnreachableError(plan, budget)
     return plan
 
 
@@ -309,17 +298,15 @@ def run_partitioned(
     """Contract all 2^t slices of the model and sum them.
 
     Subtask i assigns the bits of i to ``plan.fix_vars`` with the first
-    selected variable as the most significant bit.  The steps no sliced
-    fix reaches run once, and each slice contracts what they leave with
-    the batched fixes open (module docstring).  The sum is the fixed
-    reduction tree, so the amplitude does not depend on workers.
+    selected variable as the most significant bit.  Each slice is one
+    ``contract`` of the whole post-fix ordering with the batched fixes
+    open (module docstring).  The sum is the fixed reduction tree, so
+    the amplitude does not depend on workers.
 
     ``ValueError`` comes before any sweep, clone or thread unless the
     plan's fixed variables and ordering list each free variable once.  A
-    rank overflow names its variable and step.  A shared step's number
-    counts only the shared steps, which run once for all subtasks; a
-    slice's counts only the steps it runs, and its bits are named when
-    the fixes are sliced.
+    rank overflow names its variable and step, and the subtask and its
+    bits when the fixes are sliced.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
@@ -331,13 +318,6 @@ def run_partitioned(
     cap = min(elimination.CHUNK_RANK, max_rank)
     s = 0 if max(map(len, sweep), default=0) < cap and t <= cap else t
     sliced, batch = plan.fix_vars[:s], plan.fix_vars[s:]
-    steps = [v for v, nbs in zip(order.vars, sweep) if sliced and nbs.isdisjoint(sliced)]
-    try:
-        g = eliminate_variable(g, *steps, max_rank=max_rank)
-    except RankOverflowError as e:
-        where = f"{e.context} of the shared steps, run once for all {1 << t} subtasks"
-        raise RankOverflowError(e.variables, context=where) from None
-    order = order.restrict(g.adj)
 
     def subtask(i: int) -> list[complex]:
         m = g.clone()
@@ -363,6 +343,5 @@ def run_partitioned(
         amplitude=amplitude,
         est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
         wall_ms=wall_ms,
-        shared_steps=len(steps),
         batch_vars=batch,
     )

@@ -6,7 +6,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridamp import Circuit, CustomGate, GateKind, GraphModel, build_model, parse_circuit
+from gridamp import (
+    BudgetUnreachableError,
+    Circuit,
+    CustomGate,
+    GateKind,
+    GraphModel,
+    build_model,
+    parse_circuit,
+    select_fix_set,
+)
 
 # Four qubits in a row, eight cycles: a Hadamard layer, six mixed cycles
 # whose CZ pairs walk (0,1),(2,3),(0,2),(1,3),(1,2),(0,3), and a closing
@@ -113,6 +122,15 @@ def edge_names(model: GraphModel) -> set[str]:
     ids = letter_ids(model)
     names = {v: name for name, v in ids.items()}
     return {"".join(sorted((names[u], names[v]))) for u, v in model.edges()}
+
+
+def plan_over_budget(*args, **kwargs):
+    """``select_fix_set``'s plan, or the over-budget plan its
+    ``BudgetUnreachableError`` carries."""
+    try:
+        return select_fix_set(*args, **kwargs)
+    except BudgetUnreachableError as e:
+        return e.plan
 
 
 @pytest.fixture(scope="session")

@@ -29,14 +29,13 @@ from gridamp import (
     min_fill_ordering,
     run_partitioned,
     search_ordering,
-    select_fix_set,
     simulate,
     vertical_ordering,
 )
 from gridamp import GateKind, alpha_from_formulas, alpha_square, ErrorRates, g2_formula
 from gridamp.cli import main as cli_main
 
-from conftest import LAYOUT_PAIRS_8X7, REF4Q_EDGES, edge_names, letter_ids
+from conftest import LAYOUT_PAIRS_8X7, REF4Q_EDGES, edge_names, letter_ids, plan_over_budget
 
 
 def _passed(n: int, text: str):
@@ -116,10 +115,9 @@ def test_criterion_06_partition_correctness():
         t = (i % 6) + 1
         if t > len(model.vertices):
             t = len(model.vertices)
-        plan = select_fix_set(
+        plan = plan_over_budget(
             model, base, t_max=t, budget=CostBudget(max_rank=-1),
             ordering_budget=OrderingBudget(time_s=None, max_restarts=2),
-            allow_over_budget=True,
         )
         assert len(plan.fix_vars) == t
         whole = contract(model, min_fill_ordering(model, seed=1))

@@ -134,7 +134,7 @@ class TestAmplitude:
         payload = json.loads(out)
         assert set(payload) == {
             "amplitude", "num_subtasks", "max_rank", "est_total_cost",
-            "fix_vars", "shared_steps", "batch_vars", "contractions", "wall_ms", "config",
+            "fix_vars", "batch_vars", "contractions", "wall_ms", "config",
         }
         c = parse_circuit(REF4Q_TEXT)
         expected = amplitude_of(c, "0110")

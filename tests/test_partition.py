@@ -35,7 +35,7 @@ from gridamp.elimination import simulate_cost
 from gridamp.graph_model import VarInfo, remove_vertex
 from gridamp.tensor import Tensor
 
-from conftest import edge_names, letter_ids, with_custom_gates
+from conftest import edge_names, letter_ids, plan_over_budget, with_custom_gates
 from test_pricing_reference import grid_model, reference_best_fix
 
 
@@ -45,13 +45,12 @@ FOUR_RESTARTS = OrderingBudget(time_s=None, max_restarts=4)
 
 def forced_plan(model, base, t):
     """Exactly t greedy fixes (impossible budget, proceed anyway)."""
-    return select_fix_set(
+    return plan_over_budget(
         model,
         base,
         t_max=t,
         budget=CostBudget(max_rank=-1),
         ordering_budget=SEARCH_BUDGET,
-        allow_over_budget=True,
     )
 
 
@@ -163,9 +162,9 @@ def test_one_pass_fix_equals_chained_fixes(rows, seed, custom_every, data):
 class TestSelectFixSet:
     def test_t_max_zero_keeps_base_cost(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
-        plan = select_fix_set(
+        plan = plan_over_budget(
             ref4q_model, base, t_max=0, budget=CostBudget(max_rank=-1),
-            ordering_budget=FOUR_RESTARTS, allow_over_budget=True,
+            ordering_budget=FOUR_RESTARTS,
         )
         assert plan.fix_vars == ()
         assert plan.num_subtasks == 1
@@ -226,16 +225,19 @@ class TestSelectFixSet:
             current = simulate_cost(adj, order)
         plans = []
         monkeypatch.setattr(partition, "_give_back", lambda g, p, b: plans.append(p) or p)
-        select_fix_set(model, base, t_max=4, budget=budget, ordering_budget=SEARCH_BUDGET,
-                       allow_over_budget=True)
+        plan_over_budget(model, base, t_max=4, budget=budget, ordering_budget=SEARCH_BUDGET)
         assert len(fixes) >= 2
         assert plans[-1] == FixPlan(tuple(fixes), base.restrict(order), current)
 
     def test_budget_unreachable_raises(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
-        with pytest.raises(BudgetUnreachableError):
+        with pytest.raises(BudgetUnreachableError, match=r"^after fixing 1 variables the "
+                                                         r"subtask still needs rank \d+ / cost") as e:
             select_fix_set(ref4q_model, base, t_max=1, budget=CostBudget(max_rank=-1),
                            ordering_budget=FOUR_RESTARTS)
+        # the error carries the plan that broke the budget
+        assert len(e.value.plan.fix_vars) == 1
+        assert f"rank {e.value.plan.est_subtask_cost.max_rank} /" in str(e.value)
 
     def test_base_missing_a_variable_is_named(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
@@ -246,9 +248,9 @@ class TestSelectFixSet:
 
     def test_t_max_caps_the_fixes(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
-        plan = select_fix_set(
+        plan = plan_over_budget(
             ref4q_model, base, t_max=2, budget=CostBudget(max_rank=-1),
-            ordering_budget=FOUR_RESTARTS, allow_over_budget=True,
+            ordering_budget=FOUR_RESTARTS,
         )
         assert len(plan.fix_vars) == 2
 
@@ -309,7 +311,7 @@ class TestSelectFixSet:
                         ordering_budget=SEARCH_BUDGET,
                     )
                 except BudgetUnreachableError as e:
-                    assert e.estimate.max_rank > rank
+                    assert e.plan.est_subtask_cost.max_rank > rank
                     continue
                 assert plan.est_subtask_cost.max_rank <= rank
                 assert len(plan.fix_vars) <= t_max
@@ -355,15 +357,15 @@ def without(adj, drop):
     return {u: nbs - drop for u, nbs in adj.items() if u not in drop}
 
 
-def fanout_plan(rows=6, cols=6, depth=24, seed=0, rank=10, **kwargs):
+def fanout_plan(rows=6, cols=6, depth=24, seed=0, rank=10, select=select_fix_set):
     """A plan made as the fanout-6x6x24 benchmark makes it: restart cap 2
     for both searches, t_max 8, all-zeros output.  The defaults give that
     workload's circuit 0."""
     c = generate(GenParams(rows, cols, depth, seed))
     model = build_model(c, "0" * (rows * cols))
     base, _ = search_ordering(model, SEARCH_BUDGET)
-    plan = select_fix_set(model, base, t_max=8, budget=CostBudget(max_rank=rank),
-                          ordering_budget=SEARCH_BUDGET, **kwargs)
+    plan = select(model, base, t_max=8, budget=CostBudget(max_rank=rank),
+                  ordering_budget=SEARCH_BUDGET)
     return c, model, plan
 
 
@@ -372,7 +374,7 @@ class TestGiveBack:
         (5, 20, seed, rank) for seed in range(6) for rank in (4, 5)
     ])
     def test_sweep_prices_each_candidate_like_a_replay(self, rows, depth, seed, rank):
-        _, model, plan = fanout_plan(rows, rows, depth, seed, rank, allow_over_budget=True)
+        _, model, plan = fanout_plan(rows, rows, depth, seed, rank, plan_over_budget)
         fixed = set(plan.fix_vars)
         assert fixed
         order = plan.post_fix_ordering.vars
@@ -426,10 +428,10 @@ class TestGiveBack:
                 budget = CostBudget(max_rank=rank)
                 with monkeypatch.context() as m:
                     m.setattr(partition, "_give_back_degrees", lambda *args: {})
-                    kept = select_fix_set(model, base, t_max=8, budget=budget,
-                                          ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
-                plan = select_fix_set(model, base, t_max=8, budget=budget,
-                                      ordering_budget=SEARCH_BUDGET, allow_over_budget=True)
+                    kept = plan_over_budget(model, base, t_max=8, budget=budget,
+                                            ordering_budget=SEARCH_BUDGET)
+                plan = plan_over_budget(model, base, t_max=8, budget=budget,
+                                        ordering_budget=SEARCH_BUDGET)
                 if plan == kept:
                     continue
                 changed += 1
@@ -479,8 +481,7 @@ class TestRunPartitioned:
         assert result.wall_ms >= 0
 
     def test_rank_overflow_tagged_with_subtask(self, ref4q_model):
-        # the shared steps' products have 2 axes, a subtask's up to 3 (a
-        # shared step's overflow: test_shared_steps.py)
+        # a subtask's products have up to 3 axes
         base = min_fill_ordering(ref4q_model, seed=0)
         plan = forced_plan(ref4q_model, base, 1)
         with pytest.raises(RankOverflowError) as err:
@@ -603,7 +604,6 @@ class TestBatchedSubtasks:
             if result.batch_vars == plan.fix_vars:  # one contraction, every step in it
                 values = contract(model, plan.post_fix_ordering, keep=plan.fix_vars)
                 assert result.amplitude == partition._tree_sum(values)
-                assert result.shared_steps == 0
         assert batches == {(), plan.fix_vars}  # all or none
 
     def test_kept_values_come_in_subtask_order(self, batch_case):

@@ -23,13 +23,12 @@ from gridamp import (
     generate,
     min_fill_ordering,
     search_ordering,
-    select_fix_set,
     vertical_ordering,
 )
 from gridamp import partition
 from gridamp.elimination import eliminate_vertex, simulate_cost
 
-from conftest import with_custom_gates
+from conftest import plan_over_budget, with_custom_gates
 
 
 def _copy(adj):
@@ -138,10 +137,9 @@ class TestFixSelection:
         rank = simulate_cost(model.adj, base.vars).max_rank
 
         def plan():
-            return select_fix_set(
+            return plan_over_budget(
                 model, base, t_max=3, budget=CostBudget(max_rank=rank - 2),
                 ordering_budget=OrderingBudget(time_s=None, max_restarts=2),
-                allow_over_budget=True,
             )
 
         got = plan()
@@ -194,8 +192,8 @@ def test_give_back_matches_the_replayed_loop(monkeypatch):
         m = grid_model(*case)
         base, est = search_ordering(m, search)
         for rank in range(max(est.max_rank - 6, 1), est.max_rank):
-            plan = select_fix_set(m, base, t_max=8, budget=CostBudget(max_rank=rank),
-                                  ordering_budget=search, allow_over_budget=True)
+            plan = plan_over_budget(m, base, t_max=8, budget=CostBudget(max_rank=rank),
+                                    ordering_budget=search)
             chosen += plan in returned
     assert chosen >= 4
 
@@ -203,9 +201,8 @@ def test_give_back_matches_the_replayed_loop(monkeypatch):
 def test_t_max_above_vertex_count_fixes_every_vertex():
     m = grid_model(3, 6, 0)
     base = min_fill_ordering(m, seed=0)
-    plan = select_fix_set(m, base, t_max=len(m.adj) + 5, budget=CostBudget(max_rank=-1),
-                          ordering_budget=OrderingBudget(time_s=None, max_restarts=4),
-                          allow_over_budget=True)
+    plan = plan_over_budget(m, base, t_max=len(m.adj) + 5, budget=CostBudget(max_rank=-1),
+                            ordering_budget=OrderingBudget(time_s=None, max_restarts=4))
     assert sorted(plan.fix_vars) == sorted(m.adj)
     assert plan.post_fix_ordering.vars == ()
     assert plan.est_subtask_cost == CostEstimate((), 0, 0)
