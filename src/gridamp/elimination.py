@@ -295,17 +295,15 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
     return buckets[-1], scalar
 
 
-def eliminate_variable(g: GraphModel, *vs: VarId, max_rank: int = DEFAULT_MAX_RANK) -> GraphModel:
-    """New model with ``vs`` summed out in order by one ``_eliminate_all``
-    call, each adding its fill-in clique.  A rank overflow names its step,
-    counted from 0 in ``vs``; nothing runs if ``vs`` repeats a variable
-    (``ValueError``) or names one that is not free (``KeyError``)."""
-    if missing := [v for v in Ordering(vs) if v not in g.adj]:  # no repeats
-        raise KeyError(f"variables {missing} are not free in this model")
+def eliminate_variable(g: GraphModel, v: VarId, *, max_rank: int = DEFAULT_MAX_RANK) -> GraphModel:
+    """New model with ``v`` summed out by ``_eliminate_all`` and its
+    fill-in clique added.  A rank overflow names ``v`` at step 0; nothing
+    runs if ``v`` is not free (``KeyError``)."""
+    if v not in g.adj:
+        raise KeyError(f"variable {v} is not free in this model")
     out = g.clone()
-    out.factors, out.scalar = _eliminate_all(g, vs, max_rank)
-    for v in vs:
-        eliminate_vertex(out.adj, v)
+    out.factors, out.scalar = _eliminate_all(g, (v,), max_rank)
+    eliminate_vertex(out.adj, v)
     return out
 
 

@@ -3,10 +3,10 @@
 Three producers: the vertical ordering (each qubit's variables in
 temporal order, qubit by qubit), greedy min-fill, and an anytime
 randomized search that runs seeded min-fill restarts and keeps the
-cheapest by the step-cost sum until a time or restart budget runs out.
-The search's candidate stream is deterministic given the seed; budgets
-only truncate it, between restarts, so a larger budget can never return
-a worse result.
+cheapest by the step-cost sum until its restart cap, or earlier at an
+optional deadline.  The search's candidate stream is deterministic given
+the seed; budgets only truncate it, between restarts, so a larger budget
+can never return a worse result.
 
 Fill counts: min-fill keeps each vertex's fill count (the non-adjacent
 pairs among its neighbors) current with exact integer deltas instead of
@@ -21,7 +21,6 @@ and the rng draws, are those of a recount.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -33,20 +32,18 @@ from .graph_model import GraphModel, copy_adj, remove_vertex
 
 @dataclass(frozen=True)
 class OrderingBudget:
-    """Search budget: wall-clock seconds and/or a restart cap, plus the
-    seed for tie-breaking and restart randomization."""
+    """Search budget: a restart cap and an optional wall-clock deadline in
+    seconds, plus the seed for tie-breaking and restart randomization."""
 
-    time_s: float | None = 60.0
-    max_restarts: int | None = None
+    max_restarts: int
+    time_s: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.time_s is None and self.max_restarts is None:
-            raise ValueError("budget needs a time limit or a restart cap")
+        if not isinstance(self.max_restarts, int) or self.max_restarts < 1:
+            raise ValueError(f"restart cap must be an int >= 1, got {self.max_restarts!r}")
         if self.time_s is not None and self.time_s < 0:
             raise ValueError("time budget must be >= 0")
-        if self.max_restarts is not None and self.max_restarts < 1:
-            raise ValueError("restart cap must be >= 1")
 
 
 def vertical_ordering(g: GraphModel) -> Ordering:
@@ -116,14 +113,15 @@ def search_ordering(
     """Cheapest ordering found within the budget, with its cost estimate.
 
     Restart ``i`` runs min-fill with seed ``budget.seed + i``, priced once
-    with ``simulate_cost``; restart 0 always runs, so the result is never
-    worse than plain ``min_fill_ordering(g, budget.seed)``.  The deadline
-    is checked only between restarts.  Candidates are compared by (total
-    cost, variable tuple).
+    with ``simulate_cost``, for ``budget.max_restarts`` restarts at most;
+    restart 0 always runs, so the result is never worse than plain
+    ``min_fill_ordering(g, budget.seed)``.  A deadline can only stop the
+    search earlier, and is checked only between restarts.  Candidates are
+    compared by (total cost, variable tuple).
     """
     deadline = None if budget.time_s is None else time.perf_counter() + budget.time_s
     best: tuple[int, tuple[int, ...], CostEstimate] | None = None
-    for i in range(budget.max_restarts or sys.maxsize):  # no cap: until the deadline
+    for i in range(budget.max_restarts):
         if i and deadline is not None and time.perf_counter() >= deadline:
             break
         cand = min_fill_ordering(g, seed=budget.seed + i).vars

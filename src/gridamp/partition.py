@@ -86,7 +86,6 @@ class BudgetUnreachableError(RuntimeError):
 
     def __init__(self, plan: "FixPlan", budget: "CostBudget"):
         self.plan = plan
-        self.budget = budget
         estimate = plan.est_subtask_cost
         super().__init__(
             f"after fixing {len(plan.fix_vars)} variables the subtask still needs rank "
@@ -96,12 +95,9 @@ class BudgetUnreachableError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostBudget:
-    """Per-subtask budget: a maximum post-summation rank (None: no limit)."""
+    """Per-subtask budget: a maximum post-summation rank."""
 
-    max_rank: int | None = 27
-
-    def satisfied_by(self, rank: int) -> bool:
-        return self.max_rank is None or rank <= self.max_rank
+    max_rank: int = 27
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,7 @@ def _give_back(g: GraphModel, plan: FixPlan, budget: CostBudget) -> FixPlan:
         degrees = _give_back_degrees(g.adj, order.vars, set(plan.fix_vars))
         prices = {v: (sum(1 << d for d in ds), max(ds)) for v, ds in degrees.items()}
         fits = [(total, v) for v, (total, rank) in prices.items()
-                if budget.satisfied_by(rank) and total < 2 * plan.est_subtask_cost.total]
+                if rank <= budget.max_rank and total < 2 * plan.est_subtask_cost.total]
         if not fits:
             break
         v = min(fits)[1]
@@ -258,7 +254,7 @@ def select_fix_set(
     _check_covers(adj, Ordering(remaining))
     fix_vars: list[VarId] = []
     current, sweep = simulate_cost(adj, remaining), None
-    while adj and len(fix_vars) < t_max and not budget.satisfied_by(current.max_rank):
+    while adj and len(fix_vars) < t_max and current.max_rank > budget.max_rank:
         totals = _priced_fixes(remaining, *(sweep or _fix_sweep(adj, remaining)))
         best_v = min(totals, key=lambda v: (totals[v], v))
         fix_vars.append(best_v)
@@ -273,9 +269,9 @@ def select_fix_set(
         # first, since min() breaks ties toward it
         plans.insert(0, FixPlan(tuple(fix_vars), *search_ordering(reduced, ordering_budget)))
     plan = min((_give_back(g, p, budget) for p in plans), key=lambda p: (
-        not budget.satisfied_by(p.est_subtask_cost.max_rank),
+        p.est_subtask_cost.max_rank > budget.max_rank,
         p.num_subtasks * p.est_subtask_cost.total))
-    if not budget.satisfied_by(plan.est_subtask_cost.max_rank):
+    if plan.est_subtask_cost.max_rank > budget.max_rank:
         raise BudgetUnreachableError(plan, budget)
     return plan
 

@@ -33,7 +33,6 @@ from gridamp.tensor import multiply_all, sum_out
 
 from conftest import edge_names, letter_ids, with_custom_gates
 from test_partition import fanout_plan
-from test_shared_steps import small_model
 
 
 def ordering_starting_with(model, first):
@@ -74,39 +73,22 @@ class TestEliminateVariable:
         out = eliminate_variable(g, 0)
         assert out.scalar == 2.0 + 0j
 
-    def test_unknown_variable(self, ref4q_model):
-        with pytest.raises(KeyError):
-            eliminate_variable(ref4q_model, 999)
-
-    @pytest.mark.parametrize("case", ["ref4q", "small"])
-    def test_several_variables_equal_one_at_a_time(self, case, ref4q_model):
-        if case == "ref4q":
-            ids = letter_ids(ref4q_model)
-            g, vs = ref4q_model, [ids[n] for n in "ceabh"]
-        else:  # an empty bucket (v5) and a step that folds into the scalar (v6)
-            g, vs = small_model()[0], [0, 5, 6, 1, 2]
-        want = g
-        for v in vs:
-            want = eliminate_variable(want, v)
-        got = eliminate_variable(g, *vs)
-        assert [(f.axes, f.data.tobytes()) for f in got.factors] == [
-            (f.axes, f.data.tobytes()) for f in want.factors]
-        assert got.scalar == want.scalar
-        assert got.adj == want.adj
-
-    def test_several_variables_checked_before_the_clone(self, ref4q_model, monkeypatch):
-        c = letter_ids(ref4q_model)["c"]
-        monkeypatch.setattr(GraphModel, "clone", mock.Mock(side_effect=AssertionError("cloned")))
-        with pytest.raises(KeyError):
-            eliminate_variable(ref4q_model, c, 999)
-        with pytest.raises(ValueError, match="repeats"):
-            eliminate_variable(ref4q_model, c, c)
-
-    def test_several_variables_overflow_names_the_step(self, ref4q_model):
+    def test_unknown_variable(self, ref4q_model, monkeypatch):
         ids = letter_ids(ref4q_model)
-        # c's product has 2 axes; e's then has e, a, b and f
-        with pytest.raises(RankOverflowError, match=rf"\(eliminating v{ids['e']} at step 1\)$"):
-            eliminate_variable(ref4q_model, ids["c"], ids["e"], max_rank=3)
+        eliminated = eliminate_variable(ref4q_model, ids["c"])
+        monkeypatch.setattr(GraphModel, "clone", mock.Mock(side_effect=AssertionError("cloned")))
+        for g, v in ((ref4q_model, 999), (eliminated, ids["c"])):
+            with pytest.raises(KeyError, match="not free"):
+                eliminate_variable(g, v)
+        with pytest.raises(TypeError):  # one variable per call
+            eliminate_variable(ref4q_model, ids["c"], ids["e"])
+
+    def test_overflow_names_the_step(self, ref4q_model):
+        e = letter_ids(ref4q_model)["e"]
+        # e's product has e, a, b, c and f
+        with pytest.raises(RankOverflowError, match=rf"\(eliminating v{e} at step 0\)$"):
+            eliminate_variable(ref4q_model, e, max_rank=4)
+        assert eliminate_variable(ref4q_model, e, max_rank=5).vertices == ref4q_model.vertices - {e}
 
 
 class TestContract:

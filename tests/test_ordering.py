@@ -1,5 +1,7 @@
 """Ordering heuristics: vertical, min-fill, and the anytime search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from gridamp import (
     search_ordering,
     vertical_ordering,
 )
+from gridamp import ordering
 from gridamp.elimination import simulate_cost
 from gridamp.graph_model import GraphModel, VarInfo
 from gridamp.ordering import fill_count
@@ -189,11 +192,18 @@ class TestSearch:
         ]
         assert all(costs[i] >= costs[i + 1] for i in range(len(costs) - 1))
 
-    def test_budget_validation(self):
+    def test_budget_validation(self, ref4q_model, monkeypatch):
+        monkeypatch.setattr(ordering, "min_fill_ordering", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(TypeError):
+            search_ordering(ref4q_model, OrderingBudget())
+        with pytest.raises(TypeError):
+            search_ordering(ref4q_model, OrderingBudget(time_s=5.0))
+        for cap in (None, 0, -1, 2.0):
+            with pytest.raises(ValueError, match="restart cap"):
+                search_ordering(ref4q_model, OrderingBudget(time_s=None, max_restarts=cap))
         with pytest.raises(ValueError):
-            OrderingBudget(time_s=None, max_restarts=None)
-        with pytest.raises(ValueError):
-            OrderingBudget(max_restarts=0)
+            OrderingBudget(time_s=-1.0, max_restarts=1)
+        assert OrderingBudget(max_restarts=1).time_s is None
 
     def test_permutation_and_restriction(self):
         m = model_from(3, 4, 10, seed=4)

@@ -217,7 +217,7 @@ class TestSelectFixSet:
         budget = CostBudget(max_rank=rank - 3)
         adj, order, fixes = {u: set(ns) for u, ns in model.adj.items()}, list(base.vars), []
         current = simulate_cost(adj, order)
-        while len(fixes) < 4 and not budget.satisfied_by(current.max_rank):
+        while len(fixes) < 4 and current.max_rank > budget.max_rank:
             v = reference_best_fix(adj, order)
             fixes.append(v)
             remove_vertex(adj, v)
@@ -451,8 +451,8 @@ class TestGiveBack:
 class TestRunPartitioned:
     def test_t_zero_equals_contract(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
-        plan = select_fix_set(
-            ref4q_model, base, t_max=0, budget=CostBudget(max_rank=None),
+        plan = plan_over_budget(  # at t_max=0 the budget is never met
+            ref4q_model, base, t_max=0, budget=CostBudget(max_rank=-1),
             ordering_budget=FOUR_RESTARTS,
         )
         result = run_partitioned(ref4q_model, plan)

@@ -65,7 +65,7 @@ def reference_give_back(g, plan, budget):
             adj = {u: ns - drop for u, ns in g.adj.items() if u not in drop}
             prices[v] = simulate_cost(adj, order.vars + (v,))
         half = plan.num_subtasks // 2
-        fits = [(est.total, v) for v, est in prices.items() if budget.satisfied_by(est.max_rank)
+        fits = [(est.total, v) for v, est in prices.items() if est.max_rank <= budget.max_rank
                 and half * est.total < plan.num_subtasks * plan.est_subtask_cost.total]
         if not fits:
             break

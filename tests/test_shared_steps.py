@@ -208,7 +208,7 @@ def test_the_pool_runs_every_subtask(monkeypatch):
     assert bits(two.amplitude) == bits(run_sliced(model, plan).amplitude)
 
 
-def test_records_read_by_many_threads():
+def test_slices_read_one_model_from_many_threads():
     # eight workers on two cores, switching threads as often as they can:
     # every subtask slices the same model
     _, model, plan = fanout_plan(4, 5, 16, 0, 3)
@@ -237,7 +237,7 @@ def test_each_subtask_multiplies_every_step(monkeypatch):
     assert len(calls) == plan.num_subtasks * len(plan.post_fix_ordering)
 
 
-def test_one_subtask_shares_nothing():
+def test_unfixed_plan_is_one_contract():
     g, _, _ = small_model()
     order = Ordering((0, 5, 6, 1, 2, 7, 3, 4))
     result = run_partitioned(g, plan_for(g, (), order))
