@@ -51,6 +51,7 @@ _SQRT2 = math.sqrt(2.0)
 MAX_DEPTH = 10_000
 # Most qubits accepted, a 20x20 grid (the paper's largest is 12x12)
 MAX_QUBITS = 400
+CUSTOM_GATE_ATOL = 1e-12  # a CustomGate's tolerance for unitary and diagonal
 
 
 def _mat(rows) -> np.ndarray:
@@ -129,13 +130,13 @@ class Gate:
 class CustomGate:
     """A one- or two-qubit unitary supplied programmatically.
 
-    Not representable in the text format; exists so the model builder and
-    the reference simulator accept generic diagonal/non-diagonal gates.
+    Not representable in the text format; it lets the model builder and the
+    oracle take any unitary, diagonal or not, both within ``CUSTOM_GATE_ATOL``.
     """
 
     kind = None
 
-    def __init__(self, qubits, matrix, *, atol: float = 1e-12):
+    def __init__(self, qubits, matrix):
         self.qubits = tuple(int(q) for q in qubits)
         if len(self.qubits) not in (1, 2) or len(set(self.qubits)) != len(self.qubits):
             raise CircuitError("custom gate needs 1 or 2 distinct qubits")
@@ -143,11 +144,11 @@ class CustomGate:
         dim = 2 ** len(self.qubits)
         if m.shape != (dim, dim):
             raise CircuitError(f"custom gate matrix must be {dim}x{dim}")
-        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=atol):
+        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=CUSTOM_GATE_ATOL):
             raise CircuitError("custom gate matrix is not unitary")
         m.setflags(write=False)
         self.matrix = m
-        self.diagonal = bool(np.all(np.abs(m - np.diag(np.diagonal(m))) <= atol))
+        self.diagonal = bool(np.all(np.abs(m - np.diag(np.diagonal(m))) <= CUSTOM_GATE_ATOL))
 
 
 @dataclass(frozen=True)

@@ -319,9 +319,9 @@ def _bounded(low, high=None, kind=int):
     return parse
 
 
-def _bounded_list(low, high=None):
+def _bounded_list(low, high):
     """Argparse type: a non-empty comma list of ints, each in
-    ``low..high`` (no upper bound when ``high`` is None)."""
+    ``low..high``."""
     each = _bounded(low, high)
 
     def parse(text: str):
@@ -361,7 +361,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, one_amplitude: bool = True):
                    help="per-subtask rank budget")
     p.add_argument("--engine-max-rank", type=_bounded(1, MAX_RANK_LIMIT),
                    default=DEFAULT_MAX_RANK,
-                   help="hard cap on materialized tensor rank")
+                   help="refuse, before allocating, any step whose product would have more axes")
     p.add_argument("--workers", type=_bounded(1, MAX_WORKERS), default=1)
 
 

@@ -86,7 +86,6 @@ def generate(params: GenParams) -> Circuit:
     cycles: list[tuple[Gate, ...]] = [
         tuple(Gate(GateKind.H, (q,)) for q in range(n))
     ]
-    had_single = [False] * n
     last_single: list[GateKind | None] = [None] * n
     prev_support: set[int] = set()
     for k in range(1, depth + 1):
@@ -95,7 +94,7 @@ def generate(params: GenParams) -> Circuit:
         gates = [Gate(GateKind.CZ, pair) for pair in sorted(layer)]
         if k >= 2:
             for q in sorted(prev_support - support):
-                if not had_single[q]:
+                if last_single[q] is None:
                     kind = GateKind.T
                 else:
                     if params.distinct_from_previous:
@@ -106,7 +105,6 @@ def generate(params: GenParams) -> Circuit:
                         options = _SINGLE_QUBIT_CHOICES
                     kind = options[int(rng.integers(len(options)))]
                 gates.append(Gate(kind, (q,)))
-                had_single[q] = True
                 last_single[q] = kind
         cycles.append(tuple(gates))
         prev_support = support

@@ -33,6 +33,8 @@ import numpy as np
 from .circuit import Circuit, GateKind
 from .tensor import Tensor, VarId, _sliced
 
+BRUTEFORCE_MAX_VARS = 24  # model_value_bruteforce's grid has 2^24 entries at most
+
 
 class TooManyVariablesError(ValueError):
     """Brute-force evaluation refused above the variable cap."""
@@ -188,16 +190,16 @@ def build_model(circuit: Circuit, output_bits) -> GraphModel:
     return model
 
 
-def model_value_bruteforce(g: GraphModel, max_vars: int = 24) -> complex:
+def model_value_bruteforce(g: GraphModel) -> complex:
     """Sum the factor product over every assignment of the free variables.
 
-    Materializes the full 2^n assignment grid with plain broadcasting;
-    deliberately independent of the elimination machinery.
+    Materializes the full 2^n assignment grid, n <= ``BRUTEFORCE_MAX_VARS``
+    or :class:`TooManyVariablesError`, independent of the elimination code.
     """
     free = sorted(g.adj)
-    if len(free) > max_vars:
+    if len(free) > BRUTEFORCE_MAX_VARS:
         raise TooManyVariablesError(
-            f"{len(free)} free variables exceed the brute-force cap of {max_vars}"
+            f"{len(free)} free variables exceed the brute-force cap of {BRUTEFORCE_MAX_VARS}"
         )
     pos = {v: i for i, v in enumerate(free)}
     grid = np.ones((2,) * len(free), dtype=np.complex128)
@@ -212,9 +214,9 @@ def model_value_bruteforce(g: GraphModel, max_vars: int = 24) -> complex:
     return complex(grid.sum() * g.scalar)
 
 
-def export_dot(g: GraphModel, name: str = "model") -> str:
-    """DOT text of the free vertices and edges, for eyeballing graphs."""
-    lines = [f"graph {name} {{"]
+def export_dot(g: GraphModel) -> str:
+    """DOT text ``graph model`` of the free vertices and edges, for eyeballing."""
+    lines = ["graph model {"]
     for v in sorted(g.adj):
         info = g.var_info.get(v)
         label = f"v{v}" if info is None else f"v{v} q{info.qubit}c{info.cycle}"

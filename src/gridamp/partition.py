@@ -95,9 +95,9 @@ class BudgetUnreachableError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostBudget:
-    """Per-subtask budget: a maximum post-summation rank."""
+    """Per-subtask budget: a maximum post-summation rank, set by the caller."""
 
-    max_rank: int = 27
+    max_rank: int
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class AmplitudeResult:
     amplitude: complex
     est_total_cost: int
     wall_ms: float
-    batch_vars: tuple[VarId, ...] = ()  # fixed variables left open as batch axes
+    batch_vars: tuple[VarId, ...]  # fixed variables left open as batch axes
 
 
 def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
@@ -244,14 +244,15 @@ def select_fix_set(
     budget if either does, then the one with less 2^t times the total,
     ties to the search result.
 
-    Raises :class:`BudgetUnreachableError`, which carries the plan, when
-    its estimate is over budget.
+    Raises ``ValueError`` before any copy unless ``base`` lists exactly
+    the free variables, and :class:`BudgetUnreachableError`, which carries
+    the plan, when its estimate is over budget.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    _check_covers(g.adj, base)
     adj = copy_adj(g.adj)
-    remaining = list(base.restrict(adj).vars)
-    _check_covers(adj, Ordering(remaining))
+    remaining = list(base.vars)
     fix_vars: list[VarId] = []
     current, sweep = simulate_cost(adj, remaining), None
     while adj and len(fix_vars) < t_max and current.max_rank > budget.max_rank:

@@ -1,5 +1,7 @@
-"""Shared fixtures: the reference four-qubit circuit, its model, and the
-golden coupling-layout data for the 8x7 grid."""
+"""Shared fixtures and helpers: the reference four-qubit circuit, its
+model, the golden coupling-layout data for the 8x7 grid, the grid cases
+and fan-out plan several test modules run, and the full-replay fix
+reference."""
 
 from __future__ import annotations
 
@@ -9,13 +11,21 @@ import pytest
 from gridamp import (
     BudgetUnreachableError,
     Circuit,
+    CostBudget,
     CustomGate,
     GateKind,
+    GenParams,
     GraphModel,
+    OrderingBudget,
     build_model,
+    generate,
     parse_circuit,
+    search_ordering,
     select_fix_set,
 )
+from gridamp.elimination import simulate_cost
+
+SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
 
 # Four qubits in a row, eight cycles: a Hadamard layer, six mixed cycles
 # whose CZ pairs walk (0,1),(2,3),(0,2),(1,3),(1,2),(0,3), and a closing
@@ -131,6 +141,59 @@ def plan_over_budget(*args, **kwargs):
         return select_fix_set(*args, **kwargs)
     except BudgetUnreachableError as e:
         return e.plan
+
+
+def grid_model(rows, depth, seed, custom_every=0):
+    """Model of a generated square-grid circuit.  With ``custom_every``,
+    every that-many-th CZ becomes a random non-diagonal two-qubit
+    ``CustomGate``."""
+    c = generate(GenParams(rows, rows, depth, seed))
+    if custom_every:
+        c = with_custom_gates(c, custom_every, seed)
+    return build_model(c, "0" * (rows * rows))
+
+
+# (rows, depth, seed, custom_every): 4x4 to 6x6, with and without
+# non-diagonal two-qubit gates
+CASES = [
+    (4, 12, 0, 0),
+    (4, 16, 3, 2),
+    (5, 16, 1, 0),
+    (5, 20, 2, 3),
+    (6, 16, 4, 0),
+    (6, 16, 5, 5),
+]
+CASE_IDS = [f"{r}x{r}x{d}:{s}" + ("+custom" if k else "") for r, d, s, k in CASES]
+
+
+def fanout_plan(rows=6, cols=6, depth=24, seed=0, rank=10, select=select_fix_set):
+    """A plan made as the fanout-6x6x24 benchmark makes it: restart cap 2
+    for both searches, t_max 8, all-zeros output.  The defaults give that
+    workload's circuit 0."""
+    c = generate(GenParams(rows, cols, depth, seed))
+    model = build_model(c, "0" * (rows * cols))
+    base, _ = search_ordering(model, SEARCH_BUDGET)
+    plan = select(model, base, t_max=8, budget=CostBudget(max_rank=rank),
+                  ordering_budget=SEARCH_BUDGET)
+    return c, model, plan
+
+
+def reference_fix_totals(adj, order):
+    """Every vertex priced by replaying the whole reduced elimination."""
+    totals = {}
+    for v in adj:
+        reduced = {u: ns - {v} for u, ns in adj.items() if u != v}
+        totals[v] = simulate_cost(reduced, [u for u in order if u != v]).total
+    return totals
+
+
+def reference_best_fix(adj, order):
+    """The cheapest vertex by full replay; ties go to the lower id."""
+    best_v, best_total = None, None
+    for v, total in sorted(reference_fix_totals(adj, order).items()):
+        if best_total is None or total < best_total:
+            best_v, best_total = v, total
+    return best_v
 
 
 @pytest.fixture(scope="session")

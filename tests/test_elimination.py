@@ -31,8 +31,7 @@ from gridamp import elimination, partition
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
 from gridamp.tensor import multiply_all, sum_out
 
-from conftest import edge_names, letter_ids, with_custom_gates
-from test_partition import fanout_plan
+from conftest import edge_names, fanout_plan, letter_ids, with_custom_gates
 
 
 def ordering_starting_with(model, first):

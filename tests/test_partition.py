@@ -35,11 +35,17 @@ from gridamp.elimination import simulate_cost
 from gridamp.graph_model import VarInfo, remove_vertex
 from gridamp.tensor import Tensor
 
-from conftest import edge_names, letter_ids, plan_over_budget, with_custom_gates
-from test_pricing_reference import grid_model, reference_best_fix
+from conftest import (
+    SEARCH_BUDGET,
+    edge_names,
+    fanout_plan,
+    grid_model,
+    letter_ids,
+    plan_over_budget,
+    reference_best_fix,
+    with_custom_gates,
+)
 
-
-SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
 FOUR_RESTARTS = OrderingBudget(time_s=None, max_restarts=4)
 
 
@@ -239,12 +245,18 @@ class TestSelectFixSet:
         assert len(e.value.plan.fix_vars) == 1
         assert f"rank {e.value.plan.est_subtask_cost.max_rank} /" in str(e.value)
 
-    def test_base_missing_a_variable_is_named(self, ref4q_model):
+    def test_base_missing_a_variable_is_named(self, ref4q_model, monkeypatch):
         base = min_fill_ordering(ref4q_model, seed=0)
         short = Ordering(base.vars[1:])
         with pytest.raises(ValueError, match=rf"missing \[{base.vars[0]}\]"):
             select_fix_set(ref4q_model, short, t_max=1, budget=CostBudget(max_rank=-1),
                            ordering_budget=FOUR_RESTARTS)
+        # an id the model lacks is named too, before the graph is copied
+        extra = max(ref4q_model.vertices) + 1
+        monkeypatch.setattr(partition, "copy_adj", lambda adj: pytest.fail("copied first"))
+        with pytest.raises(ValueError, match=rf"missing \[\], extra \[{extra}\]"):
+            select_fix_set(ref4q_model, Ordering(base.vars + (extra,)), t_max=1,
+                           budget=CostBudget(max_rank=-1), ordering_budget=FOUR_RESTARTS)
 
     def test_t_max_caps_the_fixes(self, ref4q_model):
         base = min_fill_ordering(ref4q_model, seed=0)
@@ -355,18 +367,6 @@ def test_plan_estimate_prices_its_own_ordering(rows, depth, seed, custom_every, 
 def without(adj, drop):
     """The graph left when the vertices in ``drop`` are fixed."""
     return {u: nbs - drop for u, nbs in adj.items() if u not in drop}
-
-
-def fanout_plan(rows=6, cols=6, depth=24, seed=0, rank=10, select=select_fix_set):
-    """A plan made as the fanout-6x6x24 benchmark makes it: restart cap 2
-    for both searches, t_max 8, all-zeros output.  The defaults give that
-    workload's circuit 0."""
-    c = generate(GenParams(rows, cols, depth, seed))
-    model = build_model(c, "0" * (rows * cols))
-    base, _ = search_ordering(model, SEARCH_BUDGET)
-    plan = select(model, base, t_max=8, budget=CostBudget(max_rank=rank),
-                  ordering_budget=SEARCH_BUDGET)
-    return c, model, plan
 
 
 class TestGiveBack:

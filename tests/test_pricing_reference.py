@@ -16,11 +16,8 @@ from gridamp import (
     CostBudget,
     CostEstimate,
     FixPlan,
-    GenParams,
     Ordering,
     OrderingBudget,
-    build_model,
-    generate,
     min_fill_ordering,
     search_ordering,
     vertical_ordering,
@@ -28,29 +25,18 @@ from gridamp import (
 from gridamp import partition
 from gridamp.elimination import eliminate_vertex, simulate_cost
 
-from conftest import plan_over_budget, with_custom_gates
+from conftest import (
+    CASE_IDS,
+    CASES,
+    grid_model,
+    plan_over_budget,
+    reference_best_fix,
+    reference_fix_totals,
+)
 
 
 def _copy(adj):
     return {v: set(ns) for v, ns in adj.items()}
-
-
-def reference_fix_totals(adj, order):
-    """Every vertex priced by replaying the whole reduced elimination."""
-    totals = {}
-    for v in adj:
-        reduced = {u: ns - {v} for u, ns in adj.items() if u != v}
-        totals[v] = simulate_cost(reduced, [u for u in order if u != v]).total
-    return totals
-
-
-def reference_best_fix(adj, order):
-    """The cheapest vertex by full replay; ties go to the lower id."""
-    best_v, best_total = None, None
-    for v, total in sorted(reference_fix_totals(adj, order).items()):
-        if best_total is None or total < best_total:
-            best_v, best_total = v, total
-    return best_v
 
 
 def reference_give_back(g, plan, budget):
@@ -73,29 +59,6 @@ def reference_give_back(g, plan, budget):
         plan = FixPlan(tuple(u for u in plan.fix_vars if u != v),
                        Ordering(order.vars + (v,), order.provenance), prices[v])
     return plan
-
-
-def grid_model(rows, depth, seed, custom_every=0):
-    """Model of a generated square-grid circuit.  With ``custom_every``,
-    every that-many-th CZ becomes a random non-diagonal two-qubit
-    ``CustomGate``."""
-    c = generate(GenParams(rows, rows, depth, seed))
-    if custom_every:
-        c = with_custom_gates(c, custom_every, seed)
-    return build_model(c, "0" * (rows * rows))
-
-
-# (rows, depth, seed, custom_every): 4x4 to 6x6, with and without
-# non-diagonal two-qubit gates
-CASES = [
-    (4, 12, 0, 0),
-    (4, 16, 3, 2),
-    (5, 16, 1, 0),
-    (5, 20, 2, 3),
-    (6, 16, 4, 0),
-    (6, 16, 5, 5),
-]
-CASE_IDS = [f"{r}x{r}x{d}:{s}" + ("+custom" if k else "") for r, d, s, k in CASES]
 
 
 @pytest.fixture(scope="module", params=CASES, ids=CASE_IDS)

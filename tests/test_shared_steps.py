@@ -37,11 +37,7 @@ from gridamp import partition
 from gridamp.graph_model import VarInfo
 from gridamp.tensor import Tensor
 
-from conftest import plan_over_budget
-from test_partition import fanout_plan
-from test_pricing_reference import CASE_IDS, CASES, grid_model
-
-SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
+from conftest import CASE_IDS, CASES, SEARCH_BUDGET, fanout_plan, grid_model, plan_over_budget
 
 
 def reference_products(model, order):
