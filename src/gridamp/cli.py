@@ -79,20 +79,15 @@ def _read_circuit(path: str) -> Circuit:
     return parse_circuit(text)
 
 
-def _open_output(path: str):
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or stdout when there is
+    none; either way a context manager."""
+    if not path:
+        return nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot write {path!r}: {e.strerror}") from None
-
-
-def _write_output(path: str | None, text: str):
-    """Write to the file at ``path``, or to stdout when there is none."""
-    if path:
-        with _open_output(path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _grid_size(args) -> tuple[int, int, int]:
@@ -117,7 +112,7 @@ def _resolve_x(args, circuit: Circuit) -> str:
 
 
 def _budget(cfg: RunConfig) -> OrderingBudget:
-    return OrderingBudget(time_s=None, max_restarts=cfg.order_restarts, seed=cfg.order_seed)
+    return OrderingBudget(max_restarts=cfg.order_restarts, seed=cfg.order_seed)
 
 
 def _base_ordering(model, cfg: RunConfig) -> Ordering:
@@ -171,8 +166,9 @@ def _config_from_args(args, circuit: Circuit, gen_seed: int) -> RunConfig:
 
 
 def cmd_generate(args) -> int:
-    circuit = generate(GenParams(args.rows, args.cols, args.depth, args.seed))
-    _write_output(args.output, serialize_circuit(circuit))
+    text = serialize_circuit(generate(GenParams(args.rows, args.cols, args.depth, args.seed)))
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -220,7 +216,7 @@ def cmd_plan(args) -> int:
                     "total": plan.est_subtask_cost.total,
                     "max_rank": plan.est_subtask_cost.max_rank,
                 },
-                "est_total_cost": plan.est_subtask_cost.total * plan.num_subtasks,
+                "est_total_cost": plan.est_total_cost,
                 "base_ordering_cost": estimate_cost(model, base).total,
                 "config": asdict(cfg),
             }
@@ -255,8 +251,9 @@ def cmd_fidelity(args) -> int:
 
 def cmd_export_dot(args) -> int:
     circuit = _load_circuit(args)
-    x = _resolve_x(args, circuit)
-    _write_output(args.output, export_dot(build_model(circuit, x)))
+    text = export_dot(build_model(circuit, _resolve_x(args, circuit)))
+    with _output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -269,7 +266,7 @@ def _percentile_ms(times: list[float], pct: float) -> float:
 def cmd_bench(args) -> int:
     # every row repeats the run's pipeline flags, so it can be replayed
     flags = ",".join(str(getattr(args, f)) for f in PIPELINE_FLAGS)
-    with _open_output(args.output) if args.output else nullcontext(sys.stdout) as writer:
+    with _output(args.output) as writer:
         writer.write("n,d,seed,samples,ok,status,percentile_ms,mean_max_rank,mean_t,"
                      f"mean_est_cost,{','.join(PIPELINE_FLAGS)}\n")
         for n in args.grids:

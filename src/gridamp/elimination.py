@@ -201,17 +201,19 @@ def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
     except RankOverflowError as e:
         raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
     if len(axes) >= MATMUL_RANK or len(axes) > CHUNK_RANK:
-        out = _chunked(bucket, v, axes, max_rank)
+        out = _chunked(bucket, v, axes)
     else:
         out = sum_out(multiply_all(bucket, max_rank=max_rank), v)
     return complex(out.data) if out.rank == 0 else out
 
 
-def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tensor:
+def _chunked(bucket: list[Tensor], v: VarId, axes: tuple) -> Tensor:
     """``_eliminate_bucket``'s result without its product, whose ``axes``
     it takes (module docstring): per chunk, one matmul of the product of
     the other factors' slices and the largest factor's slice fills the
-    chunk's contiguous block of the output."""
+    chunk's contiguous block of the output.  No rank cap: the lookup has
+    admitted ``axes``, and a chunk product has a subset of them, at most
+    ``CHUNK_RANK``, under ``multiply_all``'s default guard."""
     big = max(bucket, key=lambda t: t.rank)
     others = [t for t in bucket if t is not big]
     if not others:  # no product to build
@@ -233,7 +235,7 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple, max_rank: int) -> Tens
     data = (_take(size) if size >= POOL_FLOOR else np.empty(size, complex)).reshape(shape)
     for k, bits in enumerate(itertools.product((0, 1), repeat=len(chunk))):
         at = dict(zip(chunk, bits))
-        product = multiply_all([_sliced(t.axes, t.data, at) for t in others], max_rank=max_rank)
+        product = multiply_all([_sliced(t.axes, t.data, at) for t in others])
         np.matmul(
             _stack(product, batch, rows, [v]),
             _stack(_sliced(big.axes, big.data, at), batch, [v], cols),

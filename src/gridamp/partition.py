@@ -53,7 +53,9 @@ slices S and is one ``contract`` over the whole post-fix ordering with
 the rest of F open, so a sliced amplitude is the fixed sum of
 independently contracted slices, bit for bit, on any number of workers.
 A batched product pairs its inputs otherwise than a slice does, so a
-batched amplitude agrees with independent slices to rounding.
+batched amplitude agrees with independent slices to rounding.  Every
+slice files the same bucket layouts, so a rank overflow fails them all
+at one step and names only its variable and that step.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .elimination import (
 )
 from .graph_model import GraphModel, copy_adj, remove_vertex
 from .ordering import OrderingBudget, search_ordering
-from .tensor import DEFAULT_MAX_RANK, RankOverflowError, VarId
+from .tensor import DEFAULT_MAX_RANK, VarId
 
 # far above any useful count; a pool may start this many threads
 MAX_WORKERS = 1024
@@ -112,6 +114,11 @@ class FixPlan:
     @property
     def num_subtasks(self) -> int:
         return 1 << len(self.fix_vars)
+
+    @property
+    def est_total_cost(self) -> int:
+        """The plan's estimated work over all its subtasks."""
+        return self.num_subtasks * self.est_subtask_cost.total
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,7 @@ def select_fix_set(
         plans.insert(0, FixPlan(tuple(fix_vars), *search_ordering(reduced, ordering_budget)))
     plan = min((_give_back(g, p, budget) for p in plans), key=lambda p: (
         p.est_subtask_cost.max_rank > budget.max_rank,
-        p.num_subtasks * p.est_subtask_cost.total))
+        p.est_total_cost))
     if plan.est_subtask_cost.max_rank > budget.max_rank:
         raise BudgetUnreachableError(plan, budget)
     return plan
@@ -301,9 +308,9 @@ def run_partitioned(
     the amplitude does not depend on workers.
 
     ``ValueError`` comes before any sweep, clone or thread unless the
-    plan's fixed variables and ordering list each free variable once.  A
-    rank overflow names its variable and step, and the subtask and its
-    bits when the fixes are sliced.
+    plan's fixed variables and ordering list each free variable once.
+    Every slice files the same bucket layouts, so a rank overflow names
+    only its variable and step, whatever the plan's shape.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
@@ -319,13 +326,7 @@ def run_partitioned(
     def subtask(i: int) -> list[complex]:
         m = g.clone()
         m._fix({v: (i >> (s - 1 - j)) & 1 for j, v in enumerate(sliced)})
-        try:
-            part = contract(m, order, max_rank=max_rank, keep=batch)
-        except RankOverflowError as e:
-            if not sliced:
-                raise
-            where = f"subtask {i} (assignment {format(i, f'0{s}b')!r})"
-            raise RankOverflowError(e.variables, context=f"{e.context}, {where}") from None
+        part = contract(m, order, max_rank=max_rank, keep=batch)
         return part if batch else [part]
 
     indices = range(1 << len(sliced))
@@ -338,7 +339,7 @@ def run_partitioned(
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
         amplitude=amplitude,
-        est_total_cost=plan.est_subtask_cost.total * plan.num_subtasks,
+        est_total_cost=plan.est_total_cost,
         wall_ms=wall_ms,
         batch_vars=batch,
     )

@@ -46,11 +46,12 @@ _SCHEDULE_MEMO = 4096
 
 
 class RankOverflowError(RuntimeError):
-    """A product tensor would exceed the configured maximum rank."""
+    """A product tensor would exceed the configured maximum rank.  The
+    message names its variables and ``context``, the step that would build
+    it; every slice of a plan fails at that step, so none is named."""
 
     def __init__(self, variables, context: str | None = None):
         self.variables = tuple(sorted(variables))
-        self.context = context
         msg = f"product over {len(self.variables)} variables {self.variables} exceeds max rank"
         if context:
             msg += f" ({context})"

@@ -89,6 +89,7 @@ class TestGenerate:
         ["fidelity", "--rows", "0", "--cols", "2", "--depth", "4"],
         ["oracle", "--rows", "5", "--cols", "6", "--depth", "4"],
         ["generate", "--rows", "2", "--cols", "2", "--depth", "4", "-o", "{missing}"],
+        ["export-dot", "--rows", "2", "--cols", "2", "--depth", "4", "-o", "{missing}"],
         ["bench", "--grids", "2", "--depths", "4", "-o", "{missing}"],
         ["bench", "--grids", "2", "--depths", "4", "--x", "0000"],
         ["bench", "--grids", "2", "--depths", "4", "--samples", "0"],
@@ -192,13 +193,16 @@ class TestAmplitude:
         assert payload["error"]["type"] == "budget_unreachable"
 
     def test_rank_overflow_error_json(self, capsys, ref4q_file):
-        code, out = run_cli(capsys, "amplitude", "--circuit", ref4q_file,
-                            "--engine-max-rank", "1")
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["error"]["type"] == "rank_overflow"
-        # one contraction: the message ends at the step, naming no subtask
-        assert re.search(r"\(eliminating v\d+ at step \d+\)$", payload["error"]["message"])
+        # an unsliced plan, and one of t = 3 whose fixes are all sliced:
+        # every slice fails at one step, so the message ends there
+        for args in (["--circuit", ref4q_file, "--engine-max-rank", "1"],
+                     ["--rows", "4", "--cols", "5", "--depth", "16", "--order-restarts", "2",
+                      "--max-rank", "3", "--engine-max-rank", "3"]):
+            code, out = run_cli(capsys, "amplitude", *args)
+            assert code == 1
+            payload = json.loads(out)
+            assert payload["error"]["type"] == "rank_overflow"
+            assert re.search(r"\(eliminating v\d+ at step \d+\)$", payload["error"]["message"])
 
     @pytest.mark.parametrize(
         "text, error, named",
