@@ -2,10 +2,12 @@
 contractions, run the reference simulator, report fidelity estimates,
 benchmark, and export graphs.
 
-Every run is seeded via flags (no environment configuration).  The JSON
-that ``amplitude`` and ``plan`` print embeds the fully resolved
-configuration, and that configuration alone determines the plan: the
-ordering search stops at a restart cap, never at a wall-clock limit.
+Every run is seeded via flags (no environment configuration).
+``amplitude`` prints ``plan``'s record, then the run's facts
+(``amplitude``, ``batch_vars``, ``contractions``, ``wall_ms``); both
+end with the fully resolved configuration, and that configuration alone
+determines the plan: the ordering search stops at a restart cap, never
+at a wall-clock limit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .oracle import TooManyQubitsError, amplitude_of
 from .ordering import OrderingBudget, min_fill_ordering, search_ordering, vertical_ordering
 from .partition import (
     MAX_WORKERS,
-    AmplitudeResult,
     BudgetUnreachableError,
     CostBudget,
     FixPlan,
@@ -111,46 +112,18 @@ def _resolve_x(args, circuit: Circuit) -> str:
     return x
 
 
-def _budget(cfg: RunConfig) -> OrderingBudget:
-    return OrderingBudget(max_restarts=cfg.order_restarts, seed=cfg.order_seed)
-
-
-def _base_ordering(model, cfg: RunConfig) -> Ordering:
-    if cfg.order == "vertical":
-        return vertical_ordering(model)
-    if cfg.order == "minfill":
-        return min_fill_ordering(model, seed=cfg.order_seed)
-    return search_ordering(model, _budget(cfg))[0]
-
-
 def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, Ordering]:
-    base = _base_ordering(model, cfg)
-    plan = select_fix_set(
-        model,
-        base,
-        t_max=cfg.fix_max,
-        budget=CostBudget(max_rank=cfg.max_rank),
-        ordering_budget=_budget(cfg),
-    )
+    """The plan and the base ordering it was made from."""
+    budget = OrderingBudget(max_restarts=cfg.order_restarts, seed=cfg.order_seed)
+    if cfg.order == "vertical":
+        base = vertical_ordering(model)
+    elif cfg.order == "minfill":
+        base = min_fill_ordering(model, seed=cfg.order_seed)
+    else:
+        base = search_ordering(model, budget)[0]
+    plan = select_fix_set(model, base, t_max=cfg.fix_max,
+                          budget=CostBudget(max_rank=cfg.max_rank), ordering_budget=budget)
     return plan, base
-
-
-def _run_pipeline(circuit: Circuit, cfg: RunConfig) -> tuple[AmplitudeResult, FixPlan]:
-    model = build_model(circuit, cfg.x)
-    plan, _ = _make_plan(model, cfg)
-    result = run_partitioned(
-        model,
-        plan,
-        workers=cfg.workers,
-        max_rank=cfg.engine_max_rank,
-    )
-    return result, plan
-
-
-def _emit_error(kind: str, exc: Exception, cfg: RunConfig) -> int:
-    print(json.dumps({"error": {"type": kind, "message": str(exc)},
-                      "config": asdict(cfg)}))
-    return 1
 
 
 def _config_from_args(args, circuit: Circuit, gen_seed: int) -> RunConfig:
@@ -172,57 +145,44 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_amplitude(args) -> int:
-    circuit = _load_circuit(args)
-    cfg = _config_from_args(args, circuit, args.seed)
-    try:
-        result, plan = _run_pipeline(circuit, cfg)
-    except RankOverflowError as e:
-        return _emit_error("rank_overflow", e, cfg)
-    except BudgetUnreachableError as e:
-        return _emit_error("budget_unreachable", e, cfg)
-    if not (math.isfinite(result.amplitude.real) and math.isfinite(result.amplitude.imag)):
-        return _emit_error("non_finite", ValueError("amplitude is not finite"), cfg)
-    print(json.dumps({
-        "amplitude": {"re": result.amplitude.real, "im": result.amplitude.imag},
-        "num_subtasks": plan.num_subtasks,
-        "max_rank": plan.est_subtask_cost.max_rank,
-        "est_total_cost": result.est_total_cost,
-        "fix_vars": list(plan.fix_vars),
-        "batch_vars": list(result.batch_vars),
-        "contractions": 1 << (len(plan.fix_vars) - len(result.batch_vars)),
-        "wall_ms": result.wall_ms,
-        "config": asdict(cfg),
-    }))
-    return 0
-
-
 def cmd_plan(args) -> int:
+    """``plan`` prints the plan record; ``amplitude`` runs the plan too and
+    prints the record, then the run's facts.  ``config`` comes last."""
     circuit = _load_circuit(args)
     cfg = _config_from_args(args, circuit, args.seed)
     model = build_model(circuit, cfg.x)
+    kinds = {RankOverflowError: "rank_overflow", BudgetUnreachableError: "budget_unreachable",
+             FloatingPointError: "non_finite"}
     try:
         plan, base = _make_plan(model, cfg)
-    except BudgetUnreachableError as e:
-        return _emit_error("budget_unreachable", e, cfg)
-    print(
-        json.dumps(
-            {
-                "fix_vars": list(plan.fix_vars),
-                "num_subtasks": plan.num_subtasks,
-                "post_fix_ordering": list(plan.post_fix_ordering.vars),
-                "ordering_provenance": plan.post_fix_ordering.provenance,
-                "est_subtask_cost": {
-                    "total": plan.est_subtask_cost.total,
-                    "max_rank": plan.est_subtask_cost.max_rank,
-                },
-                "est_total_cost": plan.est_total_cost,
-                "base_ordering_cost": estimate_cost(model, base).total,
-                "config": asdict(cfg),
+        record = {
+            "fix_vars": list(plan.fix_vars),
+            "num_subtasks": plan.num_subtasks,
+            "post_fix_ordering": list(plan.post_fix_ordering.vars),
+            "ordering_provenance": plan.post_fix_ordering.provenance,
+            "est_subtask_cost": {
+                "total": plan.est_subtask_cost.total,
+                "max_rank": plan.est_subtask_cost.max_rank,
+            },
+            "est_total_cost": plan.est_total_cost,
+            "base_ordering_cost": estimate_cost(model, base).total,
+        }
+        if args.command == "amplitude":
+            result = run_partitioned(model, plan, workers=cfg.workers,
+                                     max_rank=cfg.engine_max_rank)
+            amp = result.amplitude
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise FloatingPointError("amplitude is not finite")
+            record |= {
+                "amplitude": {"re": amp.real, "im": amp.imag},
+                "batch_vars": list(result.batch_vars),
+                "contractions": 1 << (len(plan.fix_vars) - len(result.batch_vars)),
+                "wall_ms": result.wall_ms,
             }
-        )
-    )
-    return 0
+    except tuple(kinds) as e:
+        record = {"error": {"type": kinds[type(e)], "message": str(e)}}
+    print(json.dumps(record | {"config": asdict(cfg)}))
+    return 1 if "error" in record else 0
 
 
 def cmd_oracle(args) -> int:
@@ -279,7 +239,10 @@ def cmd_bench(args) -> int:
                     cfg = _config_from_args(args, circuit, seed)
                     start = time.perf_counter()
                     try:
-                        result, plan = _run_pipeline(circuit, cfg)
+                        model = build_model(circuit, cfg.x)
+                        plan, _ = _make_plan(model, cfg)
+                        result = run_partitioned(model, plan, workers=cfg.workers,
+                                                 max_rank=cfg.engine_max_rank)
                     except (RankOverflowError, BudgetUnreachableError) as e:
                         failures.append((seed, type(e).__name__))
                         continue
@@ -386,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("amplitude", help="compute <x|C|0...0>")
     _add_circuit_source(p)
     _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_amplitude)
+    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("plan", help="print the fix plan and cost estimates")
     _add_circuit_source(p)

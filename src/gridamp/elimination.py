@@ -327,8 +327,11 @@ def contract(
 
     ``keep`` names variables left open: the result lists the values at
     each assignment of them, the first one's bit the most significant.
+    They come from one product over ``keep``'s axes, which ``_schedule``
+    refuses above ``max_rank`` before any step runs.
     """
     _check_covers(g.adj, Ordering(order.vars + keep))
+    _schedule((keep,), max_rank)
     left, scalar = _eliminate_all(g, order.vars, max_rank)
     if not keep:
         return complex(scalar)

@@ -52,6 +52,8 @@ chunked), else all sliced.  Each of the 2^|S| subtasks clones the model,
 slices S and is one ``contract`` over the whole post-fix ordering with
 the rest of F open, so a sliced amplitude is the fixed sum of
 independently contracted slices, bit for bit, on any number of workers.
+The workers take the next slice index from one shared iterator, and
+each slice's part is stored at its index.
 A batched product pairs its inputs otherwise than a slice does, so a
 batched amplitude agrees with independent slices to rounding.  Every
 slice files the same bucket layouts, so a rank overflow fails them all
@@ -304,8 +306,11 @@ def run_partitioned(
     Subtask i assigns the bits of i to ``plan.fix_vars`` with the first
     selected variable as the most significant bit.  Each slice is one
     ``contract`` of the whole post-fix ordering with the batched fixes
-    open (module docstring).  The sum is the fixed reduction tree, so
-    the amplitude does not depend on workers.
+    open (module docstring).  The slices run on min(``workers``, number
+    of slices) tasks, each taking the next index from one shared
+    iterator, so the pool queues one future per task, not per slice.
+    The sum is the fixed reduction tree, so the amplitude does not
+    depend on workers.
 
     ``ValueError`` comes before any sweep, clone or thread unless the
     plan's fixed variables and ordering list each free variable once.
@@ -329,13 +334,25 @@ def run_partitioned(
         part = contract(m, order, max_rank=max_rank, keep=batch)
         return part if batch else [part]
 
-    indices = range(1 << len(sliced))
-    if workers == 1 or len(indices) < 2:
-        parts = [z for i in indices for z in subtask(i)]
+    parts = [None] * (1 << s)
+    todo = iter(range(1 << s))  # shared; a range iterator's next() is atomic under the GIL
+
+    def drain():
+        try:
+            for i in todo:
+                parts[i] = subtask(i)
+        finally:  # after a failure, the other tasks stop at their next index
+            for _ in todo:
+                pass
+
+    tasks = min(workers, len(parts))
+    if tasks == 1:
+        drain()
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [z for part in pool.map(subtask, indices) for z in part]
-    amplitude = _tree_sum(parts)
+        with ThreadPoolExecutor(max_workers=tasks) as pool:
+            for task in [pool.submit(drain) for _ in range(tasks)]:
+                task.result()
+    amplitude = _tree_sum([z for part in parts for z in part])
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
         amplitude=amplitude,

@@ -1,5 +1,6 @@
 """CLI subcommands: output schemas, determinism, error paths."""
 
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from gridamp import (
     cz_layer,
     parse_circuit,
 )
+from gridamp import cli
 from gridamp.cli import _percentile_ms, main
 from gridamp.partition import MAX_WORKERS
 
@@ -39,6 +41,17 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# the run's facts, which an amplitude prints after ``plan``'s keys but config
+RUN_KEYS = ("amplitude", "batch_vars", "contractions", "wall_ms")
+PLAN_KEYS = ("fix_vars", "num_subtasks", "post_fix_ordering", "ordering_provenance",
+             "est_subtask_cost", "est_total_cost", "base_ordering_cost", "config")
+
+
+def plan_record(payload: dict) -> dict:
+    """An amplitude's output without the run's facts."""
+    return {k: v for k, v in payload.items() if k not in RUN_KEYS}
 
 
 class TestGenerate:
@@ -133,10 +146,8 @@ class TestAmplitude:
                             "--x", "0110")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {
-            "amplitude", "num_subtasks", "max_rank", "est_total_cost",
-            "fix_vars", "batch_vars", "contractions", "wall_ms", "config",
-        }
+        # the plan record, then the run's facts, then the config
+        assert list(payload) == list(PLAN_KEYS[:-1] + RUN_KEYS + PLAN_KEYS[-1:])
         c = parse_circuit(REF4Q_TEXT)
         expected = amplitude_of(c, "0110")
         got = complex(payload["amplitude"]["re"], payload["amplitude"]["im"])
@@ -191,6 +202,19 @@ class TestAmplitude:
         assert code == 1
         payload = json.loads(out)
         assert payload["error"]["type"] == "budget_unreachable"
+
+    def test_non_finite_error_json(self, capsys, ref4q_file, monkeypatch):
+        run = cli.run_partitioned
+
+        def overflowed(*args, **kwargs):
+            return dataclasses.replace(run(*args, **kwargs), amplitude=complex(math.inf, 0))
+
+        monkeypatch.setattr(cli, "run_partitioned", overflowed)
+        code, out = run_cli(capsys, "amplitude", "--circuit", ref4q_file)
+        assert code == 1
+        payload = json.loads(out)
+        assert list(payload) == ["error", "config"]
+        assert payload["error"] == {"type": "non_finite", "message": "amplitude is not finite"}
 
     def test_rank_overflow_error_json(self, capsys, ref4q_file):
         # an unsliced plan, and one of t = 3 whose fixes are all sliced:
@@ -255,11 +279,7 @@ class TestAmplitude:
         amp = json.loads(out)
         code, out = run_cli(capsys, "plan", *argv)
         assert code == 0
-        plan = json.loads(out)
-        assert amp["num_subtasks"] == plan["num_subtasks"]
-        assert amp["max_rank"] == plan["est_subtask_cost"]["max_rank"]
-        assert amp["est_total_cost"] == plan["est_total_cost"]
-        assert amp["fix_vars"] == plan["fix_vars"]
+        assert plan_record(amp) == json.loads(out)
 
     def test_generated_source(self, capsys):
         code, out = run_cli(capsys, "amplitude", "--rows", "2", "--cols", "2",
@@ -294,12 +314,14 @@ def test_runs_replay_from_their_own_config(capsys):
     second = json.loads(out)
     assert code == 0 and second["config"] == first["config"]
     assert second["amplitude"] == first["amplitude"]
+    assert plan_record(second) == plan_record(first) == json.loads(plan)
 
 
 class TestPlanOracleDot:
     def test_plan_schema(self, capsys, ref4q_file):
         code, out = run_cli(capsys, "plan", "--circuit", ref4q_file)
         payload = json.loads(out)
+        assert list(payload) == list(PLAN_KEYS)
         assert payload["num_subtasks"] == 1 << len(payload["fix_vars"])
         assert "est_subtask_cost" in payload
         assert "base_ordering_cost" in payload

@@ -135,6 +135,20 @@ class TestContract:
             contract(ref4q_model, order, max_rank=3)
         assert "step 0" in str(err.value)
 
+    def test_keep_over_the_cap_is_refused_before_any_step(self, ref4q_model, monkeypatch):
+        # the values over keep come from one product over its axes, so a
+        # keep of k variables is refused at max_rank k - 1 before any step
+        def no_steps(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(elimination, "_eliminate_all", no_steps)
+        vs = sorted(ref4q_model.vertices)
+        keep, order = tuple(vs[:4]), Ordering(tuple(vs[4:]))
+        with pytest.raises(RankOverflowError):
+            contract(ref4q_model, order, max_rank=3, keep=keep)
+        with pytest.raises(AssertionError, match="a step ran"):
+            contract(ref4q_model, order, max_rank=4, keep=keep)
+
     def test_bit_reproducible(self, ref4q_model):
         order = Ordering(tuple(sorted(ref4q_model.vertices)))
         a = contract(ref4q_model, order)

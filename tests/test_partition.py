@@ -659,7 +659,7 @@ def test_engine_rank_one_past_the_plan_slices_the_fixes(capsys):
         assert main(args + extra) == 0
         runs.append(json.loads(capsys.readouterr().out))
     wide, narrow = runs
-    assert wide["max_rank"] == 3 and len(wide["fix_vars"]) == 3
+    assert wide["est_subtask_cost"]["max_rank"] == 3 and len(wide["fix_vars"]) == 3
     assert wide["batch_vars"] == wide["fix_vars"] and wide["contractions"] == 1
     assert narrow["batch_vars"] == [] and narrow["contractions"] == 8
     amps = [complex(r["amplitude"]["re"], r["amplitude"]["im"]) for r in runs]

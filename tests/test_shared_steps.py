@@ -190,18 +190,51 @@ class TestSameBits:
 
 
 def test_the_pool_runs_every_subtask(monkeypatch):
+    # 8 slices on 2 workers: the pool holds one task per worker, and the
+    # tasks between them slice and contract each subtask once
     _, model, plan = fanout_plan(4, 5, 16, 0, 3)
-    sent = []
+    one = run_sliced(model, plan)
+    sent, slices = [], []
 
     class Recording(ThreadPoolExecutor):
-        def map(self, fn, indices):
-            sent.extend(indices)
-            return super().map(fn, indices)
+        def submit(self, fn, *args, **kwargs):
+            sent.append(fn)
+            return super().submit(fn, *args, **kwargs)
 
+    fix = GraphModel._fix
+
+    def recorded(self, bits):
+        slices.append(tuple(sorted(bits.items())))
+        return fix(self, bits)
+
+    contracted = []
+    contract = partition.contract
     monkeypatch.setattr(partition, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(GraphModel, "_fix", recorded)
+    monkeypatch.setattr(partition, "contract",
+                        lambda *args, **kwargs: contracted.append(1) or contract(*args, **kwargs))
     two = run_sliced(model, plan, workers=2)
-    assert sent == list(range(plan.num_subtasks)) and plan.num_subtasks == 8
-    assert bits(two.amplitude) == bits(run_sliced(model, plan).amplitude)
+    assert plan.num_subtasks == 8 and len(sent) <= 2
+    assert len(slices) == len(set(slices)) == len(contracted) == 8
+    assert bits(two.amplitude) == bits(one.amplitude)
+
+
+def test_a_failed_subtask_stops_the_pool(monkeypatch):
+    # the other worker runs no slice past the one it holds when the first fails
+    _, model, plan = fanout_plan(4, 5, 16, 0, 3)
+    calls = []
+    contract = partition.contract
+
+    def first_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise MemoryError("first slice")
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "contract", first_fails)
+    with pytest.raises(MemoryError, match="first slice"):
+        run_sliced(model, plan, workers=2)
+    assert plan.num_subtasks == 8 and len(calls) < 8
 
 
 def test_slices_read_one_model_from_many_threads():
