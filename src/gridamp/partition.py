@@ -23,16 +23,29 @@ set B and its fill pairs, the pairs of B it joins.
 
 Missing edges: after step p_v the candidate's graph has the same
 vertices as the base one and is the base graph minus a set D of its
-edges.  D starts as v's fill pairs, which the base step p_v adds and
-the candidate, which only removes v, does not.  At step j, with
-u = order[j] and D(u) the partners of u in D, u has |B| - |D(u)|
-neighbors in the candidate's graph, so the step costs
-2^|B| - 2^(|B| - |D(u)|) less than the base step.  Eliminating u then
-drops u's pairs from D, drops the pairs with both ends in B - D(u)
-(the candidate's clique joins them too), and adds the step's fill pairs
-that touch D(u) (the candidate's u does not reach that end).  When D is
-empty the two graphs are equal, and the rest of the candidate's cost is
-the base suffix total.
+edges.  D starts as v's fill pairs, which the base step p_v adds and the
+candidate, which only removes v, does not.  At step j, with u = order[j]
+and D(u) the partners of u in D, u has |B| - |D(u)| neighbors in the
+candidate's graph, so the step costs 2^|B| - 2^(|B| - |D(u)|) less than
+the base step.  Eliminating u then drops u's pairs from D, drops the
+pairs with both ends in B - D(u) (the candidate's clique joins them
+too), and adds the step's fill pairs that touch D(u) (the candidate's u
+does not reach that end).  When D is empty the two graphs are equal, and
+the rest of the candidate's cost is the base suffix total.  Each vertex
+is named by its position in the round's ordering, which is its step, so
+B and the partners of a fill pair's end are int bitmasks over positions,
+and D maps each of its vertices to its partner mask.  Only a step whose
+u is in D, or whose B holds two or more of D's vertices, can change D or
+the cost.  At any other step D(u) is empty, so u keeps all |B| neighbors
+and the step costs exactly the base step's 2^|B|; B holds at most one
+end of any pair of D, so no pair is dropped; and no fill pair is added,
+since none touches an empty D(u).  The walk therefore jumps to the
+lowest step past j in D's key mask or in ``twos``, the mask of the steps
+whose B holds two or more of D's vertices, and adds the steps it passes
+from the suffix totals in one subtraction.  ``twos`` is built from each
+vertex's mask of the steps whose B holds it, as ``twos |= ones &
+occurs[x]; ones |= occurs[x]`` over D's vertices x, and rebuilt only
+when those vertices change.
 
 Kept vertices: ``elimination._kept_sweep`` eliminates an ordering on a
 copy of the full graph and never eliminates a vertex the ordering leaves
@@ -40,8 +53,9 @@ out, such as the fixed set F; B_k is step k's neighbor set.  Removing a
 vertex commutes with eliminating others, so step k's degree is |B_k - F|
 with F sliced, |B_k - F| + [v in B_k] with one fixed v given back (v's
 own last step has degree 0), and |B_k| with F open as batch axes.  One
-sweep thus prices every give-back candidate and the plan it returns,
-and one gives ``run_partitioned`` its batch width.
+sweep thus prices every give-back candidate and the plan it returns;
+extended by v's step, it is the sweep of the next give-back round.
+Another gives ``run_partitioned`` its batch width.
 
 Fan-out: ``run_partitioned`` slices a prefix S of F and leaves the rest
 open as batch axes.  |B_k| is at most t above |B_k - F|, so a batched
@@ -53,7 +67,8 @@ slices S and is one ``contract`` over the whole post-fix ordering with
 the rest of F open, so a sliced amplitude is the fixed sum of
 independently contracted slices, bit for bit, on any number of workers.
 The workers take the next slice index from one shared iterator, and
-each slice's part is stored at its index.
+each slice writes its values at its index of one flat list, which
+``_tree_sum`` reduces in place.
 A batched product pairs its inputs otherwise than a slice does, so a
 batched amplitude agrees with independent slices to rounding.  Every
 slice files the same bucket layouts, so a rank overflow fails them all
@@ -141,91 +156,141 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
-def _fix_sweep(adj: dict[VarId, set[VarId]], order: list[VarId]) -> tuple[list, list]:
-    """B and the fill pairs of each step of the base elimination."""
+def _fix_sweep(adj: dict[VarId, set[VarId]], order: list[VarId]) -> tuple[list, ...]:
+    """B and the fill pairs of each step of the base elimination, as
+    bitmasks over positions in ``order``, and for each position the mask
+    of the steps whose B holds it and what they cost less without it."""
+    pos = {u: k for k, u in enumerate(order)}
+    bit = {u: 1 << k for k, u in enumerate(order)}.__getitem__
     base = copy_adj(adj)
     neighbors = []  # B of each step
-    fills = []  # each step's fill pairs, as partner sets of both ends
-    for u in order:
+    fills = []  # each step's fill pairs, as {position: partner mask} over both ends
+    occurs = [0] * len(order)  # occurs[x]: mask of the steps whose B holds x
+    halves = [0] * len(order)  # what the steps before x cost less without x
+    for k, u in enumerate(order):
         nbs = base[u]
+        half = (1 << len(nbs)) >> 1
         fill = {}
         for x in nbs:
+            p = pos[x]
+            occurs[p] |= 1 << k
+            halves[p] += half
             joined = nbs - base[x]
             joined.discard(x)
             if joined:
-                fill[x] = joined
+                fill[p] = sum(map(bit, joined))
         fills.append(fill)
-        neighbors.append(eliminate_vertex(base, u))
-    return neighbors, fills
+        neighbors.append(sum(map(bit, eliminate_vertex(base, u))))
+    return neighbors, fills, occurs, halves
 
 
-def _priced_fixes(order: list[VarId], neighbors: list, fills: list) -> dict[VarId, int]:
+def _priced_fixes(order: list[VarId], neighbors: list, fills: list, occurs: list,
+                  halves: list) -> dict[VarId, int]:
     """Each vertex's total with it removed from the graph ``_fix_sweep``
-    swept into ``neighbors`` and ``fills``: a missing-edge walk each."""
-    costs = [1 << len(nbs) for nbs in neighbors]
+    swept: a missing-edge walk each that visits only the steps able to
+    change D (module docstring)."""
+    degrees = [nbs.bit_count() for nbs in neighbors]
+    costs = [1 << d for d in degrees]
     after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
     for k in range(len(order) - 1, -1, -1):
         after[k] = after[k + 1] + costs[k]
-    halves = dict.fromkeys(order, 0)  # what the steps taken cost less without v
     totals = {}
     for k, v in enumerate(order):
-        total = after[0] - after[k] - halves[v]
-        missing = {x: set(ys) for x, ys in fills[k].items()}  # D
+        total = after[0] - after[k] - halves[k]
+        missing = dict(fills[k])  # D
+        keyed = sum(map((1).__lshift__, missing))  # D's keys as a mask
+        built = 0  # the key mask ``twos`` was built for
         j = k + 1
         while missing:
-            nbs = neighbors[j]
-            du = missing.pop(order[j], None)
+            if keyed != built:  # the steps whose B holds two or more keys
+                ones = twos = 0
+                for x in missing:
+                    twos |= ones & occurs[x]
+                    ones |= occurs[x]
+                built = keyed
+            ahead = (keyed | twos) >> j
+            step = j + (ahead & -ahead).bit_length() - 1
+            total += after[j] - after[step]  # each skipped step costs the base's
+            j = step
+            du = missing.pop(j, None)
             if du is None:
                 total += costs[j]
-                keep = nbs
+                keep = neighbors[j]
             else:
-                for w in du:
-                    partners = missing[w]
-                    partners.discard(order[j])
-                    if not partners:
+                keyed ^= 1 << j
+                ws = du
+                while ws:
+                    low = ws & -ws
+                    ws ^= low
+                    w = low.bit_length() - 1
+                    partners = missing[w] ^ (1 << j)
+                    if partners:
+                        missing[w] = partners
+                    else:
                         del missing[w]
-                total += 1 << (len(nbs) - len(du))
-                keep = nbs - du
+                        keyed ^= low
+                total += 1 << (degrees[j] - du.bit_count())
+                keep = neighbors[j] & ~du
             # the step's clique supplies the missing pairs inside keep
-            hit = keep.intersection(missing)
-            if len(hit) > 1:
-                for x in hit:
-                    partners = missing[x]
-                    partners -= keep
-                    if not partners:
+            hit = keep & keyed
+            if hit & (hit - 1):
+                while hit:
+                    low = hit & -hit
+                    hit ^= low
+                    x = low.bit_length() - 1
+                    partners = missing[x] & ~keep
+                    if partners:
+                        missing[x] = partners
+                    else:
                         del missing[x]
+                        keyed ^= low
             if du:  # the candidate makes no fill pair at du
-                for x in du:
-                    for y in fills[j].get(x, ()):
-                        missing.setdefault(x, set()).add(y)
-                        missing.setdefault(y, set()).add(x)
+                fill = fills[j]
+                while du:
+                    low = du & -du
+                    du ^= low
+                    x = low.bit_length() - 1
+                    ys = fill.get(x)
+                    if ys:
+                        missing[x] = missing.get(x, 0) | ys
+                        keyed |= low | ys
+                        while ys:
+                            end = ys & -ys
+                            ys ^= end
+                            y = end.bit_length() - 1
+                            missing[y] = missing.get(y, 0) | low
             j += 1
         totals[v] = total + after[j]
-        for u in neighbors[k]:
-            halves[u] += costs[k] >> 1
     return totals
 
 
-def _give_back_degrees(adj: dict[VarId, set[VarId]], order, fixed: set[VarId]) -> dict:
-    """Each step's degree under ``order`` and then v, for each v of
-    ``fixed`` given back, from one sweep of the full graph ``adj``."""
-    sweep = _kept_sweep(adj, order)
+def _give_back_degrees(sweep: list[set[VarId]], fixed: set[VarId]) -> dict:
+    """Each step's degree, for each v of ``fixed`` given back and
+    eliminated last, from ``sweep``, the full graph's kept sweep of the
+    post-fix ordering."""
     sliced = [len(nbs - fixed) for nbs in sweep]
     return {v: [d + (v in nbs) for d, nbs in zip(sliced, sweep)] + [0] for v in fixed}
 
 
 def _give_back(g: GraphModel, plan: FixPlan, budget: CostBudget) -> FixPlan:
     """``plan`` after returning its cheapest fixed variable (lower id on
-    ties), eliminated last, while the rank fits and 2^t * total falls."""
+    ties), eliminated last, while the rank fits and 2^t * total falls.
+    One kept sweep of the full graph serves every round: the sweep of the
+    ordering with v appended is that sweep plus v's step."""
+    if not plan.fix_vars:
+        return plan
+    adj = copy_adj(g.adj)
+    sweep = [eliminate_vertex(adj, u) for u in plan.post_fix_ordering.vars]
     while plan.fix_vars:
-        order = plan.post_fix_ordering
-        degrees = _give_back_degrees(g.adj, order.vars, set(plan.fix_vars))
+        degrees = _give_back_degrees(sweep, set(plan.fix_vars))
         prices = {v: (sum(1 << d for d in ds), max(ds)) for v, ds in degrees.items()}
         fits = [(total, v) for v, (total, rank) in prices.items()
                 if rank <= budget.max_rank and total < 2 * plan.est_subtask_cost.total]
         if not fits:
             break
         v = min(fits)[1]
+        sweep.append(eliminate_vertex(adj, v))
+        order = plan.post_fix_ordering
         order = Ordering(order.vars + (v,), order.provenance)
         plan = FixPlan(tuple(u for u in plan.fix_vars if u != v), order,
                        _estimate(order.vars, degrees[v]))
@@ -271,7 +336,7 @@ def select_fix_set(
         remove_vertex(adj, best_v)
         remaining.remove(best_v)
         sweep = _fix_sweep(adj, remaining)  # the next round prices its fixes from it too
-        current = _estimate(remaining, map(len, sweep[0]))
+        current = _estimate(remaining, map(int.bit_count, sweep[0]))
     plans = [FixPlan(tuple(fix_vars), base.restrict(adj), current)]
     if fix_vars:
         reduced = GraphModel()  # the search reads only the graph
@@ -287,12 +352,19 @@ def select_fix_set(
 
 
 def _tree_sum(values: list[complex]) -> complex:
-    """Fixed-shape pairwise reduction; independent of completion order."""
-    level = list(values) or [0.0 + 0.0j]
-    while len(level) > 1:
+    """Fixed-shape pairwise reduction, independent of completion order;
+    reduces ``values`` in place, each level over the first entries."""
+    n = len(values)
+    while n > 1:
         # add neighbors pairwise; an odd last value moves up unchanged
-        level = [a + b for a, b in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
-    return level[0]
+        half = n // 2
+        for i in range(half):
+            values[i] = values[2 * i] + values[2 * i + 1]
+        if n % 2:
+            values[half] = values[n - 1]
+        n -= half
+        del values[n:]
+    return values[0] if values else 0j
 
 
 def run_partitioned(
@@ -334,25 +406,26 @@ def run_partitioned(
         part = contract(m, order, max_rank=max_rank, keep=batch)
         return part if batch else [part]
 
-    parts = [None] * (1 << s)
+    width = 1 << len(batch)  # values per slice
+    values = [None] * (width << s)  # slice i writes entries i * width onwards
     todo = iter(range(1 << s))  # shared; a range iterator's next() is atomic under the GIL
 
     def drain():
         try:
             for i in todo:
-                parts[i] = subtask(i)
+                values[i * width:(i + 1) * width] = subtask(i)
         finally:  # after a failure, the other tasks stop at their next index
             for _ in todo:
                 pass
 
-    tasks = min(workers, len(parts))
+    tasks = min(workers, 1 << s)
     if tasks == 1:
         drain()
     else:
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             for task in [pool.submit(drain) for _ in range(tasks)]:
                 task.result()
-    amplitude = _tree_sum([z for part in parts for z in part])
+    amplitude = _tree_sum(values)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
         amplitude=amplitude,

@@ -377,7 +377,7 @@ class TestGiveBack:
         fixed = set(plan.fix_vars)
         assert fixed
         order = plan.post_fix_ordering.vars
-        degrees = partition._give_back_degrees(model.adj, order, fixed)
+        degrees = partition._give_back_degrees(partition._kept_sweep(model.adj, order), fixed)
         assert degrees.keys() == fixed
         for v in fixed:
             est = simulate_cost(without(model.adj, fixed - {v}), order + (v,))
@@ -441,7 +441,7 @@ class TestGiveBack:
                 assert (est_plan.total * plan.num_subtasks
                         < kept.est_subtask_cost.total * kept.num_subtasks)
                 degrees = partition._give_back_degrees(
-                    model.adj, plan.post_fix_ordering.vars, fixed)
+                    partition._kept_sweep(model.adj, plan.post_fix_ordering.vars), fixed)
                 assert not [v for v, ds in degrees.items()
                             if max(ds) <= rank and sum(1 << d for d in ds) < 2 * est_plan.total]
         assert changed

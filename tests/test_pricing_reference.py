@@ -28,6 +28,7 @@ from gridamp.elimination import eliminate_vertex, simulate_cost
 from conftest import (
     CASE_IDS,
     CASES,
+    fanout_plan,
     grid_model,
     plan_over_budget,
     reference_best_fix,
@@ -114,7 +115,7 @@ class TestFixSelection:
             swept.append((_copy(adj), list(order)))
             return fix_sweep(adj, order)
 
-        def priced(order, neighbors, fills):
+        def priced(order, *sweep):
             adj, swept_order = swept[-1]
             assert order == swept_order
             rounds.append(order)
@@ -199,8 +200,48 @@ def test_eliminate_vertex_joins_neighbors_pairwise():
         assert got == want
 
 
+def sparse_id_graphs(count, seed):
+    """Random graphs of 70-150 vertices whose ids are scattered far above
+    the vertex count, under random orderings."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(70, 151))
+        ids = [int(v) for v in rng.choice(10**9, size=n, replace=False) + 10**9]
+        adj = {v: set() for v in ids}
+        for u, w in rng.integers(0, n, size=(3 * n // 2, 2)):
+            if u != w:
+                adj[ids[u]].add(ids[w])
+                adj[ids[w]].add(ids[u])
+        yield adj, [ids[i] for i in rng.permutation(n)]
+
+
 def test_fix_pricing_on_random_graphs():
     # arbitrary graphs, not only circuit models: dense spots, isolated
-    # vertices and candidates whose removal disconnects the graph
-    for adj, order in random_graphs(40, seed=8):
+    # vertices and candidates whose removal disconnects the graph; the
+    # larger ones index their bitmasks by position across machine words
+    for adj, order in [*random_graphs(40, seed=8), *sparse_id_graphs(6, seed=9)]:
         check_fix_pricing(adj, order)
+
+
+def test_every_fanout_round_prices_like_the_reference(monkeypatch):
+    # fanout-6x6x24 circuit 0 at rank budget 10, the benchmark's plan:
+    # each greedy round's totals equal a full replay of the graph it swept
+    fix_sweep, priced_fixes, swept, rounds = partition._fix_sweep, partition._priced_fixes, [], []
+
+    def sweep(adj, order):
+        swept.append((_copy(adj), list(order)))
+        return fix_sweep(adj, order)
+
+    def priced(order, *masks):
+        adj, swept_order = swept[-1]
+        assert order == swept_order
+        totals = priced_fixes(order, *masks)
+        assert totals == reference_fix_totals(adj, order)
+        rounds.append(order)
+        return totals
+
+    monkeypatch.setattr(partition, "_fix_sweep", sweep)
+    monkeypatch.setattr(partition, "_priced_fixes", priced)
+    _, _, plan = fanout_plan()
+    # the greedy fixes (14, 112, 94, 55, 9), then v14 given back
+    assert plan.fix_vars == (112, 94, 55, 9) and len(rounds) == 5

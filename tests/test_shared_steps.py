@@ -271,3 +271,26 @@ def test_unfixed_plan_is_one_contract():
     order = Ordering((0, 5, 6, 1, 2, 7, 3, 4))
     result = run_partitioned(g, plan_for(g, (), order))
     assert result.amplitude == contract(g, order)
+
+
+def list_by_list_sum(values):
+    """The reduction tree built one new list per level."""
+    level = list(values) or [0.0 + 0.0j]
+    while len(level) > 1:
+        level = [a + b for a, b in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
+    return level[0]
+
+
+def test_tree_sum_in_place_pairs_like_new_lists():
+    # magnitudes far apart make any other pairing round differently, and
+    # signed zeros keep their signs only under the same additions
+    rng = np.random.default_rng(3)
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    for n in range(34):
+        scale = 10.0 ** rng.integers(-8, 17, size=n)
+        mixed = list(rng.standard_normal(n) * scale + 1j * rng.standard_normal(n) * scale)
+        for i in rng.choice(n, size=n // 3, replace=False) if n else ():
+            mixed[i] = zeros[i % 4]
+        for values in (mixed, [zeros[i % 4] for i in range(n)], [-0.0 - 0.0j] * n):
+            values = [complex(z) for z in values]
+            assert bits(partition._tree_sum(list(values))) == bits(list_by_list_sum(values))
