@@ -152,7 +152,7 @@ def cmd_plan(args) -> int:
     cfg = _config_from_args(args, circuit, args.seed)
     model = build_model(circuit, cfg.x)
     kinds = {RankOverflowError: "rank_overflow", BudgetUnreachableError: "budget_unreachable",
-             FloatingPointError: "non_finite"}
+             FloatingPointError: "non_finite", MemoryError: "out_of_memory"}
     try:
         plan, base = _make_plan(model, cfg)
         record = {
@@ -180,7 +180,8 @@ def cmd_plan(args) -> int:
                 "wall_ms": result.wall_ms,
             }
     except tuple(kinds) as e:
-        record = {"error": {"type": kinds[type(e)], "message": str(e)}}
+        kind = next(kind for cls, kind in kinds.items() if isinstance(e, cls))
+        record = {"error": {"type": kind, "message": str(e)}}
     print(json.dumps(record | {"config": asdict(cfg)}))
     return 1 if "error" in record else 0
 

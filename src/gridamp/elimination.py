@@ -100,7 +100,7 @@ _POOL = _Pool()
 @dataclass(frozen=True)
 class Ordering:
     """Elimination order over the free variables, with provenance tag
-    (vertical | min-fill | search | user)."""
+    (vertical | min-fill | search | post-fix search | user)."""
 
     vars: tuple[VarId, ...]
     provenance: str = "user"
@@ -315,7 +315,7 @@ def contract(
     max_rank: int = DEFAULT_MAX_RANK,
     *,
     keep: tuple[VarId, ...] = (),
-) -> complex | list[complex]:
+) -> complex | np.ndarray:
     """Eliminate every free variable in order; returns the amplitude.
 
     ``g`` is only read.  Under ``MATMUL_RANK`` axes, or with one factor,
@@ -325,10 +325,11 @@ def contract(
     entries.  Buckets keep a fixed order, so the result is bit-reproducible.
     A rank overflow names its variable and step, counted from 0 in ``order``.
 
-    ``keep`` names variables left open: the result lists the values at
-    each assignment of them, the first one's bit the most significant.
-    They come from one product over ``keep``'s axes, which ``_schedule``
-    refuses above ``max_rank`` before any step runs.
+    ``keep`` names variables left open: the result is a flat complex128
+    array of the values at each assignment of them, the first one's bit
+    the most significant.  They come from one product over ``keep``'s
+    axes, which ``_schedule`` refuses above ``max_rank`` before any step
+    runs.
     """
     _check_covers(g.adj, Ordering(order.vars + keep))
     _schedule((keep,), max_rank)
@@ -336,4 +337,4 @@ def contract(
     if not keep:
         return complex(scalar)
     ones = Tensor(keep, np.ones((2,) * len(keep)))  # first: the axes come in keep's order
-    return (multiply_all([ones] + left, max_rank=max_rank).data * scalar).ravel().tolist()
+    return (multiply_all([ones] + left, max_rank=max_rank).data * scalar).ravel()

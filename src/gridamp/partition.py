@@ -67,8 +67,9 @@ slices S and is one ``contract`` over the whole post-fix ordering with
 the rest of F open, so a sliced amplitude is the fixed sum of
 independently contracted slices, bit for bit, on any number of workers.
 The workers take the next slice index from one shared iterator, and
-each slice writes its values at its index of one flat list, which
-``_tree_sum`` reduces in place.
+each slice writes its values into its row of one complex128 array of
+2^t entries, allocated before any slice runs; ``_tree_sum`` adds its
+neighbors level by level.
 A batched product pairs its inputs otherwise than a slice does, so a
 batched amplitude agrees with independent slices to rounding.  Every
 slice files the same bucket layouts, so a rank overflow fails them all
@@ -80,6 +81,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import elimination
 from .elimination import (
@@ -316,7 +319,8 @@ def select_fix_set(
     fixed variable (lower id on ties) while the rank fits and 2^t times
     the total falls.  The plan is the one of the two that meets the
     budget if either does, then the one with less 2^t times the total,
-    ties to the search result.
+    ties to the search result, whose ordering is tagged ``"post-fix
+    search"``; the restricted base keeps its provenance.
 
     Raises ``ValueError`` before any copy unless ``base`` lists exactly
     the free variables, and :class:`BudgetUnreachableError`, which carries
@@ -341,8 +345,9 @@ def select_fix_set(
     if fix_vars:
         reduced = GraphModel()  # the search reads only the graph
         reduced.adj = adj
+        order, cost = search_ordering(reduced, ordering_budget)
         # first, since min() breaks ties toward it
-        plans.insert(0, FixPlan(tuple(fix_vars), *search_ordering(reduced, ordering_budget)))
+        plans.insert(0, FixPlan(tuple(fix_vars), Ordering(order.vars, "post-fix search"), cost))
     plan = min((_give_back(g, p, budget) for p in plans), key=lambda p: (
         p.est_subtask_cost.max_rank > budget.max_rank,
         p.est_total_cost))
@@ -351,20 +356,13 @@ def select_fix_set(
     return plan
 
 
-def _tree_sum(values: list[complex]) -> complex:
-    """Fixed-shape pairwise reduction, independent of completion order;
-    reduces ``values`` in place, each level over the first entries."""
-    n = len(values)
-    while n > 1:
-        # add neighbors pairwise; an odd last value moves up unchanged
-        half = n // 2
-        for i in range(half):
-            values[i] = values[2 * i] + values[2 * i + 1]
-        if n % 2:
-            values[half] = values[n - 1]
-        n -= half
-        del values[n:]
-    return values[0] if values else 0j
+def _tree_sum(values: np.ndarray) -> complex:
+    """Fixed-shape pairwise reduction of 2^k values, independent of
+    completion order: each level adds neighbors, as IEEE doubles per
+    component, into an array half as long."""
+    while len(values) > 1:
+        values = np.add(values[0::2], values[1::2])
+    return complex(values[0])
 
 
 def run_partitioned(
@@ -399,21 +397,15 @@ def run_partitioned(
     cap = min(elimination.CHUNK_RANK, max_rank)
     s = 0 if max(map(len, sweep), default=0) < cap and t <= cap else t
     sliced, batch = plan.fix_vars[:s], plan.fix_vars[s:]
-
-    def subtask(i: int) -> list[complex]:
-        m = g.clone()
-        m._fix({v: (i >> (s - 1 - j)) & 1 for j, v in enumerate(sliced)})
-        part = contract(m, order, max_rank=max_rank, keep=batch)
-        return part if batch else [part]
-
-    width = 1 << len(batch)  # values per slice
-    values = [None] * (width << s)  # slice i writes entries i * width onwards
+    values = np.empty((1 << s, 1 << len(batch)), complex)  # row i: slice i's values
     todo = iter(range(1 << s))  # shared; a range iterator's next() is atomic under the GIL
 
     def drain():
         try:
             for i in todo:
-                values[i * width:(i + 1) * width] = subtask(i)
+                m = g.clone()
+                m._fix({v: (i >> (s - 1 - j)) & 1 for j, v in enumerate(sliced)})
+                values[i] = contract(m, order, max_rank=max_rank, keep=batch)
         finally:  # after a failure, the other tasks stop at their next index
             for _ in todo:
                 pass
@@ -425,7 +417,7 @@ def run_partitioned(
         with ThreadPoolExecutor(max_workers=tasks) as pool:
             for task in [pool.submit(drain) for _ in range(tasks)]:
                 task.result()
-    amplitude = _tree_sum(values)
+    amplitude = _tree_sum(values.ravel())
     wall_ms = (time.perf_counter() - start) * 1000.0
     return AmplitudeResult(
         amplitude=amplitude,

@@ -228,6 +228,15 @@ class TestAmplitude:
             assert payload["error"]["type"] == "rank_overflow"
             assert re.search(r"\(eliminating v\d+ at step \d+\)$", payload["error"]["message"])
 
+    def test_slice_values_past_memory_are_one_error_line(self, capsys):
+        # t = 51: the 2^51 slice values (32 PiB) are refused before any slice runs
+        code = main(["amplitude", "--rows", "6", "--cols", "6", "--depth", "24",
+                     "--max-rank", "1", "--fix-max", "60", "--order-restarts", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.count("\n") == 1 and err == ""
+        assert json.loads(out)["error"]["type"] == "out_of_memory"
+
     @pytest.mark.parametrize(
         "text, error, named",
         [
@@ -334,6 +343,16 @@ class TestPlanOracleDot:
                             "--order-restarts", "2", "--fix-max", "24")
         assert code == 0
         assert json.loads(out)["est_subtask_cost"]["max_rank"] <= 5
+
+    @pytest.mark.parametrize("argv, provenance", [
+        (["--rows", "4", "--cols", "5", "--depth", "16", "--max-rank", "3"], "search"),
+        (["--rows", "6", "--cols", "6", "--depth", "24", "--max-rank", "10"], "post-fix search"),
+    ], ids=["restricted-base-won", "post-fix-search-won"])
+    def test_provenance_names_the_winning_ordering(self, capsys, argv, provenance):
+        code, out = run_cli(capsys, "plan", *argv, "--order-restarts", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fix_vars"] and payload["ordering_provenance"] == provenance
 
     def test_oracle_matches_amplitude(self, capsys, ref4q_file):
         _, a = run_cli(capsys, "oracle", "--circuit", ref4q_file, "--x", "1010")

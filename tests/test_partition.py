@@ -475,7 +475,7 @@ class TestRunPartitioned:
         plan = forced_plan(ref4q_model, base, 2)
         result = run_partitioned(ref4q_model, plan)
         assert plan.num_subtasks == 4
-        assert plan.post_fix_ordering.provenance == "search"
+        assert plan.post_fix_ordering.provenance == "post-fix search"
         assert result.est_total_cost == plan.est_subtask_cost.total * 4
         assert result.wall_ms >= 0
 
@@ -609,12 +609,42 @@ class TestBatchedSubtasks:
         model, plan, _, _, _ = batch_case
         t = len(plan.fix_vars)
         values = contract(model, plan.post_fix_ordering, keep=plan.fix_vars)
-        assert len(values) == plan.num_subtasks
+        assert isinstance(values, np.ndarray) and values.dtype == np.complex128
+        assert values.shape == (plan.num_subtasks,)
         for i, value in enumerate(values):
             m = model.clone()
             m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
             want = contract(m, plan.post_fix_ordering)
             assert abs(value - want) <= 1e-12 * abs(want)
+
+    def test_slice_values_reach_the_sum_as_one_array(self, batch_case, monkeypatch):
+        model, plan, _, _, caps = batch_case
+        t, order = len(plan.fix_vars), plan.post_fix_ordering
+        slices = []
+        for i in range(plan.num_subtasks):
+            m = model.clone()
+            m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
+            slices.append(contract(m, order))
+        seen = []
+        tree_sum = partition._tree_sum
+
+        def recording(values):
+            seen.append(values)
+            return tree_sum(values)
+
+        monkeypatch.setattr(partition, "_tree_sum", recording)
+        # one past the plan's rank slices every fix; the largest cap batches them all
+        for cap, batch, want in ((caps[0], (), np.array(slices)),
+                                 (caps[-1], plan.fix_vars,
+                                  contract(model, order, keep=plan.fix_vars))):
+            for workers in (1, 2):
+                seen.clear()
+                result = run_partitioned(model, plan, workers=workers, max_rank=cap)
+                assert result.batch_vars == batch
+                [values] = seen
+                assert isinstance(values, np.ndarray) and values.dtype == np.complex128
+                assert values.shape == (plan.num_subtasks,)
+                assert np.array_equal(values, want)
 
     def test_same_bits_on_any_worker_count(self, batch_case):
         model, plan, _, _, caps = batch_case

@@ -71,7 +71,7 @@ def sliced_amplitude(model, plan):
         m = model.clone()
         m._fix({v: (i >> (t - 1 - j)) & 1 for j, v in enumerate(plan.fix_vars)})
         parts.append(contract(m, plan.post_fix_ordering))
-    return partition._tree_sum(parts)
+    return partition._tree_sum(np.array(parts))
 
 
 def bits(z):
@@ -274,10 +274,10 @@ def test_unfixed_plan_is_one_contract():
 
 
 def list_by_list_sum(values):
-    """The reduction tree built one new list per level."""
-    level = list(values) or [0.0 + 0.0j]
+    """The reduction tree of 2^k values built one new list per level."""
+    level = list(values)
     while len(level) > 1:
-        level = [a + b for a, b in zip(level[::2], level[1::2])] + level[len(level) // 2 * 2 :]
+        level = [a + b for a, b in zip(level[::2], level[1::2])]
     return level[0]
 
 
@@ -286,11 +286,11 @@ def test_tree_sum_in_place_pairs_like_new_lists():
     # signed zeros keep their signs only under the same additions
     rng = np.random.default_rng(3)
     zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
-    for n in range(34):
+    for n in (1 << k for k in range(6)):
         scale = 10.0 ** rng.integers(-8, 17, size=n)
         mixed = list(rng.standard_normal(n) * scale + 1j * rng.standard_normal(n) * scale)
-        for i in rng.choice(n, size=n // 3, replace=False) if n else ():
+        for i in rng.choice(n, size=n // 3, replace=False):
             mixed[i] = zeros[i % 4]
         for values in (mixed, [zeros[i % 4] for i in range(n)], [-0.0 - 0.0j] * n):
             values = [complex(z) for z in values]
-            assert bits(partition._tree_sum(list(values))) == bits(list_by_list_sum(values))
+            assert bits(partition._tree_sum(np.array(values))) == bits(list_by_list_sum(values))
