@@ -63,6 +63,12 @@ PIPELINE_FLAGS = ("order", "order_restarts", "order_seed", "fix_max", "max_rank"
                   "engine_max_rank", "workers")
 
 
+# the error kind a run reports for each failure it does not raise;
+# matched by isinstance, since numpy raises a MemoryError subclass
+ERROR_KINDS = {RankOverflowError: "rank_overflow", BudgetUnreachableError: "budget_unreachable",
+               FloatingPointError: "non_finite", MemoryError: "out_of_memory"}
+
+
 class UsageError(Exception):
     """Bad command-line input found after parsing; exit code 2."""
 
@@ -126,6 +132,20 @@ def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, Ordering]:
     return plan, base
 
 
+def _run(model, plan: FixPlan, cfg: RunConfig):
+    """``run_partitioned`` as ``cfg`` says; a non-finite amplitude is a
+    ``FloatingPointError``."""
+    result = run_partitioned(model, plan, workers=cfg.workers, max_rank=cfg.engine_max_rank)
+    amp = result.amplitude
+    if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+        raise FloatingPointError("amplitude is not finite")
+    return result
+
+
+def _error_kind(e: Exception) -> str:
+    return next(kind for cls, kind in ERROR_KINDS.items() if isinstance(e, cls))
+
+
 def _config_from_args(args, circuit: Circuit, gen_seed: int) -> RunConfig:
     return RunConfig(
         circuit=args.circuit,
@@ -151,8 +171,6 @@ def cmd_plan(args) -> int:
     circuit = _load_circuit(args)
     cfg = _config_from_args(args, circuit, args.seed)
     model = build_model(circuit, cfg.x)
-    kinds = {RankOverflowError: "rank_overflow", BudgetUnreachableError: "budget_unreachable",
-             FloatingPointError: "non_finite", MemoryError: "out_of_memory"}
     try:
         plan, base = _make_plan(model, cfg)
         record = {
@@ -168,20 +186,16 @@ def cmd_plan(args) -> int:
             "base_ordering_cost": estimate_cost(model, base).total,
         }
         if args.command == "amplitude":
-            result = run_partitioned(model, plan, workers=cfg.workers,
-                                     max_rank=cfg.engine_max_rank)
+            result = _run(model, plan, cfg)
             amp = result.amplitude
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise FloatingPointError("amplitude is not finite")
             record |= {
                 "amplitude": {"re": amp.real, "im": amp.imag},
                 "batch_vars": list(result.batch_vars),
                 "contractions": 1 << (len(plan.fix_vars) - len(result.batch_vars)),
                 "wall_ms": result.wall_ms,
             }
-    except tuple(kinds) as e:
-        kind = next(kind for cls, kind in kinds.items() if isinstance(e, cls))
-        record = {"error": {"type": kind, "message": str(e)}}
+    except tuple(ERROR_KINDS) as e:
+        record = {"error": {"type": _error_kind(e), "message": str(e)}}
     print(json.dumps(record | {"config": asdict(cfg)}))
     return 1 if "error" in record else 0
 
@@ -242,10 +256,9 @@ def cmd_bench(args) -> int:
                     try:
                         model = build_model(circuit, cfg.x)
                         plan, _ = _make_plan(model, cfg)
-                        result = run_partitioned(model, plan, workers=cfg.workers,
-                                                 max_rank=cfg.engine_max_rank)
-                    except (RankOverflowError, BudgetUnreachableError) as e:
-                        failures.append((seed, type(e).__name__))
+                        result = _run(model, plan, cfg)
+                    except tuple(ERROR_KINDS) as e:
+                        failures.append((seed, _error_kind(e)))
                         continue
                     times.append((time.perf_counter() - start) * 1000.0)
                     ranks.append(plan.est_subtask_cost.max_rank)

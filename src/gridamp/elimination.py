@@ -9,47 +9,71 @@ factor holds an eliminated variable, so bucket k is exactly the live
 factors that contain step k's variable, in the order a scan of the live
 factor list meets them (original factors in list order, then results in
 creation order), which is also the order of the factors no step
-consumes.  ``multiply_all`` thus pairs the same tensors as a rescan
-would, and the amplitude is bit-identical to eliminating one variable at
-a time.
+consumes.
 
-A step of degree d has a product of rank d + 1.  One ``_schedule``
-lookup gives its axes and refuses more than ``max_rank`` of them before
-anything is allocated.  Under ``MATMUL_RANK`` axes, or with one factor,
-``sum_out`` sums v out of the ``multiply_all`` product.  A larger step
-never builds its product: one ``np.matmul`` per assignment of its chunk
-axes (d + 1 - ``CHUNK_RANK`` of them, none within that cap) sums v out
-of the ``multiply_all`` product of the other factors' ``_sliced``
-slices and the largest factor's slice, straight into the rank-d
-output's block.  The largest factor's memory order lays the matmul out:
-v is the inner dimension, of size 2; the other factors' own axes are
-the rows; the columns are the innermost run, in that memory, of axes
-only the largest factor has, cut to its innermost 4 when it is strided
-and there are no rows, or widened to all such axes when it is shorter
-than 4 and there are rows (each chunk then copies its slice of that
-factor; other slices are views); every other axis is a batch axis, over
-which the product broadcasts where it lacks the axis.  Chunk axes are
-batch axes first, outermost in that memory, so every matrix keeps its
-shape whatever the chunk count.  Besides its inputs and output, a step
-holds per chunk the product and at most one copy of each operand's
-slice, each of at most 2^``CHUNK_RANK`` entries (16 MiB): at degree 24,
-the output's 256 MiB plus a few chunks, not the whole product's
-512 + 256 MiB.  BLAS rounds unlike einsum and numpy's reduce, and the
-slices pair smallest-first by their own sizes, so such a step agrees
-with the whole product summed to rounding, not bit for bit.
+A step sums a run of nested variables.  Let U be the axes of step k's
+product less v_k, which are its result's.  Step k+1 joins the run when
+v_{k+1} is in U and every factor already filed in bucket k+1 has its
+axes in U; U then drops v_{k+1}, and the run goes on.  A result's axes
+are v_k's neighbors at its elimination, so this is the graph condition
+N_{k+1}(v_{k+1}) = N_k(v_k) - {v_{k+1}} of a fundamental supernode of
+sparse Cholesky (Liu, Ng & Peyton 1993).  It depends on axes alone, so
+the 2^t slices of a plan share every run.  A run starts only at a step
+whose product has at least ``MATMUL_RANK`` axes and more than one
+factor.  One ``np.einsum`` over all its buckets' factors, with output
+axes U, sums it along numpy's greedy pairwise path, which admits no
+intermediate larger than the run's largest factor or result.
+``_run_path`` finds that path once per tuple of input layouts, on
+zero-stride views, and refuses an intermediate of more than ``max_rank``
+axes before any einsum runs.  Every intermediate lies within the first
+step's product, which ``_schedule`` has admitted, so a run overflows
+where its first step would and the error names that step.  A run writes
+only its last result, where one-variable steps would write one per
+variable: a rank-26 8x8x40 subtask's largest written result falls from
+2^26 to 2^22 entries.  The path pairs factors its own way, so a run
+agrees with one-variable steps to rounding, not bit for bit.
+
+Every other step sums its one variable.  A step of degree d has a
+product of rank d + 1.  One ``_schedule`` lookup gives its axes and
+refuses more than ``max_rank`` of them before anything is allocated.
+Under ``MATMUL_RANK`` axes, or with one factor, ``sum_out`` sums v out
+of the ``multiply_all`` product; ``multiply_all`` pairs the same tensors
+as a rescan would, so where no run forms the amplitude is bit-identical
+to eliminating one variable at a time.  A larger step never builds its
+product: one ``np.matmul`` per assignment of its chunk axes
+(d + 1 - ``CHUNK_RANK`` of them, none within that cap) sums v out of
+the ``multiply_all`` product of the other factors' ``_sliced`` slices
+and the largest factor's slice, straight into the rank-d output's
+block.  The largest factor's memory order lays the matmul out: v is the
+inner dimension, of size 2; the other factors' own axes are the rows;
+the columns are the innermost run, in that memory, of axes only the
+largest factor has, cut to its innermost 4 when it is strided and there
+are no rows, or widened to all such axes when it is shorter than 4 and
+there are rows (each chunk then copies its slice of that factor; other
+slices are views); every other axis is a batch axis, over which the
+product broadcasts where it lacks the axis.  Chunk axes are batch axes
+first, outermost in that memory, so every matrix keeps its shape
+whatever the chunk count.  Besides its inputs and output, a step holds
+per chunk the product and at most one copy of each operand's slice,
+each of at most 2^``CHUNK_RANK`` entries (16 MiB).  BLAS rounds unlike
+einsum and numpy's reduce, and the slices pair smallest-first by their
+own sizes, so such a step agrees with the whole product summed to
+rounding, not bit for bit.
 
 Each thread keeps a pool of large step buffers, since the 2^t subtasks
 of a plan repeat the same step shapes.  ``_chunked`` takes each output
 of at least ``POOL_FLOOR`` entries from it: the smallest kept buffer
 that fits, else a new one once the pool has freed all it kept.  After
-each step ``_eliminate_all`` gives back the buffers of the results that
-this call made and the step consumed, never a model factor or a result
-it returns, so at most one contraction's large buffers stay kept after
-a call, until a request that none fits or the thread's end.  The floor
-is glibc's 32 MiB mmap ceiling: a larger block is mapped afresh and
-unmapped on free, and on a 2-core Xeon writing 256 MiB took 90 ms into
-fresh pages against 30 ms into reused ones.  Only where outputs live
-changes, so the bits are the same.
+each step, a run included, ``_eliminate_all`` gives back the buffers of
+the results that ``_chunked`` made in this call and the step consumed,
+never a model factor or a result it returns, so at most one
+contraction's large buffers stay kept after a call, until a request
+that none fits or the thread's end.  A run's result is not pooled: the
+einsum lays it out in arrays of its own, not in one flat buffer.  The
+floor is glibc's 32 MiB mmap ceiling: a larger block is mapped afresh
+and unmapped on free, and on a 2-core Xeon writing 256 MiB took 90 ms
+into fresh pages against 30 ms into reused ones.  Only where outputs
+live changes, so the bits are the same.
 
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
@@ -60,6 +84,7 @@ elimination time, the size of the post-summation tensor, so
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -72,8 +97,11 @@ from .tensor import (
     RankOverflowError,
     Tensor,
     VarId,
+    _LETTERS,
+    _SCHEDULE_MEMO,
     _schedule,
     _sliced,
+    _tensor,
     multiply_all,
     sum_out,
 )
@@ -82,7 +110,8 @@ from .tensor import (
 # builds per chunk has more than 2^20 entries (16 MiB)
 CHUNK_RANK = 20
 # a step with more than one factor and a product of at least this many axes
-# sums v out by matmul, never building the product; einsum is faster below
+# starts a run, summed in one einsum, or sums v out by matmul alone, never
+# building the product; multiply_all and sum_out are faster below
 MATMUL_RANK = 16
 # a step output of at least this many entries (32 MiB, glibc's mmap
 # ceiling) comes from the thread's buffer pool (module docstring)
@@ -190,21 +219,75 @@ def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
     return simulate_cost(g.adj, order.vars)
 
 
+def _product_axes(bucket: list[Tensor], v: VarId, max_rank: int, step: int) -> tuple:
+    """The axes of the product of ``bucket``'s factors, from one ``_schedule``
+    lookup, which refuses more than ``max_rank`` of them before anything is
+    allocated; the error names ``v`` and ``step``."""
+    try:
+        return _schedule(tuple(t.axes for t in bucket), max_rank)[0]
+    except RankOverflowError as e:
+        raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
+
+
 def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
     """Multiply the factors that contain ``v`` and sum ``v`` out.  Returns
     the result, or the scalar it folds into: the value of a rank-0 result,
     or 2.0 for an empty bucket, which doubles the term."""
     if not bucket:
         return 2.0
-    try:  # a product above max_rank is refused before anything is allocated
-        axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
-    except RankOverflowError as e:
-        raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
+    axes = _product_axes(bucket, v, max_rank, step)
     if len(axes) >= MATMUL_RANK or len(axes) > CHUNK_RANK:
         out = _chunked(bucket, v, axes)
     else:
         out = sum_out(multiply_all(bucket, max_rank=max_rank), v)
     return complex(out.data) if out.rank == 0 else out
+
+
+def _run_length(buckets: list, order, k: int, axes: tuple) -> int:
+    """How many steps from step k on sum as one run, given the axes of step
+    k's product: step j joins while v_j is an axis of the run's result so
+    far and every factor in bucket j lies within that result."""
+    kept = set(axes)
+    kept.discard(order[k])
+    n = 1
+    while k + n < len(order) and order[k + n] in kept and all(
+            kept.issuperset(t.axes) for t in buckets[k + n]):
+        kept.discard(order[k + n])
+        n += 1
+    return n
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_MEMO)
+def _run_path(layouts: tuple[tuple[VarId, ...], ...], out: tuple[VarId, ...], max_rank: int):
+    """The einsum subscripts that multiply tensors with these axes and sum
+    every axis not in ``out``, and numpy's greedy pairwise path for them,
+    searched on zero-stride views.  An intermediate of the path with more
+    than ``max_rank`` axes is refused."""
+    sub = dict(zip(dict.fromkeys(u for axes in layouts for u in axes), _LETTERS))
+    expr = "{}->{}".format(",".join("".join(map(sub.get, a)) for a in layouts),
+                           "".join(map(sub.get, out)))
+    views = [np.broadcast_to(0j, (2,) * len(a)) for a in layouts]
+    path = tuple(np.einsum_path(expr, *views, optimize="greedy")[0])
+    live = [set(a) for a in layouts]
+    for pair in path[1:]:  # each contraction keeps the axes still needed
+        taken = set().union(*(live.pop(i) for i in sorted(pair, reverse=True)))
+        live.append(taken & set(out).union(*live))
+        if len(live[-1]) > max_rank:
+            raise RankOverflowError(live[-1])
+    return expr, path
+
+
+def _eliminate_run(bucket: list[Tensor], run, axes: tuple, max_rank: int, step: int):
+    """Sum the variables of ``run`` out of the product of ``bucket``, the
+    factors of all its steps, in one einsum along the memoized path; the
+    first step's product has ``axes``.  Returns the result or its scalar."""
+    out = tuple(u for u in axes if u not in run)
+    try:
+        expr, path = _run_path(tuple(t.axes for t in bucket), out, max_rank)
+    except RankOverflowError as e:
+        raise RankOverflowError(e.variables, context=f"eliminating v{run[0]} at step {step}") from None
+    data = np.einsum(expr, *(t.data for t in bucket), optimize=path)
+    return _tensor(out, data) if out else complex(data)
 
 
 def _chunked(bucket: list[Tensor], v: VarId, axes: tuple) -> Tensor:
@@ -278,19 +361,32 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
     for f in g.factors:
         buckets[min(map(pos.__getitem__, f.axes))].append(f)
     scalar = g.scalar
-    made = set()  # ids of the results this call made; factors of g outlive it
+    made = set()  # ids of the live results that _eliminate_bucket made in this call
     for k, v in enumerate(order):
+        if buckets[k] is None:  # summed in an earlier step's run
+            continue
         if scalar == 0:  # every term carries it
             return [], scalar
         # release the bucket's list, so its factors die with the step
         bucket, buckets[k] = buckets[k], None
-        r = _eliminate_bucket(bucket, v, max_rank, k)
+        n = 1
+        if len(bucket) > 1 and len(axes := _product_axes(bucket, v, max_rank, k)) >= MATMUL_RANK:
+            n = _run_length(buckets, order, k, axes)
+        if n > 1:
+            for j in range(k + 1, k + n):
+                bucket += buckets[j]
+                buckets[j] = None
+            r = _eliminate_run(bucket, order[k:k + n], axes, max_rank, k)
+        else:
+            r = _eliminate_bucket(bucket, v, max_rank, k)
+            if isinstance(r, Tensor):  # a run's result never goes to the pool
+                made.add(id(r))
         # a large result of _chunked is a view of its buffer; a comprehension
         # binds no name that would keep a consumed factor alive into the next step
         _POOL.kept.extend([t.data.base for t in bucket if id(t) in made
                            and t.size >= POOL_FLOOR and t.data.base is not None])
+        made.difference_update(map(id, bucket))  # a later result may reuse an id
         if isinstance(r, Tensor):
-            made.add(id(r))
             buckets[min(map(pos.__getitem__, r.axes))].append(r)
         else:
             scalar = scalar * r
@@ -318,12 +414,15 @@ def contract(
 ) -> complex | np.ndarray:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  Under ``MATMUL_RANK`` axes, or with one factor,
-    a step sums v out of its product by ``sum_out``, else by matmul,
-    copying its largest factor's slices only for short columns (module
-    docstring); no array it adds but its output exceeds 2^``CHUNK_RANK``
-    entries.  Buckets keep a fixed order, so the result is bit-reproducible.
-    A rank overflow names its variable and step, counted from 0 in ``order``.
+    ``g`` is only read.  A step whose product has at least ``MATMUL_RANK``
+    axes and more than one factor sums, with its own variable, each next
+    variable whose bucket nests in the result so far, in one einsum along
+    a memoized path (module docstring).  Any other step sums its variable
+    out of its product by ``sum_out`` under ``MATMUL_RANK`` axes or with
+    one factor, else by matmul, adding no array but its output of more
+    than 2^``CHUNK_RANK`` entries.  Buckets and paths keep a fixed order,
+    so the result is bit-reproducible.  A rank overflow names its variable
+    and step, counted from 0 in ``order``; a run's is its first step's.
 
     ``keep`` names variables left open: the result is a flat complex128
     array of the values at each assignment of them, the first one's bit

@@ -4,7 +4,8 @@ Two primitives drive elimination: multiplying a set of tensors over
 their shared variables and summing one variable out.  A step whose
 product has fewer than ``elimination.MATMUL_RANK`` axes, or one factor,
 uses both; a larger one uses only the first, on all its factors but the
-largest, and sums the variable out in a matmul (see ``elimination``).
+largest, and sums the variable out in a matmul, or sums a run of
+variables in one einsum and uses neither (see ``elimination``).
 Axes carry variable ids; data is a complex128 array of shape (2,)*rank
 in axis order.  Tensors are treated as immutable values: every
 operation returns a new tensor and never writes through ``data``.

@@ -439,7 +439,7 @@ class TestBench:
         assert code == 0
         header, *rows = [line.split(",") for line in out.strip().splitlines()]
         assert header[10:] == [f[2:].replace("-", "_") for f in flags]
-        assert {r[5] for r in rows} == {"ok", "BudgetUnreachableError"}
+        assert {r[5] for r in rows} == {"ok", "budget_unreachable"}
         for row in rows:
             assert len(row) == 17
             assert row[10:] == list(flags.values())
@@ -450,7 +450,27 @@ class TestBench:
                             "--max-rank", "0", "--fix-max", "0")
         assert code == 0
         rows = out.strip().splitlines()[1:]
-        assert all("BudgetUnreachableError" in r for r in rows)
+        assert all("budget_unreachable" in r for r in rows)
+
+    def test_slice_values_that_cannot_be_held_are_a_failure_row(self, capsys):
+        # rank budget 1 fixes t = 51 variables: the fan-out's 2^51 slice
+        # values are refused, and the sweep writes that sample's row
+        code, out = run_cli(capsys, "bench", "--grids", "6", "--depths", "24", "--samples", "1",
+                            "--max-rank", "1", "--fix-max", "60", "--order-restarts", "1")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert row.split(",")[:6] == ["6", "24", "0", "1", "0", "out_of_memory"]
+
+    def test_non_finite_amplitude_is_a_failure_row(self, capsys, monkeypatch):
+        run = cli.run_partitioned
+
+        def overflowed(*args, **kwargs):
+            return dataclasses.replace(run(*args, **kwargs), amplitude=complex(math.nan, 0))
+
+        monkeypatch.setattr(cli, "run_partitioned", overflowed)
+        code, out = run_cli(capsys, "bench", "--grids", "2", "--depths", "4", "--samples", "1")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[:6] == ["2", "4", "0", "1", "0", "non_finite"]
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

@@ -513,6 +513,168 @@ class TestBufferPool:
         assert [(f.axes, f.data.tobytes()) for f in model.factors] == before
 
 
+def record_steps(monkeypatch):
+    """Patch ``elimination`` so that each step of a contraction appends
+    (its index, the variables it sums, its factor count) to the list
+    returned; a run counts the factors of all its buckets."""
+    steps = []  # appends, which no thread can lose
+    eliminate_bucket, eliminate_run = elimination._eliminate_bucket, elimination._eliminate_run
+
+    def single(bucket, v, max_rank, step):
+        steps.append((step, (v,), len(bucket)))
+        return eliminate_bucket(bucket, v, max_rank, step)
+
+    def run(bucket, variables, axes, max_rank, step):
+        steps.append((step, tuple(variables), len(bucket)))
+        return eliminate_run(bucket, variables, axes, max_rank, step)
+
+    monkeypatch.setattr(elimination, "_eliminate_bucket", single)
+    monkeypatch.setattr(elimination, "_eliminate_run", run)
+    return steps
+
+
+def graph_runs(adj, order, steps):
+    """The runs that the graph rule gives from ``_kept_sweep``'s neighbor
+    sets: from each step that ``steps`` starts with more than one factor,
+    step j joins while v_j is in B_{j-1} and B_j = B_{j-1} - {v_j}."""
+    sweep = elimination._kept_sweep(adj, order)
+    runs = []
+    for k, _, factors in steps:
+        n = 1
+        while (factors > 1 and k + n < len(order) and order[k + n] in sweep[k + n - 1]
+               and sweep[k + n] == sweep[k + n - 1] - {order[k + n]}):
+            n += 1
+        runs.append((k, tuple(order[k:k + n])))
+    return runs
+
+
+class TestFusedRuns:
+    """A step whose product has at least ``MATMUL_RANK`` axes and more than
+    one factor sums, in one einsum, every following step whose variable is
+    an axis of the result so far and whose other factors lie within it.
+    Patching ``MATMUL_RANK`` to 0 makes runs form on small models.  The
+    einsum pairs the factors by its own path, so a run agrees with
+    one-variable steps to rounding, not bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def fuse_every_run(self, monkeypatch):
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+
+    # (rows, cols, every how many CZs a non-diagonal gate), depth 10:
+    # 12 to 20 variables, within the brute-force cap
+    @pytest.mark.parametrize("grid", [(3, 4, 0), (3, 3, 4), (3, 3, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_orderings_match_bruteforce_and_oracle(self, seed, grid, monkeypatch):
+        rows, cols, custom_every = grid
+        c = generate(GenParams(rows, cols, 10, seed=seed))
+        if custom_every:
+            c = with_custom_gates(c, custom_every, seed)
+        x = "0" * (rows * cols)
+        model = build_model(c, x)
+        want, oracle = model_value_bruteforce(model), amplitude_of(c, x)
+        steps = record_steps(monkeypatch)
+        rng = np.random.default_rng(seed)
+        orders = [min_fill_ordering(model, seed=0)] + [
+            Ordering(tuple(rng.permutation(sorted(model.vertices)).tolist())) for _ in range(5)]
+        for order in orders:
+            amp = contract(model, order)
+            assert abs(amp - want) < 1e-10 and abs(amp - oracle) < 1e-10
+        # every variable is summed once, and some in runs of several
+        assert sum(len(run) for _, run, _ in steps) == len(orders) * len(model.vertices)
+        assert any(len(run) > 1 for _, run, _ in steps)
+
+    def test_overflow_names_the_runs_first_step_before_any_einsum(self, monkeypatch):
+        # step 0's product has axes 0..3; steps 1 to 3 fold into it
+        g = GraphModel()
+        for v in range(5):
+            g._add_vertex(v, VarInfo(v, 0))
+        rng = np.random.default_rng(0)
+        for axes in [(0, 1, 2), (0, 3), (1, 2, 3), (4,)]:
+            g._add_factor(Tensor(axes, rng.standard_normal((2,) * len(axes))))
+        order = Ordering(tuple(range(5)))
+        steps = record_steps(monkeypatch)
+        fused = contract(g, order)
+        assert steps == [(0, (0, 1, 2, 3), 3), (4, (4,), 1)]
+        assert abs(fused - model_value_bruteforce(g)) < 1e-12
+        monkeypatch.setattr(np, "einsum", mock.Mock(side_effect=AssertionError("einsum ran")))
+        messages = []
+        for matmul_rank in (0, 5):  # 5: past every product here, so no run forms
+            monkeypatch.setattr(elimination, "MATMUL_RANK", matmul_rank)
+            with pytest.raises(RankOverflowError, match=r"\(eliminating v0 at step 0\)$") as err:
+                contract(g, order, max_rank=3)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]  # as the one-variable steps name it
+
+    def test_path_refuses_an_intermediate_over_the_rank(self):
+        with pytest.raises(RankOverflowError):
+            elimination._run_path(((0, 1), (1, 2)), (0, 2), 1)
+        expr, path = elimination._run_path(((0, 1), (1, 2)), (0, 2), 2)
+        assert expr == "ab,bc->ac" and path == ("einsum_path", (0, 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_models_match_the_oracle(self, seed, monkeypatch):
+        model, order, want, oracle = grid_case(seed)
+        steps = record_steps(monkeypatch)
+        got = contract(model, order)
+        assert any(len(run) > 1 for _, run, _ in steps)
+        assert abs(got - oracle) < 1e-10
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert bits(contract(model, order)) == bits(got)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sliced_plan_same_bits_on_any_worker_count(self, workers, monkeypatch):
+        model, order, _, oracle = grid_case(2)
+        plan = select_fix_set(model, order, t_max=4, budget=CostBudget(max_rank=4),
+                              ordering_budget=OrderingBudget(time_s=None, max_restarts=2))
+        rank = plan.est_subtask_cost.max_rank + 1  # fits no batched product
+        one = run_partitioned(model, plan, workers=1, max_rank=rank)
+        steps = record_steps(monkeypatch)
+        misses = elimination._run_path.cache_info().misses
+        got = run_partitioned(model, plan, workers=workers, max_rank=rank)
+        assert got.batch_vars == () and plan.num_subtasks > 1
+        assert any(len(run) > 1 for _, run, _ in steps)
+        # the slices share every run's layouts, so no path is searched again
+        assert elimination._run_path.cache_info().misses == misses
+        assert bits(got.amplitude) == bits(one.amplitude)
+        assert abs(got.amplitude - oracle) < 1e-10
+
+    def test_runs_are_the_graph_rules_runs(self, monkeypatch):
+        # a 7x7x24 plan's slice: runs found from bucket axes are the runs
+        # that the neighbor sets of the plan's graph sweep give
+        model = build_model(generate(GenParams(7, 7, 24, seed=0)), "0" * 49)
+        budget = OrderingBudget(time_s=None, max_restarts=1)
+        base = min_fill_ordering(model, seed=0)
+        plan = select_fix_set(model, base, t_max=4, budget=CostBudget(max_rank=16),
+                              ordering_budget=budget)
+        assert plan.fix_vars
+        m = model.clone()
+        m._fix({v: 1 for v in plan.fix_vars})
+        order = plan.post_fix_ordering.vars
+        steps = record_steps(monkeypatch)
+        contract(m, plan.post_fix_ordering)
+        assert sum(len(run) for _, run, _ in steps) == len(order)
+        assert sum(len(run) > 1 for _, run, _ in steps) >= 5
+        assert [(k, run) for k, run, _ in steps] == graph_runs(m.adj, order, steps)
+
+    def test_step_results_that_a_run_consumes_go_back_to_the_pool(self, monkeypatch):
+        monkeypatch.setattr(elimination._POOL, "kept", [])
+        monkeypatch.setattr(elimination, "POOL_FLOOR", 4)
+        model, order, want, _ = grid_case(0)
+        bases, eliminate_run = [], elimination._eliminate_run
+
+        def run(bucket, *args):
+            bases.extend(t.data.base for t in bucket if t.data.base is not None)
+            return eliminate_run(bucket, *args)
+
+        monkeypatch.setattr(elimination, "_eliminate_run", run)
+        got = contract(model, order)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        kept = elimination._POOL.kept
+        assert any(buf is base for buf in kept for base in bases)
+        # a run's result is never kept: only the flat buffers of _chunked
+        assert kept and all(buf.ndim == 1 for buf in kept)
+
+
 class TestZeroScalar:
     def test_empty_order_returns_the_factors(self, ref4q_model):
         left, scalar = elimination._eliminate_all(ref4q_model, (), max_rank=30)

@@ -152,7 +152,7 @@ class TestSweepMatchesBuckets:
 def chunked_case():
     """The plan of ``gridamp amplitude --rows 7 --cols 7 --depth 28
     --order-restarts 1 --max-rank 21``: two fixes, and steps whose
-    products chunk at the real ``CHUNK_RANK``."""
+    products pass the real ``CHUNK_RANK``, summed in runs."""
     model = build_model(generate(GenParams(7, 7, 28, seed=0)), "0" * 49)
     budget = OrderingBudget(time_s=None, max_restarts=1)
     base, _ = search_ordering(model, budget)
