@@ -24,14 +24,15 @@ factor.  One ``np.einsum`` over all its buckets' factors, with output
 axes U, sums it along numpy's greedy pairwise path, which admits no
 intermediate larger than the run's largest factor or result.
 ``_run_path`` finds that path once per tuple of input layouts, on
-zero-stride views, and refuses an intermediate of more than ``max_rank``
-axes before any einsum runs.  Every intermediate lies within the first
-step's product, which ``_schedule`` has admitted, so a run overflows
-where its first step would and the error names that step.  A run writes
-only its last result, where one-variable steps would write one per
-variable: a rank-26 8x8x40 subtask's largest written result falls from
-2^26 to 2^22 entries.  The path pairs factors its own way, so a run
-agrees with one-variable steps to rounding, not bit for bit.
+zero-stride views.  Every factor of a run, and so every intermediate of
+its path, lies within the first step's product, whose axes one
+``_schedule`` lookup has checked against ``max_rank`` before any einsum
+runs: a run overflows where its first step would, and the error names
+that step.  A run writes only its last result, where one-variable steps
+would write one per variable: a rank-26 8x8x40 subtask's largest
+written result falls from 2^26 to 2^22 entries.  The path pairs factors
+its own way, so a run agrees with one-variable steps to rounding, not
+bit for bit.
 
 Every other step sums its one variable.  A step of degree d has a
 product of rank d + 1.  One ``_schedule`` lookup gives its axes and
@@ -258,34 +259,23 @@ def _run_length(buckets: list, order, k: int, axes: tuple) -> int:
 
 
 @functools.lru_cache(maxsize=_SCHEDULE_MEMO)
-def _run_path(layouts: tuple[tuple[VarId, ...], ...], out: tuple[VarId, ...], max_rank: int):
+def _run_path(layouts: tuple[tuple[VarId, ...], ...], out: tuple[VarId, ...]):
     """The einsum subscripts that multiply tensors with these axes and sum
     every axis not in ``out``, and numpy's greedy pairwise path for them,
-    searched on zero-stride views.  An intermediate of the path with more
-    than ``max_rank`` axes is refused."""
+    searched on zero-stride views."""
     sub = dict(zip(dict.fromkeys(u for axes in layouts for u in axes), _LETTERS))
     expr = "{}->{}".format(",".join("".join(map(sub.get, a)) for a in layouts),
                            "".join(map(sub.get, out)))
     views = [np.broadcast_to(0j, (2,) * len(a)) for a in layouts]
-    path = tuple(np.einsum_path(expr, *views, optimize="greedy")[0])
-    live = [set(a) for a in layouts]
-    for pair in path[1:]:  # each contraction keeps the axes still needed
-        taken = set().union(*(live.pop(i) for i in sorted(pair, reverse=True)))
-        live.append(taken & set(out).union(*live))
-        if len(live[-1]) > max_rank:
-            raise RankOverflowError(live[-1])
-    return expr, path
+    return expr, tuple(np.einsum_path(expr, *views, optimize="greedy")[0])
 
 
-def _eliminate_run(bucket: list[Tensor], run, axes: tuple, max_rank: int, step: int):
+def _eliminate_run(bucket: list[Tensor], run, axes: tuple):
     """Sum the variables of ``run`` out of the product of ``bucket``, the
     factors of all its steps, in one einsum along the memoized path; the
     first step's product has ``axes``.  Returns the result or its scalar."""
     out = tuple(u for u in axes if u not in run)
-    try:
-        expr, path = _run_path(tuple(t.axes for t in bucket), out, max_rank)
-    except RankOverflowError as e:
-        raise RankOverflowError(e.variables, context=f"eliminating v{run[0]} at step {step}") from None
+    expr, path = _run_path(tuple(t.axes for t in bucket), out)
     data = np.einsum(expr, *(t.data for t in bucket), optimize=path)
     return _tensor(out, data) if out else complex(data)
 
@@ -376,7 +366,7 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
             for j in range(k + 1, k + n):
                 bucket += buckets[j]
                 buckets[j] = None
-            r = _eliminate_run(bucket, order[k:k + n], axes, max_rank, k)
+            r = _eliminate_run(bucket, order[k:k + n], axes)
         else:
             r = _eliminate_bucket(bucket, v, max_rank, k)
             if isinstance(r, Tensor):  # a run's result never goes to the pool

@@ -276,6 +276,14 @@ def record_products(monkeypatch):
     return calls
 
 
+def no_runs(monkeypatch):
+    """Patch ``elimination`` so that every step sums its one variable: no
+    run forms, and an ``_eliminate_run`` call fails the test."""
+    monkeypatch.setattr(elimination, "_run_length", lambda *args: 1)
+    monkeypatch.setattr(elimination, "_eliminate_run",
+                        mock.Mock(side_effect=AssertionError("a run formed")))
+
+
 class TestChunkedSteps:
     """Steps of more than one factor whose product has at least
     ``MATMUL_RANK`` axes sum v out in one batched matmul per chunk, with
@@ -400,6 +408,7 @@ class TestChunkedSteps:
         model, order, want, oracle = grid_case(seed)
         calls = record_products(monkeypatch)
         monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+        no_runs(monkeypatch)
         got = contract(model, order)
         assert calls and all(chunked for chunked, _, _ in calls)
         assert abs(got - oracle) < 1e-10
@@ -411,6 +420,7 @@ class TestChunkedSteps:
                               ordering_budget=OrderingBudget(time_s=None, max_restarts=2))
         assert plan.num_subtasks > 1
         monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+        no_runs(monkeypatch)
         # an engine cap one past the plan's rank fits no batched product
         rank = plan.est_subtask_cost.max_rank + 1
         one, two = (run_partitioned(model, plan, workers=w, max_rank=rank) for w in (1, 2))
@@ -435,14 +445,16 @@ class TestChunkedSteps:
 class TestBufferPool:
     """Each thread keeps the buffers of the large results a contraction
     consumed, and the next contraction on that thread writes into them.
-    Patching ``POOL_FLOOR`` down and ``MATMUL_RANK`` to 0 makes every
-    step of a small model a matmul step with a pooled output; the
-    default floor is far above these models, which turns the pool off."""
+    Patching ``POOL_FLOOR`` down and ``MATMUL_RANK`` to 0, with no runs,
+    makes every step of a small model a matmul step with a pooled output;
+    the default floor is far above these models, which turns the pool
+    off."""
 
     @pytest.fixture(autouse=True)
     def empty_pool(self, monkeypatch):
         monkeypatch.setattr(elimination._POOL, "kept", [])
         monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+        no_runs(monkeypatch)
 
     @staticmethod
     def record_takes(monkeypatch):
@@ -515,18 +527,18 @@ class TestBufferPool:
 
 def record_steps(monkeypatch):
     """Patch ``elimination`` so that each step of a contraction appends
-    (its index, the variables it sums, its factor count) to the list
-    returned; a run counts the factors of all its buckets."""
+    (the variables it sums, its factor count) to the list returned; a run
+    counts the factors of all its buckets."""
     steps = []  # appends, which no thread can lose
     eliminate_bucket, eliminate_run = elimination._eliminate_bucket, elimination._eliminate_run
 
     def single(bucket, v, max_rank, step):
-        steps.append((step, (v,), len(bucket)))
+        steps.append(((v,), len(bucket)))
         return eliminate_bucket(bucket, v, max_rank, step)
 
-    def run(bucket, variables, axes, max_rank, step):
-        steps.append((step, tuple(variables), len(bucket)))
-        return eliminate_run(bucket, variables, axes, max_rank, step)
+    def run(bucket, variables, axes):
+        steps.append((tuple(variables), len(bucket)))
+        return eliminate_run(bucket, variables, axes)
 
     monkeypatch.setattr(elimination, "_eliminate_bucket", single)
     monkeypatch.setattr(elimination, "_eliminate_run", run)
@@ -539,8 +551,8 @@ def graph_runs(adj, order, steps):
     step j joins while v_j is in B_{j-1} and B_j = B_{j-1} - {v_j}."""
     sweep = elimination._kept_sweep(adj, order)
     runs = []
-    for k, _, factors in steps:
-        n = 1
+    for (v, *_), factors in steps:
+        k, n = order.index(v), 1
         while (factors > 1 and k + n < len(order) and order[k + n] in sweep[k + n - 1]
                and sweep[k + n] == sweep[k + n - 1] - {order[k + n]}):
             n += 1
@@ -580,8 +592,8 @@ class TestFusedRuns:
             amp = contract(model, order)
             assert abs(amp - want) < 1e-10 and abs(amp - oracle) < 1e-10
         # every variable is summed once, and some in runs of several
-        assert sum(len(run) for _, run, _ in steps) == len(orders) * len(model.vertices)
-        assert any(len(run) > 1 for _, run, _ in steps)
+        assert sum(len(run) for run, _ in steps) == len(orders) * len(model.vertices)
+        assert any(len(run) > 1 for run, _ in steps)
 
     def test_overflow_names_the_runs_first_step_before_any_einsum(self, monkeypatch):
         # step 0's product has axes 0..3; steps 1 to 3 fold into it
@@ -594,7 +606,7 @@ class TestFusedRuns:
         order = Ordering(tuple(range(5)))
         steps = record_steps(monkeypatch)
         fused = contract(g, order)
-        assert steps == [(0, (0, 1, 2, 3), 3), (4, (4,), 1)]
+        assert steps == [((0, 1, 2, 3), 3), ((4,), 1)]
         assert abs(fused - model_value_bruteforce(g)) < 1e-12
         monkeypatch.setattr(np, "einsum", mock.Mock(side_effect=AssertionError("einsum ran")))
         messages = []
@@ -605,18 +617,42 @@ class TestFusedRuns:
             messages.append(str(err.value))
         assert messages[0] == messages[1]  # as the one-variable steps name it
 
-    def test_path_refuses_an_intermediate_over_the_rank(self):
-        with pytest.raises(RankOverflowError):
-            elimination._run_path(((0, 1), (1, 2)), (0, 2), 1)
-        expr, path = elimination._run_path(((0, 1), (1, 2)), (0, 2), 2)
-        assert expr == "ab,bc->ac" and path == ("einsum_path", (0, 1))
+    def test_runs_start_only_at_large_steps_of_several_factors(self, monkeypatch):
+        # step 0 has one factor, so it sums v0 alone; its result joins
+        # bucket 1, whose product (1, 2) nests v2's bucket
+        g = GraphModel()
+        for v in range(3):
+            g._add_vertex(v, VarInfo(v, 0))
+        rng = np.random.default_rng(1)
+        for axes in [(0, 1, 2), (1, 2), (2,)]:
+            g._add_factor(Tensor(axes, rng.standard_normal((2,) * len(axes))))
+        order, want = Ordering((0, 1, 2)), model_value_bruteforce(g)
+        for matmul_rank, runs in [(2, [((0,), 1), ((1, 2), 3)]),
+                                  (3, [((0,), 1), ((1,), 2), ((2,), 2)])]:
+            monkeypatch.setattr(elimination, "MATMUL_RANK", matmul_rank)
+            steps = record_steps(monkeypatch)
+            assert abs(contract(g, order) - want) < 1e-12
+            assert steps == runs
+
+    def test_path_is_searched_on_zero_stride_views(self, monkeypatch):
+        strides, einsum_path = [], np.einsum_path
+
+        def searching(expr, *operands, **kwargs):
+            strides.extend(op.strides for op in operands)
+            return einsum_path(expr, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum_path", searching)
+        # past the memo, which another test may have filled for these layouts
+        expr, path = elimination._run_path.__wrapped__(((0, 1), (1, 2), (2, 3)), (0, 3))
+        assert expr == "ab,bc,cd->ad" and path[0] == "einsum_path" and len(path) == 3
+        assert strides == [(0, 0)] * 3  # no tensor data allocated
 
     @pytest.mark.parametrize("seed", range(4))
     def test_grid_models_match_the_oracle(self, seed, monkeypatch):
         model, order, want, oracle = grid_case(seed)
         steps = record_steps(monkeypatch)
         got = contract(model, order)
-        assert any(len(run) > 1 for _, run, _ in steps)
+        assert any(len(run) > 1 for run, _ in steps)
         assert abs(got - oracle) < 1e-10
         assert abs(got - want) <= 1e-12 * abs(want)
         assert bits(contract(model, order)) == bits(got)
@@ -632,7 +668,7 @@ class TestFusedRuns:
         misses = elimination._run_path.cache_info().misses
         got = run_partitioned(model, plan, workers=workers, max_rank=rank)
         assert got.batch_vars == () and plan.num_subtasks > 1
-        assert any(len(run) > 1 for _, run, _ in steps)
+        assert any(len(run) > 1 for run, _ in steps)
         # the slices share every run's layouts, so no path is searched again
         assert elimination._run_path.cache_info().misses == misses
         assert bits(got.amplitude) == bits(one.amplitude)
@@ -652,9 +688,9 @@ class TestFusedRuns:
         order = plan.post_fix_ordering.vars
         steps = record_steps(monkeypatch)
         contract(m, plan.post_fix_ordering)
-        assert sum(len(run) for _, run, _ in steps) == len(order)
-        assert sum(len(run) > 1 for _, run, _ in steps) >= 5
-        assert [(k, run) for k, run, _ in steps] == graph_runs(m.adj, order, steps)
+        assert sum(len(run) for run, _ in steps) == len(order)
+        assert sum(len(run) > 1 for run, _ in steps) >= 5
+        assert [(order.index(run[0]), run) for run, _ in steps] == graph_runs(m.adj, order, steps)
 
     def test_step_results_that_a_run_consumes_go_back_to_the_pool(self, monkeypatch):
         monkeypatch.setattr(elimination._POOL, "kept", [])
