@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .circuit import MAX_DEPTH, MAX_QUBITS, Circuit, CircuitError, parse_circuit, serialize_circuit
-from .elimination import Ordering, estimate_cost
+from .elimination import CostEstimate, Ordering, estimate_cost
 from .fidelity import ErrorRates, fidelity_report
 from .generator import GenParams, generate
 from .graph_model import _as_bits, build_model, export_dot
@@ -118,18 +118,21 @@ def _resolve_x(args, circuit: Circuit) -> str:
     return x
 
 
-def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, Ordering]:
-    """The plan and the base ordering it was made from."""
+def _make_plan(model, cfg: RunConfig) -> tuple[FixPlan, Ordering, CostEstimate | None]:
+    """The plan, the base ordering it was made from, and the search's
+    estimate of that base, or None when the base did not come from the
+    search."""
     budget = OrderingBudget(max_restarts=cfg.order_restarts, seed=cfg.order_seed)
+    base_est = None
     if cfg.order == "vertical":
         base = vertical_ordering(model)
     elif cfg.order == "minfill":
         base = min_fill_ordering(model, seed=cfg.order_seed)
     else:
-        base = search_ordering(model, budget)[0]
+        base, base_est = search_ordering(model, budget)
     plan = select_fix_set(model, base, t_max=cfg.fix_max,
                           budget=CostBudget(max_rank=cfg.max_rank), ordering_budget=budget)
-    return plan, base
+    return plan, base, base_est
 
 
 def _run(model, plan: FixPlan, cfg: RunConfig):
@@ -172,7 +175,7 @@ def cmd_plan(args) -> int:
     cfg = _config_from_args(args, circuit, args.seed)
     model = build_model(circuit, cfg.x)
     try:
-        plan, base = _make_plan(model, cfg)
+        plan, base, base_est = _make_plan(model, cfg)
         record = {
             "fix_vars": list(plan.fix_vars),
             "num_subtasks": plan.num_subtasks,
@@ -183,7 +186,7 @@ def cmd_plan(args) -> int:
                 "max_rank": plan.est_subtask_cost.max_rank,
             },
             "est_total_cost": plan.est_total_cost,
-            "base_ordering_cost": estimate_cost(model, base).total,
+            "base_ordering_cost": (base_est or estimate_cost(model, base)).total,
         }
         if args.command == "amplitude":
             result = _run(model, plan, cfg)
@@ -255,7 +258,7 @@ def cmd_bench(args) -> int:
                     start = time.perf_counter()
                     try:
                         model = build_model(circuit, cfg.x)
-                        plan, _ = _make_plan(model, cfg)
+                        plan = _make_plan(model, cfg)[0]
                         result = _run(model, plan, cfg)
                     except tuple(ERROR_KINDS) as e:
                         failures.append((seed, _error_kind(e)))

@@ -88,7 +88,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,10 +130,16 @@ _POOL = _Pool()
 @dataclass(frozen=True)
 class Ordering:
     """Elimination order over the free variables, with provenance tag
-    (vertical | min-fill | search | post-fix search | user)."""
+    (vertical | min-fill | search | post-fix search | user).
+
+    ``degrees`` is each step's degree on the graph the ordering was made
+    for, where its producer learned them while eliminating (min-fill
+    does), else None.  It is not part of the ordering's identity, and
+    ``restrict`` drops it."""
 
     vars: tuple[VarId, ...]
     provenance: str = "user"
+    degrees: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .tensor import Tensor, VarId, _sliced
+from .tensor import Tensor, VarId, _sliced, _tensor
 
 BRUTEFORCE_MAX_VARS = 24  # model_value_bruteforce's grid has 2^24 entries at most
 
@@ -155,39 +155,64 @@ def build_model(circuit: Circuit, output_bits) -> GraphModel:
     ``output_bits[q]`` is qubit q's measured bit.  Identity gates are
     skipped (their factor is the constant all-ones vector); every other
     catalog or custom gate contributes one factor by the rule of the
-    module docstring.
+    module docstring.  Each distinct gate matrix's factor array is made
+    once per call, read-only, and shared by every factor of that gate:
+    its diagonal, or its matrix with the old axes moved first.  A factor
+    whose wires all have variables takes it as it is, and its edges go
+    straight into the adjacency map.
     """
     n = circuit.n_qubits
     bits = _as_bits(output_bits, n)
     model = GraphModel()
+    # a catalog kind or a custom gate -> (diagonal, factor array)
+    prepared: dict = {}
     cur: list[VarId | None] = [None] * n  # each wire's current variable
     for k, gates in enumerate(circuit.cycles):
         for gate in gates:
             if gate.kind is GateKind.ID:
                 continue
+            key = gate.kind or gate
+            prep = prepared.get(key)
+            if prep is None:
+                prep = prepared[key] = gate.diagonal, _factor_array(gate)
+            diagonal, data = prep
             old = tuple(cur[q] for q in gate.qubits)
-            r = len(old)
-            if gate.diagonal:
+            if diagonal:
                 axes = old
-                data = np.diagonal(gate.matrix).reshape((2,) * r)
             else:
                 for q in gate.qubits:  # fresh ids count up from 0
                     cur[q] = len(model.var_info)
                     model._add_vertex(cur[q], VarInfo(q, k))
                 axes = old + tuple(cur[q] for q in gate.qubits)
-                # rows of U are new bits, columns old: move old first
-                u = gate.matrix.reshape((2,) * (2 * r))
-                data = np.transpose(u, tuple(range(r, 2 * r)) + tuple(range(r)))
             if None in old:
                 # wires still at the input |0>: slice them at bit 0
                 model._add_factor(_sliced(axes, data, {None: 0}))
-            else:
-                model._add_factor(Tensor(axes, data))
+                continue
+            model.factors.append(_tensor(axes, data))
+            for u in axes:
+                nbs = model.adj[u]
+                nbs.update(axes)
+                nbs.discard(u)
     # a wire that never left |0> has no variable; <x_q|0> is 1 or 0
     if any(b for v, b in zip(cur, bits) if v is None):
         model.scalar *= 0.0
     model._fix({v: b for v, b in zip(cur, bits) if v is not None})
     return model
+
+
+def _factor_array(gate) -> np.ndarray:
+    """A read-only view of ``gate``'s factor array by the module
+    docstring's rule: its diagonal, or ``data[old..., new...] =
+    <new...|U|old...>``."""
+    r = len(gate.qubits)
+    if gate.diagonal:
+        data = np.diagonal(gate.matrix).reshape((2,) * r)
+    else:
+        # rows of U are new bits, columns old: move old first
+        u = gate.matrix.reshape((2,) * (2 * r))
+        data = np.transpose(u, tuple(range(r, 2 * r)) + tuple(range(r)))
+    data.flags.writeable = False
+    return data
 
 
 def model_value_bruteforce(g: GraphModel) -> complex:

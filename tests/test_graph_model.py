@@ -23,6 +23,8 @@ from gridamp import (
     sum_out,
 )
 from gridamp.circuit import Circuit, Gate
+from gridamp.graph_model import GraphModel, VarInfo
+from gridamp.tensor import Tensor, _sliced
 
 from conftest import REF4Q_EDGES, edge_names, letter_ids
 
@@ -226,6 +228,80 @@ def test_input_boundary_matches_oracle(c):
         x = "".join(bits)
         value = model_value_bruteforce(build_model(c, x))
         assert abs(value - amplitude_of(c, x)) < 1e-12
+
+
+def _reference_model(circuit: Circuit, x: str) -> GraphModel:
+    """The module docstring's rule applied gate by gate: each factor's
+    array made afresh from its gate's matrix and added through the checked
+    ``Tensor`` constructor and ``GraphModel._add_factor``."""
+    model = GraphModel()
+    cur = [None] * circuit.n_qubits
+    for k, gates in enumerate(circuit.cycles):
+        for gate in gates:
+            if gate.kind is GateKind.ID:
+                continue
+            old = tuple(cur[q] for q in gate.qubits)
+            r = len(old)
+            if gate.diagonal:
+                axes = old
+                data = np.diagonal(gate.matrix).reshape((2,) * r)
+            else:
+                for q in gate.qubits:
+                    cur[q] = len(model.var_info)
+                    model._add_vertex(cur[q], VarInfo(q, k))
+                axes = old + tuple(cur[q] for q in gate.qubits)
+                u = gate.matrix.reshape((2,) * (2 * r))
+                data = np.transpose(u, tuple(range(r, 2 * r)) + tuple(range(r)))
+            if None in old:
+                model._add_factor(_sliced(axes, data, {None: 0}))
+            else:
+                model._add_factor(Tensor(axes, data))
+    bits = [int(b) for b in x]
+    if any(b for v, b in zip(cur, bits) if v is None):
+        model.scalar *= 0.0
+    model._fix({v: b for v, b in zip(cur, bits) if v is not None})
+    return model
+
+
+@st.composite
+def customized_circuits(draw):
+    """A generated circuit on a grid of up to 3x3 with a drawn share of
+    its gates swapped for custom gates on the same qubits, dense or
+    diagonal, on one or two qubits."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c = generate(GenParams(rows, cols, draw(st.integers(0, 8)), draw(st.integers(0, 10_000))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    cycles = []
+    for gates in c.cycles:
+        out = []
+        for g in gates:
+            if rng.random() < share:
+                dim = 2 ** len(g.qubits)
+                make = _random_unitary if rng.random() < 0.5 else _random_phases
+                g = CustomGate(g.qubits, make(rng, dim))
+            out.append(g)
+        cycles.append(tuple(out))
+    return Circuit(rows, cols, tuple(cycles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.one_of(customized_circuits(), unprepared_circuits()), data=st.data())
+def test_build_matches_gate_by_gate_reference(c, data):
+    x = data.draw(st.text("01", min_size=c.n_qubits, max_size=c.n_qubits))
+    got, want = build_model(c, x), _reference_model(c, x)
+    assert got.adj == want.adj
+    assert got.var_info == want.var_info
+    assert [float.hex(z) for z in (got.scalar.real, got.scalar.imag)] == [
+        float.hex(z) for z in (want.scalar.real, want.scalar.imag)]
+    assert len(got.factors) == len(want.factors)
+    for f, g in zip(got.factors, want.factors):
+        assert f.axes == g.axes
+        assert f.data.dtype == g.data.dtype == np.complex128
+        assert (f.data.shape, f.data.strides) == (g.data.shape, g.data.strides)
+        assert f.data.tobytes() == g.data.tobytes()
+        # factors of one gate share an array: none may write through it
+        assert not f.data.flags.writeable
 
 
 class TestGeneratedCircuits:

@@ -113,7 +113,7 @@ class TestMinFill:
         fast = min_fill_ordering(m, seed=mf_seed)
         adj = {v: set(ns) for v, ns in m.adj.items()}
         rng = np.random.default_rng(mf_seed)
-        naive = []
+        naive, degrees = [], []
         while adj:
             fills = {v: fill_count(adj, v) for v in adj}
             best_fill = min(fills.values())
@@ -122,6 +122,7 @@ class TestMinFill:
             pool = sorted(v for v in pool if len(adj[v]) == best_deg)
             v = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
             naive.append(v)
+            degrees.append(len(adj[v]))
             nbs = sorted(adj.pop(v))
             for u in nbs:
                 adj[u].discard(v)
@@ -130,6 +131,9 @@ class TestMinFill:
                     adj[u].add(w)
                     adj[w].add(u)
         assert fast.vars == tuple(naive)
+        # the degrees it carries are the ones a replay prices
+        assert fast.degrees == tuple(degrees)
+        assert fast.degrees == tuple(s.degree for s in simulate_cost(m.adj, fast.vars).steps)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 500))
@@ -162,6 +166,22 @@ class TestSearch:
         want = min(restarts, key=lambda vs: (simulate_cost(m.adj, vs).total, vs))
         assert order.vars == want
         assert est == simulate_cost(m.adj, want)
+
+    @pytest.mark.parametrize("rows, depth, seed, cap", [(5, 16, 1, 3), (7, 24, 3, 2)])
+    def test_restarts_are_priced_without_a_replay(self, monkeypatch, rows, depth, seed, cap):
+        m = model_from(rows, rows, depth, seed)
+        budget = OrderingBudget(time_s=None, max_restarts=cap, seed=seed)
+        order, _ = search_ordering(m, budget)
+        want = simulate_cost(m.adj, order.vars)
+        # count restarts as the benchmark's tracer does: through the
+        # module attribute the search looks min-fill up by
+        calls = mock.Mock(wraps=ordering.min_fill_ordering)
+        monkeypatch.setattr(ordering, "min_fill_ordering", calls)
+        monkeypatch.setattr(ordering, "simulate_cost", mock.Mock(side_effect=AssertionError))
+        again, est = search_ordering(m, budget)
+        assert again.vars == order.vars
+        assert est == want
+        assert calls.call_count == cap
 
     def test_never_worse_than_min_fill(self):
         for seed in range(5):

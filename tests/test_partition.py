@@ -1,5 +1,6 @@
 """Variable fixing, greedy fix-set selection, partitioned execution."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -337,6 +338,41 @@ class TestSelectFixSet:
             ordering_budget=SEARCH_BUDGET,
         )
         assert 1 <= len(plan.fix_vars) <= 10
+
+
+# The benchmark workloads' plans, pinned so that a faster planner is
+# seen to leave them where they were: (rows, cols, depth, circuit seed,
+# rank budget, restart cap), then the fix set, the estimated total and a
+# sha256 of the post-fix ordering's ids joined by commas
+PINNED_PLANS = [
+    ((7, 7, 24, 0, 27, 2), (), 3400363,
+     "7006258c6c1b7c2e2df59998293040c0672203bb24eec111ca6cd2d1a7905f3f"),
+    ((7, 7, 24, 1, 27, 2), (), 1063179,
+     "223c3e1b61529808c9e1bcaeb53ae887380e87aea0d03eed0192deecc4d4e802"),
+    ((7, 7, 24, 2, 27, 2), (), 994973,
+     "03b4ab40e2a154ebeeb397d97c99f69c7f572cd33389004f0d8bb380481c8006"),
+    ((7, 7, 28, 0, 27, 1), (), 52442073,
+     "eadfa852ba301f6716d9d6b2f4461c7351b9ad5a92da97684d3813d3e9c57965"),
+    ((6, 6, 24, 0, 10, 2), (112, 94, 55, 9), 200560,
+     "36c17bca6a214a9a50e5a547f3e28c62397946ee7703a3d7f72a3007e3ca9c83"),
+]
+BENCH_FIX_MAX = 8  # perfbench/bench.py's FIX_MAX, the CLI's --fix-max default
+
+
+@pytest.mark.parametrize("config, fix_vars, total, ordering_sha", PINNED_PLANS,
+                         ids=["{}x{}x{}:{}".format(*pin[0]) for pin in PINNED_PLANS])
+def test_benchmark_plans_are_pinned(config, fix_vars, total, ordering_sha):
+    rows, cols, depth, seed, rank, restarts = config
+    # the graph, and so the plan, is the same for every output string
+    model = build_model(generate(GenParams(rows, cols, depth, seed)), "0" * (rows * cols))
+    budget = OrderingBudget(time_s=None, max_restarts=restarts)
+    base, _ = search_ordering(model, budget)
+    plan = select_fix_set(model, base, BENCH_FIX_MAX, CostBudget(max_rank=rank),
+                          ordering_budget=budget)
+    assert plan.fix_vars == fix_vars
+    assert plan.est_total_cost == total
+    ids = ",".join(map(str, plan.post_fix_ordering.vars))
+    assert hashlib.sha256(ids.encode()).hexdigest() == ordering_sha
 
 
 @pytest.mark.parametrize("slack", [1, 3])
