@@ -11,7 +11,22 @@ factor list meets them (original factors in list order, then results in
 creation order), which is also the order of the factors no step
 consumes.
 
-A step sums a run of nested variables.  Let U be the axes of step k's
+``_eliminate_all`` is also where each step's kernel is picked, from one
+``_schedule`` lookup of the axes of the bucket's product, which refuses
+more than ``max_rank`` of them before anything is allocated and names
+the step's variable and its position in the order.  The first that
+applies runs:
+
+- an empty bucket doubles the scalar;
+- a product of fewer than ``MATMUL_RANK`` axes: ``sum_out`` of the
+  ``multiply_all`` product;
+- one factor: ``sum_out`` of the factor;
+- a run of two or more nested variables: ``_eliminate_run``;
+- any other step: ``_chunked``.
+
+Every kernel returns a tensor; a rank-0 one folds into the scalar.
+
+A step may sum a run of nested variables.  Let U be the axes of step k's
 product less v_k, which are its result's.  Step k+1 joins the run when
 v_{k+1} is in U and every factor already filed in bucket k+1 has its
 axes in U; U then drops v_{k+1}, and the run goes on.  A result's axes
@@ -35,13 +50,10 @@ its own way, so a run agrees with one-variable steps to rounding, not
 bit for bit.
 
 Every other step sums its one variable.  A step of degree d has a
-product of rank d + 1.  One ``_schedule`` lookup gives its axes and
-refuses more than ``max_rank`` of them before anything is allocated.
-Under ``MATMUL_RANK`` axes, or with one factor, ``sum_out`` sums v out
-of the ``multiply_all`` product; ``multiply_all`` pairs the same tensors
-as a rescan would, so where no run forms the amplitude is bit-identical
-to eliminating one variable at a time.  A larger step never builds its
-product: one ``np.matmul`` per assignment of its chunk axes
+product of rank d + 1.  ``multiply_all`` pairs the same tensors as a
+rescan would, so a step that builds its product, and a one-factor step,
+is bit-identical to eliminating its variable alone.  ``_chunked`` never
+builds its product: one ``np.matmul`` per assignment of its chunk axes
 (d + 1 - ``CHUNK_RANK`` of them, none within that cap) sums v out of
 the ``multiply_all`` product of the other factors' ``_sliced`` slices
 and the largest factor's slice, straight into the rank-d output's
@@ -65,8 +77,9 @@ Each thread keeps a pool of large step buffers, since the 2^t subtasks
 of a plan repeat the same step shapes.  ``_chunked`` takes each output
 of at least ``POOL_FLOOR`` entries from it: the smallest kept buffer
 that fits, else a new one once the pool has freed all it kept.  After
-each step, a run included, ``_eliminate_all`` gives back the buffers of
-the results that ``_chunked`` made in this call and the step consumed,
+each step, a run included, ``_eliminate_all`` gives back the pooled
+buffers of the results that ``_chunked`` made in this call and the step
+consumed,
 never a model factor or a result it returns, so at most one
 contraction's large buffers stay kept after a call, until a request
 that none fits or the thread's end.  A run's result is not pooled: the
@@ -107,8 +120,7 @@ from .tensor import (
     sum_out,
 )
 
-# a step whose product has more axes never builds it, and no array it
-# builds per chunk has more than 2^20 entries (16 MiB)
+# no array that _chunked builds per chunk has more than 2^20 entries (16 MiB)
 CHUNK_RANK = 20
 # a step with more than one factor and a product of at least this many axes
 # starts a run, summed in one einsum, or sums v out by matmul alone, never
@@ -226,30 +238,6 @@ def estimate_cost(g: GraphModel, order: Ordering) -> CostEstimate:
     return simulate_cost(g.adj, order.vars)
 
 
-def _product_axes(bucket: list[Tensor], v: VarId, max_rank: int, step: int) -> tuple:
-    """The axes of the product of ``bucket``'s factors, from one ``_schedule``
-    lookup, which refuses more than ``max_rank`` of them before anything is
-    allocated; the error names ``v`` and ``step``."""
-    try:
-        return _schedule(tuple(t.axes for t in bucket), max_rank)[0]
-    except RankOverflowError as e:
-        raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {step}") from None
-
-
-def _eliminate_bucket(bucket: list[Tensor], v: VarId, max_rank: int, step: int):
-    """Multiply the factors that contain ``v`` and sum ``v`` out.  Returns
-    the result, or the scalar it folds into: the value of a rank-0 result,
-    or 2.0 for an empty bucket, which doubles the term."""
-    if not bucket:
-        return 2.0
-    axes = _product_axes(bucket, v, max_rank, step)
-    if len(axes) >= MATMUL_RANK or len(axes) > CHUNK_RANK:
-        out = _chunked(bucket, v, axes)
-    else:
-        out = sum_out(multiply_all(bucket, max_rank=max_rank), v)
-    return complex(out.data) if out.rank == 0 else out
-
-
 def _run_length(buckets: list, order, k: int, axes: tuple) -> int:
     """How many steps from step k on sum as one run, given the axes of step
     k's product: step j joins while v_j is an axis of the run's result so
@@ -276,27 +264,25 @@ def _run_path(layouts: tuple[tuple[VarId, ...], ...], out: tuple[VarId, ...]):
     return expr, tuple(np.einsum_path(expr, *views, optimize="greedy")[0])
 
 
-def _eliminate_run(bucket: list[Tensor], run, axes: tuple):
+def _eliminate_run(bucket: list[Tensor], run, axes: tuple) -> Tensor:
     """Sum the variables of ``run`` out of the product of ``bucket``, the
     factors of all its steps, in one einsum along the memoized path; the
-    first step's product has ``axes``.  Returns the result or its scalar."""
+    first step's product has ``axes``."""
     out = tuple(u for u in axes if u not in run)
     expr, path = _run_path(tuple(t.axes for t in bucket), out)
-    data = np.einsum(expr, *(t.data for t in bucket), optimize=path)
-    return _tensor(out, data) if out else complex(data)
+    return _tensor(out, np.einsum(expr, *(t.data for t in bucket), optimize=path))
 
 
 def _chunked(bucket: list[Tensor], v: VarId, axes: tuple) -> Tensor:
-    """``_eliminate_bucket``'s result without its product, whose ``axes``
-    it takes (module docstring): per chunk, one matmul of the product of
-    the other factors' slices and the largest factor's slice fills the
-    chunk's contiguous block of the output.  No rank cap: the lookup has
-    admitted ``axes``, and a chunk product has a subset of them, at most
-    ``CHUNK_RANK``, under ``multiply_all``'s default guard."""
+    """``v`` summed out of the product of ``bucket``, two or more factors,
+    without building that product, whose ``axes`` it takes (the last
+    kernel of the module docstring's dispatch): per chunk, one matmul of
+    the product of the other factors' slices and the largest factor's
+    slice fills the chunk's contiguous block of the output.  No rank cap:
+    the lookup has admitted ``axes``, and a chunk product has a subset of
+    them, at most ``CHUNK_RANK``, under ``multiply_all``'s default guard."""
     big = max(bucket, key=lambda t: t.rank)
     others = [t for t in bucket if t is not big]
-    if not others:  # no product to build
-        return sum_out(big, v)
     theirs = {u for t in others for u in t.axes}
     mem = [big.axes[i] for i in _memory_order(big)]
     runs = [list(g) for own, g in itertools.groupby(mem, lambda u: u not in theirs) if own]
@@ -349,7 +335,8 @@ def _memory_order(t: Tensor) -> list[int]:
 
 
 def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], complex]:
-    """Eliminate ``order`` from ``g``, which is only read; returns the factors
+    """Eliminate ``order`` from ``g``, which is only read, each step by the
+    kernel that the module docstring's dispatch picks; returns the factors
     left (module docstring) and the scalar.  A step that finds the scalar 0
     stops it, with no factors left.  Unlisted variables count last."""
     pos = dict.fromkeys(g.adj, len(order)) | {v: k for k, v in enumerate(order)}
@@ -357,7 +344,7 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
     for f in g.factors:
         buckets[min(map(pos.__getitem__, f.axes))].append(f)
     scalar = g.scalar
-    made = set()  # ids of the live results that _eliminate_bucket made in this call
+    made = set()  # ids of the live results whose buffers _chunked took from the pool
     for k, v in enumerate(order):
         if buckets[k] is None:  # summed in an earlier step's run
             continue
@@ -365,27 +352,34 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
             return [], scalar
         # release the bucket's list, so its factors die with the step
         bucket, buckets[k] = buckets[k], None
-        n = 1
-        if len(bucket) > 1 and len(axes := _product_axes(bucket, v, max_rank, k)) >= MATMUL_RANK:
-            n = _run_length(buckets, order, k, axes)
-        if n > 1:
+        if not bucket:  # v is in no factor: both of its values count
+            scalar = scalar * 2.0
+            continue
+        try:
+            axes = _schedule(tuple(t.axes for t in bucket), max_rank)[0]
+        except RankOverflowError as e:
+            raise RankOverflowError(e.variables, context=f"eliminating v{v} at step {k}") from None
+        if len(axes) < MATMUL_RANK:
+            r = sum_out(multiply_all(bucket, max_rank=max_rank), v)
+        elif len(bucket) == 1:
+            r = sum_out(bucket[0], v)
+        elif (n := _run_length(buckets, order, k, axes)) > 1:
             for j in range(k + 1, k + n):
                 bucket += buckets[j]
                 buckets[j] = None
             r = _eliminate_run(bucket, order[k:k + n], axes)
         else:
-            r = _eliminate_bucket(bucket, v, max_rank, k)
-            if isinstance(r, Tensor):  # a run's result never goes to the pool
+            r = _chunked(bucket, v, axes)
+            if r.size >= POOL_FLOOR:
                 made.add(id(r))
-        # a large result of _chunked is a view of its buffer; a comprehension
-        # binds no name that would keep a consumed factor alive into the next step
-        _POOL.kept.extend([t.data.base for t in bucket if id(t) in made
-                           and t.size >= POOL_FLOOR and t.data.base is not None])
+        # a pooled result is a view of its buffer; a comprehension binds no
+        # name that would keep a consumed factor alive into the next step
+        _POOL.kept.extend([t.data.base for t in bucket if id(t) in made])
         made.difference_update(map(id, bucket))  # a later result may reuse an id
-        if isinstance(r, Tensor):
+        if r.axes:
             buckets[min(map(pos.__getitem__, r.axes))].append(r)
         else:
-            scalar = scalar * r
+            scalar = scalar * complex(r.data)
     return buckets[-1], scalar
 
 
@@ -410,14 +404,9 @@ def contract(
 ) -> complex | np.ndarray:
     """Eliminate every free variable in order; returns the amplitude.
 
-    ``g`` is only read.  A step whose product has at least ``MATMUL_RANK``
-    axes and more than one factor sums, with its own variable, each next
-    variable whose bucket nests in the result so far, in one einsum along
-    a memoized path (module docstring).  Any other step sums its variable
-    out of its product by ``sum_out`` under ``MATMUL_RANK`` axes or with
-    one factor, else by matmul, adding no array but its output of more
-    than 2^``CHUNK_RANK`` entries.  Buckets and paths keep a fixed order,
-    so the result is bit-reproducible.  A rank overflow names its variable
+    ``g`` is only read.  Each step runs the kernel that the dispatch in
+    the module docstring picks.  Buckets and paths keep a fixed order, so
+    the result is bit-reproducible.  A rank overflow names its variable
     and step, counted from 0 in ``order``; a run's is its first step's.
 
     ``keep`` names variables left open: the result is a flat complex128

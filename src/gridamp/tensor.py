@@ -1,11 +1,9 @@
 """Dense complex tensors over binary indices.
 
 Two primitives drive elimination: multiplying a set of tensors over
-their shared variables and summing one variable out.  A step whose
-product has fewer than ``elimination.MATMUL_RANK`` axes, or one factor,
-uses both; a larger one uses only the first, on all its factors but the
-largest, and sums the variable out in a matmul, or sums a run of
-variables in one einsum and uses neither (see ``elimination``).
+their shared variables and summing one variable out.  Which steps use
+them, and which kernel the others run, is the dispatch in
+``elimination``'s module docstring.
 Axes carry variable ids; data is a complex128 array of shape (2,)*rank
 in axis order.  Tensors are treated as immutable values: every
 operation returns a new tensor and never writes through ``data``.

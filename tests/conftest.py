@@ -1,9 +1,11 @@
 """Shared fixtures and helpers: the reference four-qubit circuit, its
 model, the golden coupling-layout data for the 8x7 grid, the grid cases
-and fan-out plan several test modules run, and the full-replay fix
-reference."""
+and fan-out plan several test modules run, the full-replay fix
+reference, and a patch that keeps the engine from forming runs."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from gridamp import (
     search_ordering,
     select_fix_set,
 )
+from gridamp import elimination
 from gridamp.elimination import simulate_cost
 
 SEARCH_BUDGET = OrderingBudget(time_s=None, max_restarts=2)
@@ -132,6 +135,14 @@ def edge_names(model: GraphModel) -> set[str]:
     ids = letter_ids(model)
     names = {v: name for name, v in ids.items()}
     return {"".join(sorted((names[u], names[v]))) for u, v in model.edges()}
+
+
+def no_runs(monkeypatch):
+    """Patch ``elimination`` so that every step sums its one variable: no
+    run forms, and an ``_eliminate_run`` call fails the test."""
+    monkeypatch.setattr(elimination, "_run_length", lambda *args: 1)
+    monkeypatch.setattr(elimination, "_eliminate_run",
+                        mock.Mock(side_effect=AssertionError("a run formed")))
 
 
 def plan_over_budget(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import functools
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -29,9 +30,9 @@ from gridamp import (
 )
 from gridamp import elimination, partition
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
-from gridamp.tensor import multiply_all, sum_out
+from gridamp.tensor import _schedule, multiply_all, sum_out
 
-from conftest import edge_names, fanout_plan, letter_ids, with_custom_gates
+from conftest import edge_names, fanout_plan, letter_ids, no_runs, with_custom_gates
 
 
 def ordering_starting_with(model, first):
@@ -276,22 +277,73 @@ def record_products(monkeypatch):
     return calls
 
 
-def no_runs(monkeypatch):
-    """Patch ``elimination`` so that every step sums its one variable: no
-    run forms, and an ``_eliminate_run`` call fails the test."""
-    monkeypatch.setattr(elimination, "_run_length", lambda *args: 1)
-    monkeypatch.setattr(elimination, "_eliminate_run",
-                        mock.Mock(side_effect=AssertionError("a run formed")))
+def model_of(factors):
+    """A model whose factors are ``factors``, over their variables."""
+    g = GraphModel()
+    for v in sorted({u for t in factors for u in t.axes}):
+        g._add_vertex(v, VarInfo(v, 0))
+    for t in factors:
+        g._add_factor(t)
+    return g
+
+
+def chunked(bucket, v):
+    """``_chunked``'s sum of ``v`` out of the product of ``bucket``, given
+    that product's axes as the dispatch looks them up."""
+    return elimination._chunked(bucket, v, _schedule(tuple(t.axes for t in bucket), 30)[0])
+
+
+# (bucket layouts, the variables eliminated, the kernels called in turn):
+# a chunk of _chunked is one multiply_all call of the other factors' slices
+ROUTES = {
+    "product-15-axes": ([tuple(range(14)), (0, 14)], (0,), ["multiply_all", "sum_out"]),
+    "one-factor-17-axes": ([tuple(range(17))], (0,), ["sum_out"]),
+    # bucket 1's factor (1, 2) lies within step 0's result, axes 1 to 15
+    "run-of-two-steps": ([tuple(range(16)), (0, 1), (1, 2)], (0, 1), ["_eliminate_run"]),
+    # bucket 16's factor (16, 17) has an axis outside step 0's result
+    "17-axes-no-run": ([tuple(range(16)), (0, 16), (16, 17)], (0, 16),
+                       ["_chunked", "multiply_all"] * 2),
+    "21-axes": ([tuple(range(20)), (0, 20)], (0,), ["_chunked"] + ["multiply_all"] * 2),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_each_step_takes_its_kernel_at_the_real_constants(name, monkeypatch):
+    """The dispatch in ``_eliminate_all`` routes hand-made buckets by the
+    real ``MATMUL_RANK`` and ``CHUNK_RANK``, and each step's value is its
+    whole product summed, within 1e-12 relative."""
+    layouts, order, kernels = ROUTES[name]
+    rng = np.random.default_rng(len(name))
+    factors = [Tensor(a, rng.standard_normal((2,) * len(a)) + 1j * rng.standard_normal((2,) * len(a)))
+               for a in layouts]
+    want = multiply_all(factors)
+    for v in order:
+        want = sum_out(want, v)
+    calls = []
+
+    def logging(kernel, call):
+        def log(*args, **kwargs):
+            calls.append(kernel)
+            return call(*args, **kwargs)
+        return log
+
+    for kernel in ("multiply_all", "sum_out", "_chunked", "_eliminate_run"):
+        monkeypatch.setattr(elimination, kernel, logging(kernel, getattr(elimination, kernel)))
+    [got], scalar = elimination._eliminate_all(model_of(factors), order, max_rank=30)
+    assert calls == kernels
+    assert scalar == 1 and sorted(got.axes) == sorted(want.axes)
+    assert close(aligned(got, want.axes), want.data)
 
 
 class TestChunkedSteps:
     """Steps of more than one factor whose product has at least
-    ``MATMUL_RANK`` axes sum v out in one batched matmul per chunk, with
-    chunk axes only above ``CHUNK_RANK``; a larger one-factor step sums
-    its factor whole.  Patching the constants down makes small models take
-    this path.  BLAS rounds unlike einsum and numpy's reduce, and the
-    other factors' slices pair by their own sizes, so results are
-    compared with the whole path within 1e-12 relative."""
+    ``MATMUL_RANK`` axes, and form no run, sum v out in one batched matmul
+    per chunk, with chunk axes only above ``CHUNK_RANK``.  Patching the
+    constants down, with no runs, makes small models take this path, and
+    direct ``_chunked`` calls test its layouts.  BLAS rounds unlike einsum
+    and numpy's reduce, and the other factors' slices pair by their own
+    sizes, so results are compared with the whole path within 1e-12
+    relative."""
 
     @pytest.mark.parametrize("chunk_rank", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(4))
@@ -299,6 +351,8 @@ class TestChunkedSteps:
         model, order, want, oracle = grid_case(seed)
         calls = record_products(monkeypatch)
         monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
+        monkeypatch.setattr(elimination, "MATMUL_RANK", chunk_rank + 1)
+        no_runs(monkeypatch)
         got = contract(model, order)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert bits(contract(model, order)) == bits(got)
@@ -315,6 +369,8 @@ class TestChunkedSteps:
         # an engine cap one past the plan's rank fits no batched product
         want = run_partitioned(model, plan, max_rank=plan.est_subtask_cost.max_rank + 1)
         monkeypatch.setattr(elimination, "CHUNK_RANK", 3)
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 4)
+        no_runs(monkeypatch)
         got = run_partitioned(model, plan, workers=workers)
         one = run_partitioned(model, plan, workers=1)
         assert want.batch_vars == got.batch_vars == ()  # one slice per subtask
@@ -328,10 +384,10 @@ class TestChunkedSteps:
         # outermost, slice the first (two) factors down to rank 0; signed
         # zeros reach every multiply
         bucket = signed_zero_bucket([(0,), (1, 0), (3, 0), (0, 1, 3, 2)], chunk_rank)
-        want = elimination._eliminate_bucket(bucket, 3, max_rank=30, step=0)
+        want = sum_out(multiply_all(bucket, max_rank=30), 3)
         calls = record_products(monkeypatch)
         monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
-        got = elimination._eliminate_bucket(bucket, 3, max_rank=30, step=0)
+        got = chunked(bucket, 3)
         assert len(calls) == 2 ** (4 - chunk_rank)
         assert got.axes[: 4 - chunk_rank] == (0, 1)[: 4 - chunk_rank]
         sliced = {2: [(), (), (3,)], 3: [(), (1,), (3,)]}[chunk_rank]
@@ -385,7 +441,10 @@ class TestChunkedSteps:
             calls.clear()
             slices.clear()
             monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
-            out = elimination._eliminate_bucket(bucket, v, max_rank=30, step=0)
+            if len(bucket) > 1:
+                out = chunked(bucket, v)
+            else:  # the dispatch sums a one-factor step's factor whole
+                [out], _ = elimination._eliminate_all(model_of(bucket), (v,), max_rank=30)
             assert sorted(out.axes) == sorted(want.axes)
             assert close(aligned(out, want.axes), want.data)
             chunks = 0 if len(bucket) == 1 else 2 ** (rank - chunk_rank)
@@ -432,6 +491,8 @@ class TestChunkedSteps:
         e = letter_ids(ref4q_model)["e"]
         order = ordering_starting_with(ref4q_model, [e])  # step 0 has rank 5
         monkeypatch.setattr(elimination, "CHUNK_RANK", 2)
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 3)
+        no_runs(monkeypatch)
         forbid = AssertionError("output allocated")
         monkeypatch.setattr(np, "empty", mock.Mock(side_effect=forbid))
         with pytest.raises(RankOverflowError) as err:
@@ -526,21 +587,37 @@ class TestBufferPool:
 
 
 def record_steps(monkeypatch):
-    """Patch ``elimination`` so that each step of a contraction appends
-    (the variables it sums, its factor count) to the list returned; a run
-    counts the factors of all its buckets."""
+    """Patch ``elimination``'s kernels so that each step of a contraction
+    that calls one appends (the variables it sums, its factor count) to
+    the list returned; a run counts the factors of all its buckets, and a
+    ``sum_out`` step those of the ``multiply_all`` product it sums, or 1
+    when it sums a factor whole."""
     steps = []  # appends, which no thread can lose
-    eliminate_bucket, eliminate_run = elimination._eliminate_bucket, elimination._eliminate_run
+    last = threading.local()  # the thread's last product and its factor count
+    multiply, total = elimination.multiply_all, elimination.sum_out
+    matmul, eliminate_run = elimination._chunked, elimination._eliminate_run
 
-    def single(bucket, v, max_rank, step):
+    def multiplying(tensors, **kwargs):
+        product = multiply(tensors, **kwargs)
+        last.product = product, len(tensors)
+        return product
+
+    def summing(t, v):
+        product, factors = getattr(last, "product", (None, 1))
+        steps.append(((v,), factors if product is t else 1))
+        return total(t, v)
+
+    def chunking(bucket, v, axes):
         steps.append(((v,), len(bucket)))
-        return eliminate_bucket(bucket, v, max_rank, step)
+        return matmul(bucket, v, axes)
 
     def run(bucket, variables, axes):
         steps.append((tuple(variables), len(bucket)))
         return eliminate_run(bucket, variables, axes)
 
-    monkeypatch.setattr(elimination, "_eliminate_bucket", single)
+    monkeypatch.setattr(elimination, "multiply_all", multiplying)
+    monkeypatch.setattr(elimination, "sum_out", summing)
+    monkeypatch.setattr(elimination, "_chunked", chunking)
     monkeypatch.setattr(elimination, "_eliminate_run", run)
     return steps
 
@@ -721,10 +798,12 @@ class TestZeroScalar:
     def test_zero_scalar_stops_the_elimination(self, ref4q_model, monkeypatch):
         order = Ordering(sorted(ref4q_model.vertices))
         ref4q_model.scalar = 0j
-        monkeypatch.setattr(elimination, "_eliminate_bucket", mock.Mock())
+        kernels = ("sum_out", "_chunked", "_eliminate_run")
+        for kernel in kernels:
+            monkeypatch.setattr(elimination, kernel, mock.Mock())
         assert elimination._eliminate_all(ref4q_model, order.vars, max_rank=30) == ([], 0j)
         assert contract(ref4q_model, order) == 0j
-        assert not elimination._eliminate_bucket.called
+        assert not any(getattr(elimination, kernel).called for kernel in kernels)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_slices_stop_early(self, workers, monkeypatch):
@@ -734,18 +813,13 @@ class TestZeroScalar:
         c, model, plan = fanout_plan(4, 5, 16, 2, rank=2)
         assert plan.num_subtasks == 256
         one = run_partitioned(model, plan, workers=1, max_rank=7)
-        steps, parts = [], []  # appends, which no thread can lose
-        eliminate_bucket, contract_slice = elimination._eliminate_bucket, partition.contract
-
-        def counting(*args):
-            steps.append(args[1])
-            return eliminate_bucket(*args)
+        parts, contract_slice = [], partition.contract  # appends, which no thread can lose
 
         def recording(*args, **kwargs):
             parts.append(contract_slice(*args, **kwargs))
             return parts[-1]
 
-        monkeypatch.setattr(elimination, "_eliminate_bucket", counting)
+        steps = record_steps(monkeypatch)
         monkeypatch.setattr(partition, "contract", recording)
         got = run_partitioned(model, plan, workers=workers, max_rank=7)
         assert got.batch_vars == () and len(parts) == 256

@@ -41,6 +41,7 @@ from conftest import (
     fanout_plan,
     grid_model,
     letter_ids,
+    no_runs,
     plan_over_budget,
     reference_best_fix,
     with_custom_gates,
@@ -692,8 +693,10 @@ class TestBatchedSubtasks:
     @pytest.mark.parametrize("chunk_rank", [None, 5])
     def test_products_fit_the_cap(self, batch_case, chunk_rank, monkeypatch):
         model, plan, oracle, _, caps = batch_case
-        if chunk_rank is not None:
+        if chunk_rank is not None:  # no step of more axes builds its product
             monkeypatch.setattr(elimination, "CHUNK_RANK", chunk_rank)
+            monkeypatch.setattr(elimination, "MATMUL_RANK", chunk_rank + 1)
+            no_runs(monkeypatch)
             caps = [30]
         ranks = []
         multiply_all = elimination.multiply_all
