@@ -36,18 +36,26 @@ sparse Cholesky (Liu, Ng & Peyton 1993).  It depends on axes alone, so
 the 2^t slices of a plan share every run.  A run starts only at a step
 whose product has at least ``MATMUL_RANK`` axes and more than one
 factor.  One ``np.einsum`` over all its buckets' factors, with output
-axes U, sums it along numpy's greedy pairwise path, which admits no
-intermediate larger than the run's largest factor or result.
-``_run_path`` finds that path once per tuple of input layouts, on
-zero-stride views.  Every factor of a run, and so every intermediate of
-its path, lies within the first step's product, whose axes one
-``_schedule`` lookup has checked against ``max_rank`` before any einsum
-runs: a run overflows where its first step would, and the error names
-that step.  A run writes only its last result, where one-variable steps
-would write one per variable: a rank-26 8x8x40 subtask's largest
-written result falls from 2^26 to 2^22 entries.  The path pairs factors
-its own way, so a run agrees with one-variable steps to rounding, not
-bit for bit.
+axes U, sums it along a pairwise path that ``_run_path`` finds once per
+tuple of input layouts.  Many of a run's factors have one or two axes
+and lie within a factor of 2^16 entries or more, and numpy's greedy
+search, which scores a pair by the size it removes, would multiply
+them into it one at a time, each a pass over all of it.  So each factor
+whose axes lie within another's first joins its smallest such host
+(the later one on a tie; a host that has a host passes its guests up).
+A host's guests multiply smallest-first, and their product, which has
+no axis outside the host's, joins the host in one pass.  numpy's greedy
+search, on zero-stride views, then pairs what is left, and admits no
+intermediate larger than the run's largest factor or result; a guest
+product lies within its host, so it is no larger either.  Every factor
+of a run, and so every intermediate of its path, lies within the first
+step's product, whose axes one ``_schedule`` lookup has checked against
+``max_rank`` before any einsum runs: a run overflows where its first
+step would, and the error names that step.  A run writes only its last
+result, where one-variable steps would write one per variable: a
+rank-26 8x8x40 subtask's largest written result falls from 2^26 to 2^22
+entries.  The path pairs factors its own way, so a run agrees with
+one-variable steps to rounding, not bit for bit.
 
 Every other step sums its one variable.  A step of degree d has a
 product of rank d + 1.  ``multiply_all`` pairs the same tensors as a
@@ -255,13 +263,48 @@ def _run_length(buckets: list, order, k: int, axes: tuple) -> int:
 @functools.lru_cache(maxsize=_SCHEDULE_MEMO)
 def _run_path(layouts: tuple[tuple[VarId, ...], ...], out: tuple[VarId, ...]):
     """The einsum subscripts that multiply tensors with these axes and sum
-    every axis not in ``out``, and numpy's greedy pairwise path for them,
-    searched on zero-stride views."""
+    every axis not in ``out``, and a pairwise path for them.
+
+    A factor whose axes lie within another's is a guest of its host: the
+    smallest such factor ranked above it by (rank, position), the later
+    on a tie, or that host's own host, up to one with none.  Each host
+    takes the product of its guests, multiplied smallest-first, in one
+    pass, since that product has no axis outside the host's.  numpy's
+    greedy search, on zero-stride views, pairs what is left, under the
+    limit it would set on the whole run: the run's largest factor or
+    result.  A guest product lies within its host, so no intermediate of
+    the path is larger than that."""
     sub = dict(zip(dict.fromkeys(u for axes in layouts for u in axes), _LETTERS))
-    expr = "{}->{}".format(",".join("".join(map(sub.get, a)) for a in layouts),
-                           "".join(map(sub.get, out)))
-    views = [np.broadcast_to(0j, (2,) * len(a)) for a in layouts]
-    return expr, tuple(np.einsum_path(expr, *views, optimize="greedy")[0])
+    term = lambda axes: "".join(map(sub.get, axes))
+    expr = "{}->{}".format(",".join(map(term, layouts)), term(out))
+    n, sets = len(layouts), [set(a) for a in layouts]
+    above = [(len(a), i) for i, a in enumerate(layouts)]
+    up = [min((j for j in range(n) if above[j] > above[i] and sets[i] <= sets[j]),
+              key=lambda j: (len(sets[j]), -j), default=None) for i in range(n)]
+    guests = {}
+    for i in sorted(range(n), key=above.__getitem__):
+        if up[i] is not None:
+            h = i
+            while up[h] is not None:
+                h = up[h]
+            guests.setdefault(h, []).append(i)
+    ops, path = list(range(n)), ["einsum_path"]
+
+    def join(a, b):  # as numpy contracts two operands: the result goes last
+        path.append((ops.index(a), ops.index(b)))
+        ops[:] = [o for o in ops if o not in (a, b)]
+        sets.append((sets[a] | sets[b]) & set(out).union(*(sets[o] for o in ops)))
+        ops.append(len(sets) - 1)
+        return ops[-1]
+
+    for h, gs in guests.items():
+        join(functools.reduce(join, gs), h)
+    if len(ops) > 1:
+        limit = max(1 << len(a) for a in layouts + (out,))
+        views = [np.broadcast_to(0j, (2,) * len(sets[o])) for o in ops]
+        rest = "{}->{}".format(",".join(term(sorted(sets[o])) for o in ops), term(out))
+        path += np.einsum_path(rest, *views, optimize=("greedy", limit))[0][1:]
+    return expr, tuple(path)
 
 
 def _eliminate_run(bucket: list[Tensor], run, axes: tuple) -> Tensor:

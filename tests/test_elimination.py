@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridamp import (
@@ -32,7 +32,8 @@ from gridamp import elimination, partition
 from gridamp.graph_model import GraphModel, VarInfo, copy_adj
 from gridamp.tensor import _schedule, multiply_all, sum_out
 
-from conftest import edge_names, fanout_plan, letter_ids, no_runs, with_custom_gates
+from conftest import (edge_names, fanout_plan, letter_ids, no_runs, plan_over_budget,
+                      with_custom_gates)
 
 
 def ordering_starting_with(model, first):
@@ -723,6 +724,44 @@ class TestFusedRuns:
         expr, path = elimination._run_path.__wrapped__(((0, 1), (1, 2), (2, 3)), (0, 3))
         assert expr == "ab,bc,cd->ad" and path[0] == "einsum_path" and len(path) == 3
         assert strides == [(0, 0)] * 3  # no tensor data allocated
+        # (1,) joins its host (1, 2), the later of two rank-2 holders, before
+        # the search, which sees the three operands left
+        strides.clear()
+        expr, path = elimination._run_path.__wrapped__(((0, 1), (1, 2), (2, 3), (1,)), (0, 3))
+        assert expr == "ab,bc,cd,b->ad" and path[:2] == ("einsum_path", (3, 1)) and len(path) == 4
+        assert strides == [(0, 0)] * 3
+
+    def test_contained_factors_join_the_large_factor_once(self, monkeypatch):
+        # one rank-7 factor and five rank-1 and rank-2 factors inside it;
+        # step 0's product nests every later step, so all 7 sum in one run
+        g = GraphModel()
+        for v in range(7):
+            g._add_vertex(v, VarInfo(v, 0))
+        rng = np.random.default_rng(2)
+        layouts = [(0, 1), (3,), tuple(range(7)), (4, 5), (0,), (2, 6), (1, 2)]
+        for axes in layouts:
+            data = rng.standard_normal((2,) * len(axes)) + 1j * rng.standard_normal((2,) * len(axes))
+            g._add_factor(Tensor(axes, data))
+        paths, run_path = [], elimination._run_path
+
+        def searching(layouts, out):
+            found = run_path(layouts, out)
+            paths.append((layouts, found[1]))
+            return found
+
+        monkeypatch.setattr(elimination, "_run_path", searching)
+        steps = record_steps(monkeypatch)
+        got = contract(g, Ordering(tuple(range(7))))
+        assert steps == [(tuple(range(7)), 7)] and len(paths) == 1
+        (layouts, path), = paths
+        # replay on the operands' lineage: each holds whether the large
+        # factor went into it; exactly one contraction takes that operand
+        ops, joins = [len(a) == 7 for a in layouts], 0
+        for pair in path[1:]:
+            joins += any(ops[i] for i in pair)
+            ops = [x for i, x in enumerate(ops) if i not in pair] + [any(ops[i] for i in pair)]
+        assert joins == 1
+        assert abs(got - model_value_bruteforce(g)) <= 1e-12 * abs(got)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_grid_models_match_the_oracle(self, seed, monkeypatch):
@@ -786,6 +825,49 @@ class TestFusedRuns:
         assert any(buf is base for buf in kept for base in bases)
         # a run's result is never kept: only the flat buffers of _chunked
         assert kept and all(buf.ndim == 1 for buf in kept)
+
+
+def replay_path(layouts, out, path):
+    """The axes of each operand that numpy's einsum makes along ``path``:
+    a contraction keeps the axes of its operands that the operands left
+    or ``out`` still hold, and its result goes last."""
+    ops, made = [set(a) for a in layouts], []
+    for pair in path[1:]:
+        taken = set().union(*(ops[i] for i in pair))
+        ops = [s for i, s in enumerate(ops) if i not in pair]
+        made.append(taken & set(out).union(*ops))
+        ops.append(made[-1])
+    assert ops == [set(out)]
+    return made
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(3, 4), cols=st.integers(3, 5), depth=st.integers(8, 16),
+       seed=st.integers(0, 1000), t=st.integers(0, 3))
+def test_no_run_intermediate_outgrows_the_runs_largest_factor_or_result(rows, cols, depth, seed, t):
+    """A small grid plan's slice, every multi-factor step a run: replayed
+    on axes alone, no operand that a run's path makes has more axes than
+    the run's largest factor or its result, so the first step's
+    ``_schedule`` lookup bounds the whole run."""
+    model = build_model(generate(GenParams(rows, cols, depth, seed=seed)), "0" * (rows * cols))
+    plan = plan_over_budget(model, min_fill_ordering(model, seed=seed), t_max=t,
+                            budget=CostBudget(max_rank=1),
+                            ordering_budget=OrderingBudget(time_s=None, max_restarts=1))
+    sliced = model.clone()
+    sliced._fix({v: 0 for v in plan.fix_vars})
+    runs, eliminate_run = [], elimination._eliminate_run
+
+    def run(bucket, variables, axes):
+        runs.append((tuple(f.axes for f in bucket), tuple(u for u in axes if u not in variables)))
+        return eliminate_run(bucket, variables, axes)
+
+    with mock.patch.object(elimination, "MATMUL_RANK", 0), \
+            mock.patch.object(elimination, "_eliminate_run", run):
+        contract(sliced, plan.post_fix_ordering)
+    assume(runs)  # a few small plans form no run
+    for layouts, out in runs:
+        cap = max(map(len, layouts + (out,)))
+        assert all(len(s) <= cap for s in replay_path(layouts, out, elimination._run_path(layouts, out)[1]))
 
 
 class TestZeroScalar:
