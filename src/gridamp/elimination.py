@@ -81,22 +81,6 @@ einsum and numpy's reduce, and the slices pair smallest-first by their
 own sizes, so such a step agrees with the whole product summed to
 rounding, not bit for bit.
 
-Each thread keeps a pool of large step buffers, since the 2^t subtasks
-of a plan repeat the same step shapes.  ``_chunked`` takes each output
-of at least ``POOL_FLOOR`` entries from it: the smallest kept buffer
-that fits, else a new one once the pool has freed all it kept.  After
-each step, a run included, ``_eliminate_all`` gives back the pooled
-buffers of the results that ``_chunked`` made in this call and the step
-consumed,
-never a model factor or a result it returns, so at most one
-contraction's large buffers stay kept after a call, until a request
-that none fits or the thread's end.  A run's result is not pooled: the
-einsum lays it out in arrays of its own, not in one flat buffer.  The
-floor is glibc's 32 MiB mmap ceiling: a larger block is mapped afresh
-and unmapped on free, and on a 2-core Xeon writing 256 MiB took 90 ms
-into fresh pages against 30 ms into reused ones.  Only where outputs
-live changes, so the bits are the same.
-
 On the graph, eliminating v joins its neighbors into a clique (the
 fill-in) and removes v; ``eliminate_vertex`` is that update, shared by
 the cost model and fix-set selection.  A step costs 2^degree(v) at
@@ -108,7 +92,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,17 +117,6 @@ CHUNK_RANK = 20
 # starts a run, summed in one einsum, or sums v out by matmul alone, never
 # building the product; multiply_all and sum_out are faster below
 MATMUL_RANK = 16
-# a step output of at least this many entries (32 MiB, glibc's mmap
-# ceiling) comes from the thread's buffer pool (module docstring)
-POOL_FLOOR = 1 << 21
-
-
-class _Pool(threading.local):
-    def __init__(self):
-        self.kept: list[np.ndarray] = []
-
-
-_POOL = _Pool()
 
 
 @dataclass(frozen=True)
@@ -339,8 +311,7 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple) -> Tensor:
     chunk = (batch + cols + rows)[: max(0, len(axes) - CHUNK_RANK)]
     batch, rows, cols = ([u for u in x if u not in chunk] for x in (batch, rows, cols))
     shape = (1 << len(chunk),) + (2,) * len(batch) + (1 << len(rows), 1 << len(cols))
-    size = 1 << (len(axes) - 1)
-    data = (_take(size) if size >= POOL_FLOOR else np.empty(size, complex)).reshape(shape)
+    data = np.empty(shape, complex)
     for k, bits in enumerate(itertools.product((0, 1), repeat=len(chunk))):
         at = dict(zip(chunk, bits))
         product = multiply_all([_sliced(t.axes, t.data, at) for t in others])
@@ -350,17 +321,6 @@ def _chunked(bucket: list[Tensor], v: VarId, axes: tuple) -> Tensor:
             out=data[k],
         )
     return Tensor(tuple(chunk + batch + rows + cols), data.reshape((2,) * (len(axes) - 1)))
-
-
-def _take(size: int) -> np.ndarray:
-    """A flat buffer of ``size`` entries from the thread's pool: the
-    smallest kept one that fits, else a new one once the pool is empty."""
-    kept = _POOL.kept
-    fits = [i for i, buf in enumerate(kept) if buf.size >= size]
-    if not fits:
-        kept.clear()  # free them before the new buffer is mapped
-        return np.empty(size, complex)
-    return kept.pop(min(fits, key=lambda i: kept[i].size))[:size]
 
 
 def _stack(t: Tensor, batch: list, rows: list, cols: list) -> np.ndarray:
@@ -387,7 +347,6 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
     for f in g.factors:
         buckets[min(map(pos.__getitem__, f.axes))].append(f)
     scalar = g.scalar
-    made = set()  # ids of the live results whose buffers _chunked took from the pool
     for k, v in enumerate(order):
         if buckets[k] is None:  # summed in an earlier step's run
             continue
@@ -413,12 +372,6 @@ def _eliminate_all(g: GraphModel, order, max_rank: int) -> tuple[list[Tensor], c
             r = _eliminate_run(bucket, order[k:k + n], axes)
         else:
             r = _chunked(bucket, v, axes)
-            if r.size >= POOL_FLOOR:
-                made.add(id(r))
-        # a pooled result is a view of its buffer; a comprehension binds no
-        # name that would keep a consumed factor alive into the next step
-        _POOL.kept.extend([t.data.base for t in bucket if id(t) in made])
-        made.difference_update(map(id, bucket))  # a later result may reuse an id
         if r.axes:
             buckets[min(map(pos.__getitem__, r.axes))].append(r)
         else:

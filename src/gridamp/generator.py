@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, CircuitError, Gate, GateKind
+from .circuit import MAX_DEPTH, MAX_QUBITS, Circuit, CircuitError, Gate, GateKind
 
 # Horizontal layouts couple (r, c)-(r, c+1) where (c + 2*(r mod 2)) mod 4
 # hits the layout's offset; vertical layouts couple (r, c)-(r+1, c) on
@@ -49,6 +49,8 @@ class GenParams:
             raise ValueError("depth must be >= 0")
         if self.rows * self.cols > MAX_QUBITS:
             raise CircuitError(f"grid {self.rows}x{self.cols} has more than {MAX_QUBITS} qubits")
+        if self.depth > MAX_DEPTH:
+            raise CircuitError(f"depth {self.depth} exceeds the limit {MAX_DEPTH}")
 
 
 def cz_layer(config: int, rows: int, cols: int) -> set[tuple[int, int]]:

@@ -503,75 +503,27 @@ class TestChunkedSteps:
         with pytest.raises(AssertionError, match="output allocated"):
             contract(ref4q_model, order, max_rank=5)
 
-
-class TestBufferPool:
-    """Each thread keeps the buffers of the large results a contraction
-    consumed, and the next contraction on that thread writes into them.
-    Patching ``POOL_FLOOR`` down and ``MATMUL_RANK`` to 0, with no runs,
-    makes every step of a small model a matmul step with a pooled output;
-    the default floor is far above these models, which turns the pool
-    off."""
-
-    @pytest.fixture(autouse=True)
-    def empty_pool(self, monkeypatch):
-        monkeypatch.setattr(elimination._POOL, "kept", [])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_contraction_by_matmul_keeps_its_bits(self, seed, monkeypatch):
+        model, order, _, oracle = grid_case(seed)
         monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
         no_runs(monkeypatch)
-
-    @staticmethod
-    def record_takes(monkeypatch):
-        """Patch ``_take`` so that each call appends (the buffer it handed
-        out, whether the pool kept it)."""
-        taken, take = [], elimination._take
-
-        def taking(size):
-            kept = {id(buf) for buf in elimination._POOL.kept}
-            out = take(size)
-            taken.append((out.base, id(out.base) in kept))
-            return out
-
-        monkeypatch.setattr(elimination, "_take", taking)
-        return taken
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_second_contraction_writes_into_the_first_ones_buffers(self, seed, monkeypatch):
-        model, order, _, oracle = grid_case(seed)
-        off = contract(model, order)
-        taken = self.record_takes(monkeypatch)
-        monkeypatch.setattr(elimination, "POOL_FLOOR", 32)
         first = contract(model, order)
-        reused = [kept for _, kept in taken]
-        taken.clear()
-        second = contract(model, order)
-        assert bits(first) == bits(second) == bits(off)
-        assert abs(second - oracle) < 1e-10
-        # the first call's buffers serve the second call from its first step
-        assert taken[0][1] and sum(kept for _, kept in taken) > sum(reused)
-        # the pool keeps nothing below the floor
-        assert all(buf.size >= 32 for buf in elimination._POOL.kept)
+        assert bits(contract(model, order)) == bits(first)
+        assert abs(first - oracle) < 1e-10
 
-    def test_smallest_kept_buffer_that_fits(self, monkeypatch):
-        monkeypatch.setattr(elimination, "POOL_FLOOR", 4)
-        kept = [np.empty(n, complex) for n in (16, 4, 8)]
-        elimination._POOL.kept.extend(kept)
-        assert elimination._take(5).base is kept[2]
-        assert elimination._POOL.kept == [kept[0], kept[1]]
-        # none fits: the pool frees all it keeps, then allocates
-        assert elimination._take(32).size == 32
-        assert elimination._POOL.kept == []
-
-    # 4 workers on a short switch interval: more threads than cores, each
-    # with its own pool, all reading the same model factors
+    # 4 workers on a short switch interval: more threads than cores, all
+    # reading the same model factors
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_sliced_plan_with_pooled_shared_results(self, workers, monkeypatch):
+    def test_sliced_plan_by_matmul_on_many_threads(self, workers, monkeypatch):
         model, order, _, oracle = grid_case(2)
         plan = select_fix_set(model, order, t_max=4, budget=CostBudget(max_rank=4),
                               ordering_budget=OrderingBudget(time_s=None, max_restarts=2))
+        monkeypatch.setattr(elimination, "MATMUL_RANK", 0)
+        no_runs(monkeypatch)
         rank = plan.est_subtask_cost.max_rank + 1  # fits no batched product
-        off = run_partitioned(model, plan, workers=1, max_rank=rank)
+        one = run_partitioned(model, plan, workers=1, max_rank=rank)
         before = [(f.axes, f.data.tobytes()) for f in model.factors]
-        monkeypatch.setattr(elimination, "POOL_FLOOR", 1)
-        taken = self.record_takes(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -579,11 +531,9 @@ class TestBufferPool:
         finally:
             sys.setswitchinterval(interval)
         assert got.batch_vars == () and plan.num_subtasks > 1
-        assert bits(got.amplitude) == bits(off.amplitude)
+        assert bits(got.amplitude) == bits(one.amplitude)
         assert abs(got.amplitude - oracle) < 1e-10
-        # the subtasks wrote into reused buffers, and none into the factors
-        # of the model that they all slice
-        assert any(kept for _, kept in taken)
+        # no subtask wrote into the factors of the model that they all slice
         assert [(f.axes, f.data.tobytes()) for f in model.factors] == before
 
 
@@ -807,24 +757,6 @@ class TestFusedRuns:
         assert sum(len(run) for run, _ in steps) == len(order)
         assert sum(len(run) > 1 for run, _ in steps) >= 5
         assert [(order.index(run[0]), run) for run, _ in steps] == graph_runs(m.adj, order, steps)
-
-    def test_step_results_that_a_run_consumes_go_back_to_the_pool(self, monkeypatch):
-        monkeypatch.setattr(elimination._POOL, "kept", [])
-        monkeypatch.setattr(elimination, "POOL_FLOOR", 4)
-        model, order, want, _ = grid_case(0)
-        bases, eliminate_run = [], elimination._eliminate_run
-
-        def run(bucket, *args):
-            bases.extend(t.data.base for t in bucket if t.data.base is not None)
-            return eliminate_run(bucket, *args)
-
-        monkeypatch.setattr(elimination, "_eliminate_run", run)
-        got = contract(model, order)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        kept = elimination._POOL.kept
-        assert any(buf is base for buf in kept for base in bases)
-        # a run's result is never kept: only the flat buffers of _chunked
-        assert kept and all(buf.ndim == 1 for buf in kept)
 
 
 def replay_path(layouts, out, path):

@@ -16,7 +16,7 @@ from gridamp import (
     generate,
     serialize_circuit,
 )
-from gridamp.circuit import MAX_QUBITS
+from gridamp.circuit import MAX_DEPTH, MAX_QUBITS
 from gridamp.generator import config_for_cycle
 
 from conftest import LAYOUT_PAIRS_8X7
@@ -132,6 +132,15 @@ def test_grid_past_the_qubit_limit_fails_before_allocating(make, rows, cols):
     with pytest.raises(CircuitError, match=rf"grid {rows}x{cols} has more than {MAX_QUBITS} "):
         make(rows, cols)
     assert time.perf_counter() - start < 1.0
+
+
+def test_depth_past_the_limit_fails_before_building_cycles():
+    # 2x2 at depth 2,000,000 once built every cycle for 18 s before Circuit refused it
+    start = time.perf_counter()
+    with pytest.raises(CircuitError, match=rf"depth 2000000 exceeds the limit {MAX_DEPTH}"):
+        generate(GenParams(2, 2, 2_000_000))
+    assert time.perf_counter() - start < 1.0
+    assert generate(GenParams(1, 2, MAX_DEPTH)).depth == MAX_DEPTH
 
 
 def test_grid_at_the_qubit_limit_generates():
