@@ -32,7 +32,7 @@ pairs with both ends in B - D(u) (the candidate's clique joins them
 too), and adds the step's fill pairs that touch D(u) (the candidate's u
 does not reach that end).  When D is empty the two graphs are equal, and
 the rest of the candidate's cost is the base suffix total.  Each vertex
-is named by its position in the round's ordering, which is its step, so
+is named by its position in the base ordering, which is its step, so
 B and the partners of a fill pair's end are int bitmasks over positions,
 and D maps each of its vertices to its partner mask.  Only a step whose
 u is in D, or whose B holds two or more of D's vertices, can change D or
@@ -46,6 +46,31 @@ from the suffix totals in one subtraction.  ``twos`` is built from each
 vertex's mask of the steps whose B holds it, as ``twos |= ones &
 occurs[x]; ones |= occurs[x]`` over D's vertices x, and rebuilt only
 when those vertices change.
+
+Carried rounds: the greedy loop keeps the positions of the round-0 base
+ordering for all its rounds.  A fixed vertex's position becomes an empty
+step that costs nothing, and no position is renumbered.  Fixing f at
+p_f clears f from the B, the fill pairs and the halves of the steps
+before p_f, which are then the steps of G - f (prefix reuse), and
+eliminates again, with ``eliminate_vertex``, only the steps from p_f on,
+from the graph at that time: each later vertex's own edges plus the B
+of every earlier step that holds it.  A candidate u before p_f whose
+walk emptied D at or before p_f keeps its price.  G - u and G have the
+same graph from that step on, so from p_f on f saves as much on G - u as
+on G, and before p_f it saves less only where u changes a step.  With C
+the round's base total, u's total on G - f is exactly
+
+    T'(u) = T(u) - (C - T(f)) + corr_u(f),
+
+where corr_u(f) sums over the steps whose B holds f: 2^(|B| - 2) for
+each step before u's whose B holds u, 2^(|B| - 1) for u's own step, and
+2^(|B| - 1) - [f in keep] 2^(|keep| - 1) for each step of u's walk,
+where keep = B - D(u) is that step's B in u's graph (at the other steps
+of the walk keep = B, and the term is 0).  T(f) is the new base total, so
+a record that keeps T(u) - C changes by corr_u(f) alone; it then clears
+f from its keeps, which are then the B of G - f - u, for the next fix.
+Only the candidates at or after p_f, or whose walk passed it, are walked
+again, on the updated sweep.
 
 Kept vertices: ``elimination._kept_sweep`` eliminates an ordering on a
 copy of the full graph and never eliminates a vertex the ordering leaves
@@ -80,7 +105,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,50 +184,90 @@ def fix_variable(g: GraphModel, v: VarId, bit: int) -> GraphModel:
     return out
 
 
-def _fix_sweep(adj: dict[VarId, set[VarId]], order: list[VarId]) -> tuple[list, ...]:
-    """B and the fill pairs of each step of the base elimination, as
-    bitmasks over positions in ``order``, and for each position the mask
-    of the steps whose B holds it and what they cost less without it."""
-    pos = {u: k for k, u in enumerate(order)}
-    bit = {u: 1 << k for k, u in enumerate(order)}.__getitem__
-    base = copy_adj(adj)
-    neighbors = []  # B of each step
-    fills = []  # each step's fill pairs, as {position: partner mask} over both ends
-    occurs = [0] * len(order)  # occurs[x]: mask of the steps whose B holds x
-    halves = [0] * len(order)  # what the steps before x cost less without x
-    for k, u in enumerate(order):
-        nbs = base[u]
+def _positions(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+@dataclass
+class _Sweep:
+    """The fix sweep of the greedy loop's base ordering, at stable
+    positions, and the prices it carries (module docstring)."""
+
+    order: list  # the round-0 base ordering, None at each fixed position
+    links: list  # each position's own edges, as a mask
+    neighbors: list  # B of each step, 0 at a fixed position
+    fills: list  # each step's fill pairs, as {position: partner mask} over both ends
+    occurs: list  # occurs[x]: mask of the steps whose B holds x
+    halves: list  # what the steps before x cost less without x
+    # position: [its total less the base total, the step its walk ended at, its keeps]
+    priced: dict = field(default_factory=dict)
+
+
+def _fix_sweep(adj: dict[VarId, set[VarId]], order: list[VarId]) -> _Sweep:
+    """The round-0 sweep: B and the fill pairs of each step of the base
+    elimination, as bitmasks over positions in ``order``, and for each
+    position the mask of the steps whose B holds it and what they cost
+    less without it.  ``_fix`` keeps it up to date over later rounds."""
+    n, pos = len(order), {u: k for k, u in enumerate(order)}
+    graph = {k: {pos[w] for w in adj[u]} for k, u in enumerate(order)}
+    links = [sum(map((1).__lshift__, graph[k])) for k in range(n)]
+    sweep = _Sweep(list(order), links, [0] * n, [None] * n, [0] * n, [0] * n)
+    _sweep_from(sweep, 0, graph)
+    return sweep
+
+
+def _sweep_from(sweep: _Sweep, start: int, graph: dict[int, set[int]]) -> None:
+    """Eliminate the steps from ``start`` on with ``eliminate_vertex``,
+    from ``graph``, the graph at that time over positions, recording each
+    step's B and fill pairs and adding it to the ``occurs`` and halves of
+    the positions its B holds."""
+    occurs, halves = sweep.occurs, sweep.halves
+    bit = [1 << k for k in range(len(sweep.order))].__getitem__
+    for k in range(start, len(sweep.order)):
+        if k not in graph:  # fixed
+            continue
+        nbs = graph[k]
         half = (1 << len(nbs)) >> 1
         fill = {}
         for x in nbs:
-            p = pos[x]
-            occurs[p] |= 1 << k
-            halves[p] += half
-            joined = nbs - base[x]
+            occurs[x] |= 1 << k
+            halves[x] += half
+            joined = nbs - graph[x]
             joined.discard(x)
             if joined:
-                fill[p] = sum(map(bit, joined))
-        fills.append(fill)
-        neighbors.append(sum(map(bit, eliminate_vertex(base, u))))
-    return neighbors, fills, occurs, halves
+                fill[x] = sum(map(bit, joined))
+        sweep.fills[k] = fill
+        sweep.neighbors[k] = sum(map(bit, eliminate_vertex(graph, k)))
 
 
-def _priced_fixes(order: list[VarId], neighbors: list, fills: list, occurs: list,
-                  halves: list) -> dict[VarId, int]:
-    """Each vertex's total with it removed from the graph ``_fix_sweep``
-    swept: a missing-edge walk each that visits only the steps able to
-    change D (module docstring)."""
+def _priced_fixes(sweep: _Sweep) -> dict[VarId, int]:
+    """Each live vertex's total with it removed from the graph ``sweep``
+    holds: a carried price, or a missing-edge walk that visits only the
+    steps able to change D (module docstring).  A walk's record keeps
+    its total less the base total, the step it ended at and the B of
+    each step where the candidate's graph differs, for ``_fix`` to
+    carry."""
+    order, neighbors, fills, occurs, halves = (
+        sweep.order, sweep.neighbors, sweep.fills, sweep.occurs, sweep.halves)
     degrees = [nbs.bit_count() for nbs in neighbors]
-    costs = [1 << d for d in degrees]
+    costs = [0 if v is None else 1 << d for v, d in zip(order, degrees)]
     after = [0] * (len(order) + 1)  # after[k]: cost of steps k onwards
     for k in range(len(order) - 1, -1, -1):
         after[k] = after[k + 1] + costs[k]
-    totals = {}
     for k, v in enumerate(order):
+        if v is None or k in sweep.priced:
+            continue
         total = after[0] - after[k] - halves[k]
         missing = dict(fills[k])  # D
         keyed = sum(map((1).__lshift__, missing))  # D's keys as a mask
         built = 0  # the key mask ``twos`` was built for
+        keeps = {}  # the candidate's B at each step where it is not the base's
         j = k + 1
         while missing:
             if keyed != built:  # the steps whose B holds two or more keys
@@ -233,7 +298,7 @@ def _priced_fixes(order: list[VarId], neighbors: list, fills: list, occurs: list
                         del missing[w]
                         keyed ^= low
                 total += 1 << (degrees[j] - du.bit_count())
-                keep = neighbors[j] & ~du
+                keep = keeps[j] = neighbors[j] & ~du
             # the step's clique supplies the missing pairs inside keep
             hit = keep & keyed
             if hit & (hit - 1):
@@ -263,8 +328,61 @@ def _priced_fixes(order: list[VarId], neighbors: list, fills: list, occurs: list
                             y = end.bit_length() - 1
                             missing[y] = missing.get(y, 0) | low
             j += 1
-        totals[v] = total + after[j]
-    return totals
+        sweep.priced[k] = [total + after[j] - after[0], j, keeps]
+    return {order[k]: after[0] + price[0] for k, price in sweep.priced.items()}
+
+
+def _fix(sweep: _Sweep, v: VarId) -> list[int]:
+    """Fix ``v``, which ``_priced_fixes`` priced last: carry each price
+    that allows it, clear ``v`` from the steps before its own, and sweep
+    the steps from there on again (module docstring).  Returns each live
+    step's degree."""
+    order, neighbors, fills, occurs, halves = (
+        sweep.order, sweep.neighbors, sweep.fills, sweep.occurs, sweep.halves)
+    p = order.index(v)
+    f = 1 << p
+    held = occurs[p]  # the steps whose B holds v
+    for u, price in list(sweep.priced.items()):
+        if u >= p or price[1] > p:  # its prefix or its walk reaches p: walked again
+            del sweep.priced[u]
+            continue
+        # corr_u(v), from this round's B (module docstring)
+        corr = sum((1 << neighbors[k].bit_count()) >> 2 for k in _positions(held & occurs[u]))
+        if held >> u & 1:
+            corr += (1 << neighbors[u].bit_count()) >> 1
+        keeps = price[2]
+        for j, keep in keeps.items():
+            if held >> j & 1:
+                corr += (1 << neighbors[j].bit_count()) >> 1
+                if keep & f:
+                    corr -= (1 << keep.bit_count()) >> 1
+                    keeps[j] = keep ^ f
+        price[0] += corr
+    order[p], neighbors[p], fills[p] = None, 0, {}
+    for x in _positions(sweep.links[p]):
+        sweep.links[x] ^= f
+    for k in _positions(held):
+        nbs = neighbors[k] = neighbors[k] ^ f
+        quarter = (1 << nbs.bit_count()) >> 1  # 2^(|B| - 2): what each other half loses
+        for x in _positions(nbs):
+            halves[x] -= quarter
+        fill = fills[k]
+        for y in _positions(fill.pop(p, 0)):
+            if fill[y] == f:
+                del fill[y]
+            else:
+                fill[y] ^= f
+    graph = {}  # at time p: each later vertex's own edges and its earlier steps' B
+    for x in range(p + 1, len(order)):
+        if order[x] is not None:
+            occurs[x] &= f - 1
+            edges, halves[x] = sweep.links[x], 0
+            for k in _positions(occurs[x]):
+                edges |= neighbors[k]
+                halves[x] += (1 << neighbors[k].bit_count()) >> 1
+            graph[x] = {y for y in _positions(edges) if y > p and y != x}
+    _sweep_from(sweep, p + 1, graph)
+    return [nbs.bit_count() for u, nbs in zip(order, neighbors) if u is not None]
 
 
 def _give_back_degrees(sweep: list[set[VarId]], fixed: set[VarId]) -> dict:
@@ -313,7 +431,9 @@ def select_fix_set(
     Each round prices every surviving vertex by the cost of the reduced
     graph under ``base`` restricted to the survivors, and fixes the
     cheapest (ties to the lower id), until that ordering meets the budget,
-    after ``t_max`` fixes, or when no vertex is left.  ``search_ordering``
+    after ``t_max`` fixes, or when no vertex is left; one sweep serves
+    every round, and most prices carry from one round to the next
+    (module docstring).  ``search_ordering``
     then re-orders the reduced graph under ``ordering_budget``.  Both its
     result and the restricted base ordering give back their cheapest
     fixed variable (lower id on ties) while the rank fits and 2^t times
@@ -334,13 +454,13 @@ def select_fix_set(
     fix_vars: list[VarId] = []
     current, sweep = simulate_cost(adj, remaining), None
     while adj and len(fix_vars) < t_max and current.max_rank > budget.max_rank:
-        totals = _priced_fixes(remaining, *(sweep or _fix_sweep(adj, remaining)))
+        sweep = sweep or _fix_sweep(adj, remaining)
+        totals = _priced_fixes(sweep)
         best_v = min(totals, key=lambda v: (totals[v], v))
         fix_vars.append(best_v)
         remove_vertex(adj, best_v)
         remaining.remove(best_v)
-        sweep = _fix_sweep(adj, remaining)  # the next round prices its fixes from it too
-        current = _estimate(remaining, map(int.bit_count, sweep[0]))
+        current = _estimate(remaining, _fix(sweep, best_v))
     plans = [FixPlan(tuple(fix_vars), base.restrict(adj), current)]
     if fix_vars:
         reduced = GraphModel()  # the search reads only the graph

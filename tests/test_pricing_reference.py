@@ -1,10 +1,11 @@
 """Incremental fix pricing against full-replay references.
 
 Fix-set selection prices every candidate in one sweep of the base
-elimination plus a walk over the edges its graph lacks, and prices every
-give-back from one sweep of the full graph that keeps the fixed
-vertices.  Full-replay versions are kept here as references; the planner
-must return exactly what they return, so every plan is unchanged.
+elimination plus a walk over the edges its graph lacks, carries most
+prices from one greedy round to the next, and prices every give-back
+from one sweep of the full graph that keeps the fixed vertices.
+Full-replay versions are kept here as references; the planner must
+return exactly what they return, so every plan is unchanged.
 """
 
 import numpy as np
@@ -16,10 +17,12 @@ from gridamp import (
     CostBudget,
     CostEstimate,
     FixPlan,
+    GraphModel,
     Ordering,
     OrderingBudget,
     min_fill_ordering,
     search_ordering,
+    select_fix_set,
     vertical_ordering,
 )
 from gridamp import partition
@@ -76,21 +79,52 @@ def check_fix_pricing(adj, order):
     """Every vertex's total equals a full replay's; the caller's graph is
     left alone."""
     before = _copy(adj)
-    got = partition._priced_fixes(order, *partition._fix_sweep(adj, order))
+    got = partition._priced_fixes(partition._fix_sweep(adj, order))
     assert got == reference_fix_totals(adj, order)
     assert adj == before
 
 
+def remove(adj, order, v):
+    for u in adj.pop(v):
+        adj[u].discard(v)
+    order.remove(v)
+
+
+def walks_due(sweep):
+    """How many candidates the next ``_priced_fixes`` walks: the live
+    positions whose price was not carried."""
+    return sum(v is not None and k not in sweep.priced for k, v in enumerate(sweep.order))
+
+
+def check_rounds(monkeypatch, model, walks):
+    """Patch ``_priced_fixes`` so that each round's totals, carried and
+    walked alike, must equal a full replay of the graph that round sees,
+    the model less the vertices fixed so far; appends each round's walk
+    count to ``walks``."""
+    priced_fixes = partition._priced_fixes
+
+    def priced(sweep):
+        walks.append(walks_due(sweep))
+        totals = priced_fixes(sweep)
+        live = [v for v in sweep.order if v is not None]
+        adj = {u: model.adj[u] & set(live) for u in live}
+        assert totals == reference_fix_totals(adj, live)
+        return totals
+
+    monkeypatch.setattr(partition, "_priced_fixes", priced)
+
+
 class TestFixSelection:
     def test_every_round_prices_like_the_reference(self, model):
+        # four rounds of one carried sweep, each fixing the replay's best
         adj = _copy(model.adj)
         order = list(min_fill_ordering(model, seed=0).vars)
+        sweep = partition._fix_sweep(adj, order)
         for _ in range(4):
-            check_fix_pricing(adj, order)
+            assert partition._priced_fixes(sweep) == reference_fix_totals(adj, order)
             best = reference_best_fix(adj, order)
-            for u in adj.pop(best):
-                adj[u].discard(best)
-            order.remove(best)
+            remove(adj, order, best)
+            partition._fix(sweep, best)
 
     def test_vertical_ordering(self, model):
         # far from min-fill: long suffix walks with many missing edges
@@ -108,21 +142,9 @@ class TestFixSelection:
 
         got = plan()
         assert len(got.fix_vars) >= 1
-        # every round priced by full replay of the graph it swept
-        fix_sweep, swept, rounds = partition._fix_sweep, [], []
-
-        def sweep(adj, order):
-            swept.append((_copy(adj), list(order)))
-            return fix_sweep(adj, order)
-
-        def priced(order, *sweep):
-            adj, swept_order = swept[-1]
-            assert order == swept_order
-            rounds.append(order)
-            return reference_fix_totals(adj, order)
-
-        monkeypatch.setattr(partition, "_fix_sweep", sweep)
-        monkeypatch.setattr(partition, "_priced_fixes", priced)
+        # every round's totals equal a full replay of the graph it sees
+        rounds = []
+        check_rounds(monkeypatch, model, rounds)
         assert plan() == got
         assert len(rounds) >= len(got.fix_vars)
 
@@ -223,25 +245,64 @@ def test_fix_pricing_on_random_graphs():
         check_fix_pricing(adj, order)
 
 
-def test_every_fanout_round_prices_like_the_reference(monkeypatch):
-    # fanout-6x6x24 circuit 0 at rank budget 10, the benchmark's plan:
-    # each greedy round's totals equal a full replay of the graph it swept
-    fix_sweep, priced_fixes, swept, rounds = partition._fix_sweep, partition._priced_fixes, [], []
+@pytest.mark.parametrize("ordering", ["random", "min-fill"])
+@pytest.mark.parametrize("pick", ["cheapest", "random"])
+def test_carried_prices_equal_fresh_prices_in_every_round(ordering, pick):
+    # one sweep carried over every round up to t = vertex count, fixing
+    # the cheapest vertex as the planner does, or a random one; each
+    # round's totals equal those of a fresh sweep of its graph, and later
+    # rounds both carry prices and walk candidates again
+    rng = np.random.default_rng(10)
+    carried = walked = 0
+    for adj, order in [*random_graphs(40, seed=8), *sparse_id_graphs(3, seed=9)]:
+        if ordering == "min-fill":
+            g = GraphModel()
+            g.adj = adj
+            order = list(min_fill_ordering(g, seed=1).vars)
+        adj = _copy(adj)
+        sweep = partition._fix_sweep(adj, order)
+        for t in range(len(order)):
+            if t:
+                due = walks_due(sweep)
+                walked += due
+                carried += len(order) - due
+            totals = partition._priced_fixes(sweep)
+            assert totals == partition._priced_fixes(partition._fix_sweep(adj, order))
+            if pick == "cheapest":
+                v = min(totals, key=lambda u: (totals[u], u))
+            else:
+                v = order[int(rng.integers(len(order)))]
+            remove(adj, order, v)
+            partition._fix(sweep, v)
+    assert carried and walked
 
-    def sweep(adj, order):
-        swept.append((_copy(adj), list(order)))
-        return fix_sweep(adj, order)
 
-    def priced(order, *masks):
-        adj, swept_order = swept[-1]
-        assert order == swept_order
-        totals = priced_fixes(order, *masks)
-        assert totals == reference_fix_totals(adj, order)
-        rounds.append(order)
-        return totals
+@pytest.fixture(scope="module")
+def fanout_rounds():
+    """fanout-6x6x24 circuit 0 at rank budget 10, the benchmark's plan,
+    made with every greedy round's totals checked against a full replay
+    of the graph it sees; the plan and each round's walk count."""
+    walks = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
 
-    monkeypatch.setattr(partition, "_fix_sweep", sweep)
-    monkeypatch.setattr(partition, "_priced_fixes", priced)
-    _, _, plan = fanout_plan()
+        def select(model, *args, **kwargs):
+            check_rounds(monkeypatch, model, walks)
+            return select_fix_set(model, *args, **kwargs)
+
+        _, _, plan = fanout_plan(select=select)
+    return plan, walks
+
+
+def test_every_fanout_round_prices_like_the_reference(fanout_rounds):
+    plan, walks = fanout_rounds
     # the greedy fixes (14, 112, 94, 55, 9), then v14 given back
-    assert plan.fix_vars == (112, 94, 55, 9) and len(rounds) == 5
+    assert plan.fix_vars == (112, 94, 55, 9) and len(walks) == 5
+
+
+def test_fanout_rounds_after_the_first_walk_few_candidates(fanout_rounds):
+    # round 0 walks all 147 candidates; every fix sits near the end of the
+    # ordering, so each later round carries all but a few prices.  Full
+    # repricing in any later round would walk 140 or more
+    _, walks = fanout_rounds
+    assert walks[0] == 147
+    assert all(w < 16 for w in walks[1:]), walks
